@@ -14,11 +14,9 @@ import sys
 from dataclasses import replace
 from itertools import product
 
-import numpy as np
-
 from .budget import BudgetInputs, budget_csv_rows, budget_sweep
 from .config import CONFIG_KEYS, convert_config_value, default_config, load_config
-from .ensemble import RECORD_CSV_HEADER, ensemble_stats, run_ensemble
+from .ensemble import ensemble_stats, run_ensemble
 from .errors import (
     ConfigError,
     DegenerateSeriesError,
@@ -28,6 +26,7 @@ from .errors import (
     StateDomainError,
 )
 from .observables import OscillatorParams, is_qnd_sequence
+from .records import read_records
 from .stats import SampleSeries, energy_histogram
 
 _BUDGET_FLAGS = (
@@ -200,44 +199,9 @@ def _format_cell(value) -> str:
     return str(value)
 
 
-def _read_records(path: str):
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read records {path!r}: {exc}") from None
-    if not lines or lines[0] != RECORD_CSV_HEADER:
-        raise ConfigError(f"{path!r} is not a record CSV (bad header)")
-    finals: dict[int, tuple[int, float, float]] = {}
-    v22_sums: dict[int, float] = {}
-    v22_counts: dict[int, int] = {}
-    for line in lines[1:]:
-        if not line:
-            continue
-        parts = line.split(",")
-        if len(parts) != 8:
-            raise ConfigError(f"malformed record row: {line!r}")
-        traj = int(parts[0])
-        step = int(parts[1])
-        mean1 = float(parts[4])
-        mean2 = float(parts[5])
-        v22 = float(parts[7])
-        prev = finals.get(traj)
-        if prev is None or step > prev[0]:
-            finals[traj] = (step, mean1, mean2)
-        v22_sums[step] = v22_sums.get(step, 0.0) + v22
-        v22_counts[step] = v22_counts.get(step, 0) + 1
-    if not finals:
-        raise ConfigError(f"{path!r} contains no record rows")
-    x1 = np.array([finals[traj][1] for traj in sorted(finals)])
-    steps = sorted(v22_sums)
-    v22_trace = np.array([v22_sums[s] / v22_counts[s] for s in steps])
-    return x1, v22_trace
-
-
 def _cmd_analyze(args) -> int:
     config = load_config(args.config) if args.config is not None else default_config()
-    x1, v22_trace = _read_records(args.records)
+    x1, v22_trace = read_records(args.records)
     t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1, v22_trace, config)
     out = {
         "n_traj": len(x1),

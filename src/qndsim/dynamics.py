@@ -34,7 +34,10 @@ from .observables import OscillatorParams
 @dataclass(slots=True)
 class GaussianQuadState:
     """Gaussian state of the amplitude pair: sampled means plus conditional
-    covariance (v11, v22, v12), all in m^2, and the lab-time stamp."""
+    covariance (v11, v22, v12), all in m^2, and the lab-time stamp.
+
+    The means may also be arrays over a batch of trajectories that share one
+    covariance and clock, as the ensemble steps them."""
 
     mean1: float
     mean2: float

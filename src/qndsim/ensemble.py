@@ -6,8 +6,20 @@ stream; nothing is spawned or shared, so any worker may own any trajectory
 and the statistics cannot depend on scheduling.  Reduction is likewise
 canonical: trajectories are grouped into fixed-size chunks, chunk partials
 are folded in chunk order whatever the worker count, and the record CSV is
-concatenated in trajectory-index order.  Identical config implies
+written chunk by chunk in trajectory-index order.  Identical config implies
 byte-identical outputs.
+
+A chunk is stepped as one batch.  Covariance, gain and clock do not depend on
+the outcomes, so they stay scalars shared by the chunk, while the sampled
+means become arrays over its trajectories; the scalar ``thermal_step`` and
+``measure`` then advance the whole chunk with elementwise arithmetic.  Their
+random draws come from ``_ChunkDraws``, which stands in for the Generator:
+its k-th ``normal(loc, scale)`` returns ``loc + scale * z_k``, where ``z_k``
+holds the k-th standard normal of every trajectory's own stream.  That is the
+same arithmetic a Generator does for a scalar draw, so each trajectory gets
+the values it would get if stepped alone through ``run_schedule``, bit for
+bit.  The normals are drawn in blocks of ``DRAW_BLOCK`` per stream, so memory
+per chunk does not grow with n_meas unless records are written.
 
 Trajectories start at thermal stationarity in realization form: the thermal
 spread of the ensemble is carried by the sampled means, N(0, V_inf - V_floor)
@@ -21,8 +33,10 @@ inflating the marginal.
 from __future__ import annotations
 
 import json
+import os
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -31,16 +45,17 @@ import numpy as np
 from .budget import BudgetInputs, eta1 as _eta1, eta2 as _eta2
 from .config import CONFIG_KEYS, RunConfig
 from .dynamics import GaussianQuadState, stationary_variance, thermal_step, zero_point_variance
-from .errors import DegenerateSeriesError, InsufficientDataError
+from .errors import DegenerateSeriesError, InsufficientDataError, ParameterError
 from .measurement import backaction_sigma, measure
+from .records import RECORD_CSV_HEADER, format_rows
 from .stats import SampleSeries, estimate_t1, gof_boltzmann, heating_slope
-
-#: Exact header of the per-measurement record CSV.
-RECORD_CSV_HEADER = "traj_id,step,time_s,outcome_m,mean_x1_m,mean_x2_m,var_x1_m2,var_x2_m2"
 
 #: Fixed chunk size; the reduction order is defined by these boundaries,
 #: never by the worker count.
 CHUNK_SIZE = 128
+
+#: Standard normals drawn per stream at a time.
+DRAW_BLOCK = 128
 
 # Electrical readout mode used for the summary's eta2 figure; the run config
 # deliberately has no electrical fields.
@@ -53,16 +68,37 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
+class _ChunkDraws:
+    """Stands in for a Generator over trajectories [start, stop): the k-th
+    ``normal(loc, scale)`` returns ``loc + scale * z_k``, where ``z_k`` holds
+    the k-th standard normal of each trajectory's own stream."""
+
+    def __init__(self, seed: int, start: int, stop: int) -> None:
+        self._rngs = [trajectory_rng(seed, index) for index in range(start, stop)]
+        self._block = np.empty((stop - start, DRAW_BLOCK))
+        self._next = DRAW_BLOCK
+
+    def normal(self, loc, scale: float) -> np.ndarray:
+        if self._next == DRAW_BLOCK:
+            for rng, row in zip(self._rngs, self._block):
+                rng.standard_normal(out=row)
+            self._next = 0
+        z = self._block[:, self._next]
+        self._next += 1
+        return loc + scale * z
+
+
 @dataclass
 class _ChunkResult:
-    x1: list[float]
-    x2: list[float]
+    x1: np.ndarray
+    x2: np.ndarray
     v22_sum: np.ndarray
-    rows: list[str] | None
+    rows: str | None
 
 
 def _run_chunk(config: RunConfig, start: int, stop: int, collect_rows: bool) -> _ChunkResult:
-    """Simulate trajectories [start, stop); called in-process or in a worker."""
+    """Simulate trajectories [start, stop) as one batch; called in-process or
+    in a worker."""
     params = config.oscillator()
     meter = config.meter()
     policy = config.policy()
@@ -70,37 +106,40 @@ def _run_chunk(config: RunConfig, start: int, stop: int, collect_rows: bool) -> 
     floor = 0.0 if config.bath_model == "classical" else zero_point_variance(params)
     mean_sd = float(np.sqrt(max(vinf - floor, 0.0)))
 
-    x1s: list[float] = []
-    x2s: list[float] = []
-    v22_sum = np.zeros(config.n_meas)
-    rows: list[str] | None = [] if collect_rows else None
+    draws = _ChunkDraws(config.seed, start, stop)
+    state = GaussianQuadState(
+        mean1=draws.normal(0.0, mean_sd),
+        mean2=draws.normal(0.0, mean_sd),
+        v11=floor,
+        v22=floor,
+        v12=0.0,
+        time=0.0,
+    )
+    if config.burn_in_s > 0.0:
+        state = thermal_step(state, config.burn_in_s, params, draws)
+    post_v22 = np.empty(config.n_meas)
+    steps: list[tuple] | None = [] if collect_rows else None
+    # same operation order as measurement.run_schedule, with post-measure
+    # means captured for the record rows
+    for step in range(config.n_meas):
+        state = thermal_step(state, config.dt_s, params, draws)
+        outcome, state, record = measure(state, meter, policy, params, draws)
+        post_v22[step] = record.post_v22
+        if steps is not None:
+            steps.append((state.time, outcome, state.mean1, state.mean2, state.v11, state.v22))
 
-    for index in range(start, stop):
-        rng = trajectory_rng(config.seed, index)
-        state = GaussianQuadState(
-            mean1=rng.normal(0.0, mean_sd),
-            mean2=rng.normal(0.0, mean_sd),
-            v11=floor,
-            v22=floor,
-            v12=0.0,
-            time=0.0,
-        )
-        if config.burn_in_s > 0.0:
-            state = thermal_step(state, config.burn_in_s, params, rng)
-        # same operation order as measurement.run_schedule, with post-measure
-        # means captured for the record rows
-        for step in range(config.n_meas):
-            state = thermal_step(state, config.dt_s, params, rng)
-            outcome, state, record = measure(state, meter, policy, params, rng)
-            v22_sum[step] += record.post_v22
-            if rows is not None:
-                rows.append(
-                    f"{index},{step + 1},{state.time:.17g},{outcome:.17g},"
-                    f"{state.mean1:.17g},{state.mean2:.17g},{state.v11:.17g},{state.v22:.17g}"
-                )
-        x1s.append(state.mean1)
-        x2s.append(state.mean2)
-    return _ChunkResult(x1=x1s, x2=x2s, v22_sum=v22_sum, rows=rows)
+    # one addition per trajectory, in order: the sums round exactly as a
+    # per-trajectory fold does, which a multiplication by the count would not
+    v22_sum = np.zeros(config.n_meas)
+    for _ in range(start, stop):
+        v22_sum += post_v22
+    rows = None if steps is None else format_rows(start, steps)
+    return _ChunkResult(x1=state.mean1, x2=state.mean2, v22_sum=v22_sum, rows=rows)
+
+
+def _pool_size(workers: int, n_chunks: int) -> int:
+    """Processes worth starting: never more than the chunks or the cores."""
+    return min(workers, n_chunks, os.cpu_count() or 1)
 
 
 @dataclass(eq=False)
@@ -177,41 +216,40 @@ def run_ensemble(
     streams), so a run over [0, a+b) equals the merge of runs over [0, a)
     and [a, a+b) with the same master seed.
     """
+    if not (isinstance(workers, int) and workers >= 1):
+        raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
     started = _time.perf_counter()
-    collect_rows = record_path is not None
-    bounds = [
-        (lo, min(lo + CHUNK_SIZE, traj_start + config.n_traj))
-        for lo in range(traj_start, traj_start + config.n_traj, CHUNK_SIZE)
-    ]
-    if workers > 1 and len(bounds) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(
-                pool.map(
-                    _run_chunk,
-                    repeat(config),
-                    (lo for lo, _ in bounds),
-                    (hi for _, hi in bounds),
-                    repeat(collect_rows),
-                )
-            )
-    else:
-        partials = [_run_chunk(config, lo, hi, collect_rows) for lo, hi in bounds]
-
-    x1s: list[float] = []
-    x2s: list[float] = []
+    end = traj_start + config.n_traj
+    starts = range(traj_start, end, CHUNK_SIZE)
+    stops = [min(lo + CHUNK_SIZE, end) for lo in starts]
+    x1_parts: list[np.ndarray] = []
+    x2_parts: list[np.ndarray] = []
     v22_total = np.zeros(config.n_meas)
-    for part in partials:  # canonical fold: fixed chunk order
-        x1s.extend(part.x1)
-        x2s.extend(part.x2)
-        v22_total += part.v22_sum
+    handle = None
+    try:
+        with ExitStack() as stack:
+            if record_path is not None:
+                handle = stack.enter_context(open(record_path, "w", encoding="utf-8"))
+                handle.write(RECORD_CSV_HEADER + "\n")
+            n_procs = _pool_size(workers, len(starts))
+            if n_procs > 1:
+                run_map = stack.enter_context(ProcessPoolExecutor(max_workers=n_procs)).map
+            else:
+                run_map = map
+            # both maps yield in chunk order: the canonical fold
+            for part in run_map(_run_chunk, repeat(config), starts, stops, repeat(record_path is not None)):
+                x1_parts.append(part.x1)
+                x2_parts.append(part.x2)
+                v22_total += part.v22_sum
+                if handle is not None:
+                    handle.write(part.rows)
+    except BaseException:
+        if handle is not None:  # a failed run leaves no partial record file
+            os.remove(record_path)
+        raise
+    x1s = np.concatenate(x1_parts)
+    x2s = np.concatenate(x2_parts)
     v22_trace = v22_total / config.n_traj
-
-    if record_path is not None:
-        with open(record_path, "w", encoding="utf-8") as handle:
-            handle.write(RECORD_CSV_HEADER + "\n")
-            for part in partials:
-                for row in part.rows:
-                    handle.write(row + "\n")
 
     t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1s, v22_trace, config)
     budget_point = BudgetInputs(
@@ -234,7 +272,7 @@ def run_ensemble(
         eta2=_eta2(budget_point),
         wall_time_s=_time.perf_counter() - started,
         records_csv=record_path or "",
-        series_x1=np.asarray(x1s),
-        series_x2=np.asarray(x2s),
+        series_x1=x1s,
+        series_x2=x2s,
         v22_trace=v22_trace,
     )

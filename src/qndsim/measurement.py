@@ -113,7 +113,8 @@ def measure(
     """Draw one outcome and return (outcome, updated state, record).
 
     The clock does not advance: measurements are instantaneous events between
-    thermal steps.
+    thermal steps.  For a batch state (array means) the outcome is an array
+    too; covariance and record bookkeeping stay scalars.
     """
     policy = CollapsePolicy(policy)
     _require_psd(state)
@@ -154,7 +155,12 @@ def measure(
         v22 = state.v22 + sba2 * p2 * p2
         v12 = state.v12 + sba2 * p1 * p2
 
-    if not (math.isfinite(mean1) and math.isfinite(mean2) and math.isfinite(v11) and math.isfinite(v22)):
+    # means are floats, or arrays when an ensemble chunk is stepped as a batch
+    if isinstance(mean1, float):
+        means_finite = math.isfinite(mean1) and math.isfinite(mean2)
+    else:
+        means_finite = np.isfinite(mean1).all() and np.isfinite(mean2).all()
+    if not (means_finite and math.isfinite(v11) and math.isfinite(v22)):
         raise NumericalFailureError("measurement update produced non-finite state")
 
     new_state = GaussianQuadState(mean1=mean1, mean2=mean2, v11=v11, v22=v22, v12=v12, time=state.time)

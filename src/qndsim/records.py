@@ -1,0 +1,107 @@
+"""The per-measurement record CSV: header, chunk writer and strict reader.
+
+One row per measurement, trajectory-major, steps 1..n_meas within each
+trajectory, floats with 17 significant digits so that every value reads back
+bit for bit:
+
+    traj_id,step,time_s,outcome_m,mean_x1_m,mean_x2_m,var_x1_m2,var_x2_m2
+
+``format_rows`` renders one chunk of trajectories at a time.  ``read_records``
+streams a file and keeps only what ``analyze`` needs: the final mean_x1 of
+every trajectory and the per-step sums of var_x2.  It rejects any file that a
+run could not have written, naming the path and line.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import ConfigError
+
+#: Exact header of the per-measurement record CSV.
+RECORD_CSV_HEADER = "traj_id,step,time_s,outcome_m,mean_x1_m,mean_x2_m,var_x1_m2,var_x2_m2"
+
+_FIELDS = tuple(RECORD_CSV_HEADER.split(","))
+
+
+def format_rows(first_id: int, steps) -> str:
+    """Rows of one chunk of trajectories, trajectory-major.
+
+    ``steps`` holds one (time, outcome, mean1, mean2, v11, v22) tuple per
+    measurement: outcome and means are arrays over trajectories first_id,
+    first_id + 1, ...; time and variances are scalars shared by the chunk,
+    so they are rendered once per step, not once per row.
+    """
+    times, outcomes, means1, means2, vars1, vars2 = zip(*steps)
+    trajectory_format = "".join(
+        f"%d,{step},{time:.17g},%.17g,%.17g,%.17g,{v11:.17g},{v22:.17g}\n"
+        for step, (time, v11, v22) in enumerate(zip(times, vars1, vars2), start=1)
+    )
+    n_traj = len(outcomes[0])
+    table = np.empty((n_traj, len(steps), 4))
+    table[:, :, 0] = np.arange(first_id, first_id + n_traj)[:, None]  # exact; rendered by %d
+    table[:, :, 1] = np.transpose(outcomes)
+    table[:, :, 2] = np.transpose(means1)
+    table[:, :, 3] = np.transpose(means2)
+    return (trajectory_format * n_traj) % tuple(table.ravel().tolist())
+
+
+def read_records(path: str) -> tuple[np.ndarray, np.ndarray]:
+    """(final mean_x1 per trajectory, mean var_x2 per step) of a record CSV.
+
+    Trajectory ids must be consecutive, every trajectory must hold steps
+    1..n_meas in order, and n_meas must be the same for all of them; any
+    other content raises ConfigError with ``path:line``.
+    """
+    x1: list[float] = []
+    v22_sums: list[float] = []  # per step, summed in file order
+    traj = step = lineno = 0
+    try:
+        with open(path, "rb") as handle:
+            if handle.readline().rstrip(b"\r\n") != RECORD_CSV_HEADER.encode():
+                raise ConfigError(f"{path}:1: not a record CSV (bad header)")
+            for lineno, line in enumerate(handle, start=2):
+                parts = line.split(b",")
+                if len(parts) != len(_FIELDS):
+                    raise ConfigError(f"{path}:{lineno}: expected {len(_FIELDS)} fields, got {len(parts)}")
+                try:
+                    row_traj, row_step = int(parts[0]), int(parts[1])
+                    mean1, v22 = float(parts[4]), float(parts[7])
+                except ValueError:
+                    raise ConfigError(f"{path}:{lineno}: {_bad_field(parts)}") from None
+                if row_step == 1 and (not x1 or row_traj == traj + 1):  # next trajectory
+                    if x1:
+                        _require_complete(path, lineno, traj, step, len(v22_sums))
+                    x1.append(0.0)
+                elif not (x1 and row_traj == traj and row_step == step + 1):  # not the next step
+                    after = f"trajectory {traj} step {step}" if x1 else "the header"
+                    raise ConfigError(f"{path}:{lineno}: trajectory {row_traj} step {row_step} follows {after}")
+                if row_step > len(v22_sums):  # the first trajectory fixes n_meas
+                    if len(x1) > 1:
+                        raise ConfigError(f"{path}:{lineno}: trajectory {traj} has more than {len(v22_sums)} steps")
+                    v22_sums.append(0.0)
+                traj, step = row_traj, row_step
+                x1[-1] = mean1
+                v22_sums[step - 1] += v22
+    except OSError as exc:
+        raise ConfigError(f"cannot read records {path!r}: {exc}") from None
+    if not x1:
+        raise ConfigError(f"{path!r} contains no record rows")
+    _require_complete(path, lineno, traj, step, len(v22_sums))
+    return np.array(x1), np.array(v22_sums) / len(x1)
+
+
+def _require_complete(path: str, lineno: int, traj: int, step: int, n_meas: int) -> None:
+    if step != n_meas:
+        raise ConfigError(f"{path}:{lineno}: trajectory {traj} ends at step {step}, expected {n_meas}")
+
+
+def _bad_field(parts: list[bytes]) -> str:
+    """Name the first field of a row that read_records cannot parse."""
+    for index, convert in ((0, int), (1, int), (4, float), (7, float)):
+        try:
+            convert(parts[index])
+        except ValueError:
+            kind = "an integer" if convert is int else "a number"
+            return f"{_FIELDS[index]} is not {kind}: {parts[index].decode(errors='replace').strip()!r}"
+    return "unparsable row"

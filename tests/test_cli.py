@@ -1,9 +1,12 @@
 import json
+import math
 from dataclasses import replace
 
-from qndsim import default_config, format_config
+import pytest
+
+from qndsim import default_config, format_config, run_ensemble
 from qndsim.cli import main
-from qndsim.ensemble import RECORD_CSV_HEADER
+from qndsim.records import RECORD_CSV_HEADER
 
 
 def write_config(tmp_path, **overrides):
@@ -147,6 +150,7 @@ def test_analyze_matches_simulate(tmp_path, capsys):
     # .17g serialization round-trips the series, so the refit is bit-identical
     assert analyzed["t1_hat_K"] == simulated["t1_hat_K"]
     assert analyzed["gof_p_value"] == simulated["gof_p_value"]
+    assert math.isclose(analyzed["v22_slope_m2"], simulated["v22_slope_m2"], rel_tol=1e-12)
     assert analyzed["n_traj"] == 150 and analyzed["n_meas"] == 6
     assert any(line.startswith("boltzmann:") for line in out[1:])
     hist_lines = hist_path.read_text().splitlines()
@@ -156,3 +160,44 @@ def test_analyze_matches_simulate(tmp_path, capsys):
 
 def test_analyze_missing_records(tmp_path, capsys):
     assert main(["analyze", "--records", str(tmp_path / "nope.csv")]) == 1
+
+
+def test_simulate_and_sweep_reject_nonpositive_workers(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path, n_traj=4, n_meas=2)
+    assert main(["simulate", "--config", str(cfg_path), "--workers", "0"]) == 1
+    assert "workers" in capsys.readouterr().err
+    assert main(["sweep", "--config", str(cfg_path), "--vary", "seed=1,2", "--workers", "-1"]) == 1
+    assert "workers" in capsys.readouterr().err
+
+
+def _with_field(row, column, value):
+    parts = row.split(",")
+    parts[column] = value
+    return ",".join(parts)
+
+
+# rows of a 3 x 3 run (line 1 is the header, trajectory 0 is on lines 2-4);
+# each case: how to spoil the rows, the line at fault, a word of the message
+MALFORMED_RECORDS = {
+    "non_integer_id": (lambda r: ["abc" + r[0][1:]] + r[1:], 2, "traj_id"),
+    "non_numeric_mean": (lambda r: r[:1] + [_with_field(r[1], 4, "x")] + r[2:], 3, "mean_x1_m"),
+    "non_numeric_var": (lambda r: r[:4] + [_with_field(r[4], 7, "1e-3x")] + r[5:], 6, "var_x2_m2"),
+    "wrong_field_count": (lambda r: r[:2] + [r[2].rsplit(",", 1)[0]] + r[3:], 4, "fields"),
+    "duplicate_row": (lambda r: r[:1] + r, 3, "follows trajectory 0 step 1"),
+    "missing_step": (lambda r: r[:1] + r[2:], 3, "follows trajectory 0 step 1"),
+    "ragged_trajectories": (lambda r: r[:2] + r[3:], 6, "more than 2 steps"),
+    "out_of_order_ids": (lambda r: r[3:6] + r[:3] + r[6:], 5, "follows trajectory 1 step 3"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_RECORDS))
+def test_analyze_rejects_malformed_records(case, tmp_path, capsys):
+    spoil, line, word = MALFORMED_RECORDS[case]
+    path = tmp_path / "records.csv"
+    run_ensemble(replace(default_config(), n_traj=3, n_meas=3), record_path=str(path))
+    header, *rows = path.read_text().splitlines()
+    path.write_text("\n".join([header] + spoil(rows)) + "\n")
+    assert main(["analyze", "--records", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert f"{path}:{line}:" in err
+    assert word in err

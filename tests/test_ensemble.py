@@ -5,9 +5,20 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from qndsim import GaussianQuadState, default_config, run_ensemble, run_schedule, thermal_step, trajectory_rng
-from qndsim.dynamics import stationary_variance
-from qndsim.ensemble import CHUNK_SIZE, RECORD_CSV_HEADER
+from qndsim import (
+    GaussianQuadState,
+    NumericalFailureError,
+    ParameterError,
+    default_config,
+    measure,
+    run_ensemble,
+    run_schedule,
+    thermal_step,
+    trajectory_rng,
+)
+from qndsim.dynamics import stationary_variance, zero_point_variance
+from qndsim.ensemble import CHUNK_SIZE, _pool_size
+from qndsim.records import RECORD_CSV_HEADER
 
 
 def small_config(**overrides):
@@ -72,19 +83,71 @@ def test_partitioned_runs_merge_exactly():
     assert np.allclose(whole.v22_trace, merged_trace, rtol=1e-12)
 
 
-def test_trajectory_replays_through_public_schedule():
-    # the ensemble's inner loop consumes randomness exactly like run_schedule
-    config = small_config(n_traj=3, n_meas=5)
-    summary = run_ensemble(config)
-    params = config.oscillator()
-    vinf = stationary_variance(params)
+# every draw pattern of the chunk kernel: 3 or 5 draws per step, burn-in,
+# the quantum floor, and each meter direction
+REPLAY_BRANCHES = {
+    "orthodox": {},
+    "no_conditioning": {"collapse_policy": "no_conditioning"},
+    "burn_in": {"burn_in_s": 5.0},
+    "quantum_floor": {"bath_model": "quantum"},
+    "position": {"meter_kind": "position"},
+    "qnd_x2": {"meter_kind": "qnd_x2"},
+}
+
+
+@pytest.mark.parametrize("branch", list(REPLAY_BRANCHES))
+def test_trajectory_replays_through_public_schedule(branch, tmp_path):
+    # each trajectory of a batched chunk gets exactly the draws of its own
+    # stream, in the order the scalar step and run_schedule consume them
+    config = small_config(n_traj=3, n_meas=5, **REPLAY_BRANCHES[branch])
+    path = tmp_path / "records.csv"
+    summary = run_ensemble(config, record_path=str(path))
+    rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+    params, meter, policy = config.oscillator(), config.meter(), config.policy()
+    floor = 0.0 if config.bath_model == "classical" else zero_point_variance(params)
+    sd = math.sqrt(max(stationary_variance(params) - floor, 0.0))
     for index in range(config.n_traj):
         rng = trajectory_rng(config.seed, index)
-        sd = math.sqrt(vinf)
-        state = GaussianQuadState(rng.normal(0.0, sd), rng.normal(0.0, sd), 0.0, 0.0, 0.0, 0.0)
-        _, final = run_schedule(state, config.meter(), config.policy(), params, config.dt_s, config.n_meas, rng)
-        assert final.mean1 == summary.series_x1[index]
-        assert final.mean2 == summary.series_x2[index]
+        start = GaussianQuadState(rng.normal(0.0, sd), rng.normal(0.0, sd), floor, floor, 0.0, 0.0)
+        if config.burn_in_s > 0.0:
+            start = thermal_step(start, config.burn_in_s, params, rng)
+        schedule_draws = rng.bit_generator.state
+        scheduled, final = run_schedule(start, meter, policy, params, config.dt_s, config.n_meas, rng)
+
+        rng.bit_generator.state = schedule_draws  # the same draws, one step at a time
+        state, expected = start, []
+        for step in range(1, config.n_meas + 1):
+            state = thermal_step(state, config.dt_s, params, rng)
+            outcome, state, _ = measure(state, meter, policy, params, rng)
+            expected.append([index, step, state.time, outcome, state.mean1, state.mean2, state.v11, state.v22])
+        assert rows[index * config.n_meas:(index + 1) * config.n_meas] == expected
+        assert [[r[2], r[3], r[6], r[7]] for r in expected] == [
+            [r.time, r.outcome, r.post_v11, r.post_v22] for r in scheduled
+        ]
+        assert (final.mean1, final.mean2) == (summary.series_x1[index], summary.series_x2[index])
+
+
+def test_failed_run_leaves_no_record_file(tmp_path):
+    path = tmp_path / "records.csv"
+    with pytest.raises(NumericalFailureError):
+        run_ensemble(small_config(n_traj=2, n_meas=1, sigma_m_m=1e-300), record_path=str(path))
+    assert not path.exists()
+
+
+def test_workers_must_be_positive():
+    for workers in (0, -3):
+        with pytest.raises(ParameterError):
+            run_ensemble(small_config(n_traj=2, n_meas=1), workers=workers)
+
+
+def test_pool_size_is_bounded_by_chunks_and_cores(monkeypatch):
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    assert _pool_size(100_000, 3) == 3
+    assert _pool_size(100_000, 10**6) == 4
+    assert _pool_size(2, 10**6) == 2
+    assert _pool_size(8, 1) == 1
+    monkeypatch.setattr("os.cpu_count", lambda: None)
+    assert _pool_size(100_000, 10**6) == 1
 
 
 def test_burn_in_changes_the_stream_but_stays_deterministic():
