@@ -1,8 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from qndsim import stats
 from qndsim import (
     KB,
     DegenerateSeriesError,
@@ -119,6 +121,37 @@ def test_gof_contracts(params):
         gof_boltzmann(SampleSeries(np.zeros(200), "x1"), params)
     with pytest.raises(ParameterError):
         gof_boltzmann(SampleSeries(rng.normal(size=200), "x1"), params, n_mc=500)
+
+
+# --- calibration tables ------------------------------------------------------------
+
+# sha256 of _calibration_table(n, n_mc).tobytes(), made with numpy 2.4.6 and
+# scipy 1.17.1 before the table build was blocked; every entry is pinned,
+# including the partial last block of each build.
+TABLE_DIGESTS = {
+    (100, 2000): "aaed690985222c02418bcf8cf7b4445e34abc02c210dfc15643ca7b3efee294a",
+    (300, 1000): "249db44ad17e3910d03581cfaf6260dae7fba34ca28131fbfd75e55336592062",
+    (1000, 2000): "7bb03ae85fc5256c31505671bd93751ad1d7c19eca4bc079a188666e97b741b0",
+    (4000, 2000): "762cb73b4f2972a447f1529b4f4c1aabde5fe97dabb135fb97ac2818835fc1ab",
+    (10000, 2000): "983a6eb3e0d763a06eefd0d64acdea0f308b92294dfab2dfb8b051e3f5da99b7",
+}
+
+
+def table_digest(table):
+    return hashlib.sha256(table.tobytes()).hexdigest()
+
+
+@pytest.fixture
+def cold_tables(monkeypatch, tmp_path):
+    """An empty in-process table cache and an empty on-disk one."""
+    monkeypatch.setattr(stats, "_null_tables", {})
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+    return tmp_path
+
+
+@pytest.mark.parametrize("n, n_mc", list(TABLE_DIGESTS))
+def test_calibration_table_bytes(n, n_mc, cold_tables):
+    assert table_digest(stats._calibration_table(n, n_mc)) == TABLE_DIGESTS[(n, n_mc)]
 
 
 # --- back-action heating ----------------------------------------------------------
