@@ -255,6 +255,9 @@ def main(argv=None) -> int:
     except (ConfigError, ParameterError, StateDomainError, InsufficientDataError, DegenerateSeriesError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # e.g. an output path that cannot be opened; the message names it
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except NumericalFailureError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2

@@ -14,7 +14,14 @@ the p-value comes from Monte Carlo recalibration in the style of Lilliefors:
 replicas are drawn from the fitted null, the scale re-estimated per replica,
 and the observed distance ranked in the replica table.  The statistic is
 scale-pivotal (D(c x) = D(x)), so one table per (n, n_mc) serves every
-series; tables are seeded deterministically and cached.
+series.  Tables are seeded deterministically and cached twice: in memory for
+the life of the process (8 * n_mc bytes per distinct (n, n_mc), 16 KB at the
+default n_mc = 2000, never evicted), and on disk in
+``$XDG_CACHE_HOME/qndsim`` (``~/.cache/qndsim`` when unset), one ``.npy``
+file per (n, n_mc) and numpy/scipy version.  A file is used only if it holds
+float64 of shape (n_mc,), finite and in (0, 1], whose entry 0 equals a fresh
+one-replica build; anything else is rebuilt and replaced.  A cache that cannot
+be read or written is skipped, so the cache never changes a result.
 
 ``heating_slope`` quantifies back-action on the demolished quadrature as the
 least-squares growth rate of v22 versus measurement count, compared with the
@@ -23,10 +30,14 @@ per-measurement injection sigma_ba^2.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
+import scipy
 from scipy.special import ndtr
 
 from .constants import KB
@@ -37,6 +48,12 @@ SERIES_LABELS = ("x1", "x2")
 
 #: Stream key for the deterministic calibration tables ("ks_lilli" in hex).
 _TABLE_STREAM_KEY = 0x6B735F6C696C6C69
+
+#: The table stream key packs (n, n_mc) as (n << 21) ^ n_mc.
+_MAX_N_MC = 2**21 - 1
+
+#: Normals drawn per block of a table build.
+_BLOCK_VALUES = 1 << 16
 
 _null_tables: dict[tuple[int, int], np.ndarray] = {}
 
@@ -110,47 +127,111 @@ def estimate_t1(series: SampleSeries, params: OscillatorParams) -> BoltzmannFit:
     return BoltzmannFit(t1_hat=t1, stderr=t1 * math.sqrt(2.0 / (n - 1)), n=n)
 
 
-def _ks_rows(sorted_rows: np.ndarray, sigmas: np.ndarray) -> np.ndarray:
-    """KS distance of each row (pre-sorted) against N(0, sigma^2)."""
+def _ks_rows(sorted_rows: np.ndarray, sigmas: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """KS distance of each row (pre-sorted) against N(0, sigma^2).
+
+    Overwrites ``sorted_rows`` and ``work``, which has the same shape."""
     n = sorted_rows.shape[1]
-    lo = np.arange(n) / n
-    hi = np.arange(1, n + 1) / n
-    cdf = ndtr(sorted_rows / sigmas[:, None])
-    return np.maximum(cdf - lo, hi - cdf).max(axis=1)
+    cdf = ndtr(np.divide(sorted_rows, sigmas[:, None], out=work), out=work)
+    below = np.subtract(cdf, np.arange(n) / n, out=sorted_rows).max(axis=1)
+    above = np.subtract(np.arange(1, n + 1) / n, cdf, out=cdf).max(axis=1)
+    return np.maximum(below, above)
+
+
+def _null_distances(n: int, n_mc: int, count: int) -> np.ndarray:
+    """The first ``count`` entries of the (n, n_mc) null table, scale refit
+    per replica, drawn in blocks of at most _BLOCK_VALUES normals (one row
+    when n is larger)."""
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([_TABLE_STREAM_KEY, (n << 21) ^ n_mc], dtype=np.uint64))
+    )
+    table = np.empty(count)
+    rows = max(1, min(count, _BLOCK_VALUES // n))
+    z = np.empty((rows, n))
+    work = np.empty((rows, n))
+    for start in range(0, count, rows):
+        m = min(rows, count - start)
+        block = rng.standard_normal(out=z[:m])
+        sig = np.sqrt(block.var(axis=1, ddof=1))
+        block.sort(axis=1)
+        table[start : start + m] = _ks_rows(block, sig, work[:m])
+    return table
+
+
+def _table_path(n: int, n_mc: int) -> str:
+    root = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(root):
+        root = os.path.join(os.path.expanduser("~"), ".cache")
+    name = f"ks-{n}-{n_mc}-numpy{np.__version__}-scipy{scipy.__version__}.npy"
+    return os.path.join(root, "qndsim", name)
+
+
+def _load_table(path: str, n: int, n_mc: int) -> np.ndarray | None:
+    """The table stored at ``path`` if it passes every check, else None.
+
+    Entry 0 is rebuilt (one replica) and compared, which ties the file to this
+    code's stream key, statistic and ndtr."""
+    try:
+        with open(path, "rb") as handle:
+            # the .npy format only: np.load would also open zip archives
+            table = np.lib.format.read_array(handle, allow_pickle=False)
+    except (OSError, ValueError):
+        return None
+    if (
+        table.dtype != np.float64
+        or table.shape != (n_mc,)
+        or not np.all((table > 0.0) & (table <= 1.0))
+        or table[0] != _null_distances(n, n_mc, 1)[0]
+    ):
+        return None
+    return table
+
+
+def _store_table(path: str, table: np.ndarray) -> None:
+    """Write ``table`` to ``path`` atomically; give up silently on OSError.
+
+    No fsync: a file cut short by a crash fails the checks of _load_table."""
+    directory = os.path.dirname(path)
+    try:
+        os.makedirs(directory, mode=0o700, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".tmp", dir=directory)
+        try:
+            with os.fdopen(fd, "wb") as handle:
+                np.lib.format.write_array(handle, table, allow_pickle=False)
+            os.replace(tmp, path)
+        except BaseException:
+            with contextlib.suppress(OSError):
+                os.unlink(tmp)
+            raise
+    except OSError:
+        pass
 
 
 def _calibration_table(n: int, n_mc: int) -> np.ndarray:
-    """Null distances for sample size n, scale refit per replica; cached."""
+    """Null distances for sample size n, scale refit per replica; cached in
+    memory and on disk."""
     key = (n, n_mc)
     table = _null_tables.get(key)
     if table is None:
-        rng = np.random.Generator(
-            np.random.Philox(key=np.array([_TABLE_STREAM_KEY, (n << 21) ^ n_mc], dtype=np.uint64))
-        )
-        table = np.empty(n_mc)
-        block = max(1, 2_000_000 // n)
-        done = 0
-        while done < n_mc:
-            m = min(block, n_mc - done)
-            z = rng.standard_normal((m, n))
-            sig = np.sqrt(z.var(axis=1, ddof=1))
-            z.sort(axis=1)
-            table[done : done + m] = _ks_rows(z, sig)
-            done += m
+        path = _table_path(n, n_mc)
+        table = _load_table(path, n, n_mc)
+        if table is None:
+            table = _null_distances(n, n_mc, n_mc)
+            _store_table(path, table)
         _null_tables[key] = table
     return table
 
 
 def gof_boltzmann(series: SampleSeries, params: OscillatorParams, n_mc: int = 2000) -> GofReport:
     """Monte-Carlo-calibrated KS test of the thermal law on an X ensemble."""
-    if n_mc < 1000:
-        raise ParameterError(f"calibration needs n_mc >= 1000, got {n_mc}")
+    if not 1000 <= n_mc <= _MAX_N_MC:
+        raise ParameterError(f"calibration needs 1000 <= n_mc < 2**21, got {n_mc}")
     n = len(series)
     if n < 100:
         raise InsufficientDataError(f"need >= 100 samples for the fit test, got {n}")
     variance = _usable_variance(series.values)
-    observed = np.sort(series.values)
-    d_obs = float(_ks_rows(observed[None, :], np.array([math.sqrt(variance)]))[0])
+    observed = np.sort(series.values)[None, :]
+    d_obs = float(_ks_rows(observed, np.array([math.sqrt(variance)]), np.empty_like(observed))[0])
     table = _calibration_table(n, n_mc)
     p = (1 + int(np.count_nonzero(table >= d_obs))) / (n_mc + 1)
     return GofReport(statistic=d_obs, p_value=p, method="ks-lilliefors-mc", n_mc=n_mc)

@@ -158,6 +158,35 @@ def test_analyze_matches_simulate(tmp_path, capsys):
     assert len(hist_lines) == 9
 
 
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("simulate", "--out"),
+        ("simulate", "--records"),
+        ("sweep", "--out"),
+        ("budget", "--out"),
+        ("analyze", "--out"),
+        ("analyze", "--histogram"),
+    ],
+)
+def test_unwritable_output_path_exits_one(command, flag, tmp_path, capsys):
+    cfg_path, config = write_config(tmp_path, n_traj=150, n_meas=5, seed=3)
+    records_path = tmp_path / "records.csv"
+    run_ensemble(config, record_path=str(records_path))
+    inputs = {
+        "simulate": ["--config", str(cfg_path)],
+        "sweep": ["--config", str(cfg_path), "--vary", "seed=1"],
+        "budget": [],
+        "analyze": ["--records", str(records_path), "--config", str(cfg_path)],
+    }
+    target = tmp_path / "missing" / "output"
+    assert main([command, *inputs[command], flag, str(target)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(target) in err
+    assert "Traceback" not in err
+
+
 def test_analyze_missing_records(tmp_path, capsys):
     assert main(["analyze", "--records", str(tmp_path / "nope.csv")]) == 1
 

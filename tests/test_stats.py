@@ -1,5 +1,6 @@
 import hashlib
 import math
+import os
 
 import numpy as np
 import pytest
@@ -152,6 +153,105 @@ def cold_tables(monkeypatch, tmp_path):
 @pytest.mark.parametrize("n, n_mc", list(TABLE_DIGESTS))
 def test_calibration_table_bytes(n, n_mc, cold_tables):
     assert table_digest(stats._calibration_table(n, n_mc)) == TABLE_DIGESTS[(n, n_mc)]
+
+
+def _unpickled():
+    raise AssertionError("a cached table was unpickled")
+
+
+class _Bomb:
+    def __reduce__(self):
+        return (_unpickled, ())
+
+
+def _no_full_build(monkeypatch):
+    """Let only the one-replica check of a cached table draw."""
+    build = stats._null_distances
+
+    def checked(n, n_mc, count):
+        assert count == 1, "the full table was built"
+        return build(n, n_mc, count)
+
+    monkeypatch.setattr(stats, "_null_distances", checked)
+
+
+def test_calibration_table_disk_hit(cold_tables, monkeypatch):
+    n, n_mc = 300, 1000
+    stats._calibration_table(n, n_mc)
+    path = stats._table_path(n, n_mc)
+    assert path.startswith(str(cold_tables / "cache" / "qndsim"))
+    with open(path, "rb") as handle:
+        assert len(handle.read()) == 8 * n_mc + 128
+    monkeypatch.setattr(stats, "_null_tables", {})
+    _no_full_build(monkeypatch)
+    table = stats._calibration_table(n, n_mc)
+    assert table_digest(table) == TABLE_DIGESTS[(n, n_mc)]
+    assert list(stats._null_tables) == [(n, n_mc)]
+
+
+def _truncated(handle, good):
+    np.save(handle, good)
+    handle.truncate(128 + 8 * 500)
+
+
+def _nan(handle, good):
+    bad = good.copy()
+    bad[5] = np.nan
+    np.save(handle, bad)
+
+
+def _one_ulp(handle, good):
+    bad = good.copy()
+    bad[0] = np.nextafter(bad[0], 1.0)
+    np.save(handle, bad)
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _truncated,
+        lambda handle, good: np.save(handle, good[:-1]),
+        lambda handle, good: np.save(handle, good.astype(np.float32)),
+        _nan,
+        _one_ulp,
+        lambda handle, good: np.save(handle, np.array([_Bomb()] * len(good)), allow_pickle=True),
+    ],
+    ids=["truncated", "wrong_shape", "float32", "nan", "entry0_one_ulp", "pickled_objects"],
+)
+def test_calibration_table_rejects_bad_file(corrupt, cold_tables, monkeypatch):
+    n, n_mc = 300, 1000
+    good = stats._calibration_table(n, n_mc).copy()
+    path = stats._table_path(n, n_mc)
+    with open(path, "wb") as handle:
+        corrupt(handle, good)
+    monkeypatch.setattr(stats, "_null_tables", {})
+    assert table_digest(stats._calibration_table(n, n_mc)) == TABLE_DIGESTS[(n, n_mc)]
+    # the bad file was replaced: the next process loads it without a build
+    monkeypatch.setattr(stats, "_null_tables", {})
+    _no_full_build(monkeypatch)
+    assert table_digest(stats._calibration_table(n, n_mc)) == TABLE_DIGESTS[(n, n_mc)]
+
+
+@pytest.mark.parametrize("blocked", ["cache_below_a_file", "table_path_is_a_directory"])
+def test_calibration_table_unwritable_cache(blocked, cold_tables, monkeypatch):
+    n, n_mc = 300, 1000
+    if blocked == "cache_below_a_file":
+        (cold_tables / "file").write_text("not a directory")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cold_tables / "file" / "cache"))
+    else:
+        os.makedirs(stats._table_path(n, n_mc))
+    assert table_digest(stats._calibration_table(n, n_mc)) == TABLE_DIGESTS[(n, n_mc)]
+    assert list(cold_tables.rglob("*.tmp")) == []
+
+
+def test_gof_rejects_n_mc_beyond_stream_key(params, monkeypatch):
+    def no_table(n, n_mc):
+        raise AssertionError("a table was requested")
+
+    monkeypatch.setattr(stats, "_calibration_table", no_table)
+    series = thermal_series(200, seed=2)
+    with pytest.raises(ParameterError, match="2\\*\\*21"):
+        gof_boltzmann(series, params, n_mc=2**21)
 
 
 # --- back-action heating ----------------------------------------------------------
