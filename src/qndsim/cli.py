@@ -252,10 +252,9 @@ def main(argv=None) -> int:
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (ConfigError, ParameterError, StateDomainError, InsufficientDataError, DegenerateSeriesError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:  # e.g. an output path that cannot be opened; the message names it
+    # OSError: e.g. an output path that cannot be opened; its message names the path
+    except (ConfigError, ParameterError, StateDomainError, InsufficientDataError, DegenerateSeriesError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailureError as exc:

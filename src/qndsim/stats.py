@@ -49,9 +49,6 @@ SERIES_LABELS = ("x1", "x2")
 #: Stream key for the deterministic calibration tables ("ks_lilli" in hex).
 _TABLE_STREAM_KEY = 0x6B735F6C696C6C69
 
-#: The table stream key packs (n, n_mc) as (n << 21) ^ n_mc.
-_MAX_N_MC = 2**21 - 1
-
 #: Normals drawn per block of a table build.
 _BLOCK_VALUES = 1 << 16
 
@@ -224,7 +221,8 @@ def _calibration_table(n: int, n_mc: int) -> np.ndarray:
 
 def gof_boltzmann(series: SampleSeries, params: OscillatorParams, n_mc: int = 2000) -> GofReport:
     """Monte-Carlo-calibrated KS test of the thermal law on an X ensemble."""
-    if not 1000 <= n_mc <= _MAX_N_MC:
+    # the table stream key packs (n, n_mc) as (n << 21) ^ n_mc
+    if not 1000 <= n_mc < 2**21:
         raise ParameterError(f"calibration needs 1000 <= n_mc < 2**21, got {n_mc}")
     n = len(series)
     if n < 100:

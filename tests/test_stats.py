@@ -226,7 +226,7 @@ def test_calibration_table_rejects_bad_file(corrupt, cold_tables, monkeypatch):
         corrupt(handle, good)
     monkeypatch.setattr(stats, "_null_tables", {})
     assert table_digest(stats._calibration_table(n, n_mc)) == TABLE_DIGESTS[(n, n_mc)]
-    # the bad file was replaced: the next process loads it without a build
+    # the bad file was replaced: a later lookup loads it without a full build
     monkeypatch.setattr(stats, "_null_tables", {})
     _no_full_build(monkeypatch)
     assert table_digest(stats._calibration_table(n, n_mc)) == TABLE_DIGESTS[(n, n_mc)]
@@ -245,13 +245,19 @@ def test_calibration_table_unwritable_cache(blocked, cold_tables, monkeypatch):
 
 
 def test_gof_rejects_n_mc_beyond_stream_key(params, monkeypatch):
-    def no_table(n, n_mc):
-        raise AssertionError("a table was requested")
+    # n_mc < 2**21 keeps the table stream keys (n << 21) ^ n_mc distinct
+    requested = []
 
-    monkeypatch.setattr(stats, "_calibration_table", no_table)
+    def fake_table(n, n_mc):
+        requested.append(n_mc)
+        return np.ones(1)
+
+    monkeypatch.setattr(stats, "_calibration_table", fake_table)
     series = thermal_series(200, seed=2)
-    with pytest.raises(ParameterError, match="2\\*\\*21"):
+    gof_boltzmann(series, params, n_mc=2**21 - 1)
+    with pytest.raises(ParameterError, match=r"2\*\*21"):
         gof_boltzmann(series, params, n_mc=2**21)
+    assert requested == [2**21 - 1]
 
 
 # --- back-action heating ----------------------------------------------------------
