@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import replace
 from itertools import product
 
@@ -50,6 +52,26 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+@contextmanager
+def _outputs(*paths):
+    """Open each output path given (None skips one) for writing before the
+    work starts, so that a path that cannot be written fails fast.  If the
+    command then fails, the files are removed, as a failed run removes its
+    record file."""
+    handles = []
+    try:
+        with ExitStack() as stack:
+            for path in paths:
+                handles.append(None if path is None else stack.enter_context(open(path, "w", encoding="utf-8")))
+            yield handles
+    except BaseException:
+        for path, handle in zip(paths, handles):
+            if handle is not None:
+                with suppress(FileNotFoundError):  # the same path given twice
+                    os.remove(path)
+        raise
 
 
 def _float_list(raw: str) -> list[float]:
@@ -118,7 +140,11 @@ def _cmd_budget(args) -> int:
         singles[fieldname] = values[0]
         if len(values) > 1:
             axes[fieldname] = values
-    pairs = budget_sweep(BudgetInputs(**singles), axes)
+    with _outputs(args.out) as (out,):
+        pairs = budget_sweep(BudgetInputs(**singles), axes)
+        lines = budget_csv_rows(pairs)
+        if out is not None:
+            out.write("\n".join(lines) + "\n")
     if len(pairs) == 1:
         report = pairs[0][1]
         print(f"eta1={report.eta1:.4g}")
@@ -126,11 +152,7 @@ def _cmd_budget(args) -> int:
         print(f"eta_a={report.eta_a:.4g}")
         print(f"delta_e_br_J={report.delta_e_br:.4g}")
         print(f"x_zp_m={report.x_zp:.4g}")
-    lines = budget_csv_rows(pairs)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-    elif len(pairs) > 1:
+    if out is None and len(pairs) > 1:
         for line in lines:
             print(line)
     return 0
@@ -148,11 +170,11 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    summary = run_ensemble(config, workers=args.workers, record_path=args.records)
-    text = summary.to_json()
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+    with _outputs(args.out) as (out,):
+        summary = run_ensemble(config, workers=args.workers, record_path=args.records)
+        text = summary.to_json()
+        if out is not None:
+            out.write(text + "\n")
     print(text)
     print(f"wall_time_s={summary.wall_time_s:.3f}", file=sys.stderr)
     return 0
@@ -175,17 +197,17 @@ def _cmd_sweep(args) -> int:
         keys.append(key)
         value_lists.append(values)
     lines = [",".join(list(keys) + list(_SWEEP_STAT_COLUMNS))]
-    for combo in product(*value_lists) if keys else [()]:
-        point = replace(base, **dict(zip(keys, combo))) if keys else base
-        summary = run_ensemble(point, workers=args.workers)
-        cells = [_format_cell(value) for value in combo]
-        stats = summary.to_dict()
-        cells += [_format_cell(stats[column]) for column in _SWEEP_STAT_COLUMNS]
-        lines.append(",".join(cells))
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
-    else:
+    with _outputs(args.out) as (out,):
+        for combo in product(*value_lists) if keys else [()]:
+            point = replace(base, **dict(zip(keys, combo))) if keys else base
+            summary = run_ensemble(point, workers=args.workers)
+            cells = [_format_cell(value) for value in combo]
+            stats = summary.to_dict()
+            cells += [_format_cell(stats[column]) for column in _SWEEP_STAT_COLUMNS]
+            lines.append(",".join(cells))
+        if out is not None:
+            out.write("\n".join(lines) + "\n")
+    if out is None:
         for line in lines:
             print(line)
     return 0
@@ -201,21 +223,29 @@ def _format_cell(value) -> str:
 
 def _cmd_analyze(args) -> int:
     config = load_config(args.config) if args.config is not None else default_config()
-    x1, v22_trace = read_records(args.records)
-    t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1, v22_trace, config)
-    out = {
-        "n_traj": len(x1),
-        "n_meas": len(v22_trace),
-        "t1_hat_K": t1_hat,
-        "t1_stderr_K": t1_stderr,
-        "gof_p_value": gof_p,
-        "v22_slope_m2": slope,
-        "alpha": args.alpha,
-    }
-    text = json.dumps(out)
-    if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+    with _outputs(args.out, args.histogram) as (out, histogram):
+        x1, v22_trace = read_records(args.records)
+        t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1, v22_trace, config)
+        text = json.dumps({
+            "n_traj": len(x1),
+            "n_meas": len(v22_trace),
+            "t1_hat_K": t1_hat,
+            "t1_stderr_K": t1_stderr,
+            "gof_p_value": gof_p,
+            "v22_slope_m2": slope,
+            "alpha": args.alpha,
+        })
+        if histogram is not None:
+            hist = energy_histogram(SampleSeries(x1, "x1"), config.oscillator(), args.bins)
+            lines = ["e_lo_J,e_hi_J,count,model_density_per_J"]
+            for i in range(len(hist.counts)):
+                lines.append(
+                    f"{hist.bin_edges[i]:.17g},{hist.bin_edges[i + 1]:.17g},"
+                    f"{int(hist.counts[i])},{hist.model_density[i]:.17g}"
+                )
+            histogram.write("\n".join(lines) + "\n")
+        if out is not None:
+            out.write(text + "\n")
     print(text)
     if gof_p is None:
         print("boltzmann: undetermined (too few trajectories)")
@@ -223,17 +253,6 @@ def _cmd_analyze(args) -> int:
         print(f"boltzmann: deviation detected (p={gof_p:.6g} < alpha={args.alpha:g})")
     else:
         print(f"boltzmann: consistent (p={gof_p:.6g} >= alpha={args.alpha:g})")
-    if args.histogram is not None:
-        series = SampleSeries(x1, "x1")
-        hist = energy_histogram(series, config.oscillator(), args.bins)
-        lines = ["e_lo_J,e_hi_J,count,model_density_per_J"]
-        for i in range(len(hist.counts)):
-            lines.append(
-                f"{hist.bin_edges[i]:.17g},{hist.bin_edges[i + 1]:.17g},"
-                f"{int(hist.counts[i])},{hist.model_density[i]:.17g}"
-            )
-        with open(args.histogram, "w", encoding="utf-8") as handle:
-            handle.write("\n".join(lines) + "\n")
     return 0
 
 

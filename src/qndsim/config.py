@@ -7,7 +7,7 @@ through repr, so an echoed config reproduces its run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 from .errors import ConfigError
 from .measurement import METER_KINDS, CollapsePolicy, MeterSpec
@@ -164,19 +164,6 @@ def format_config(config: RunConfig) -> str:
         value = getattr(config, key)
         lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def config_field_types() -> dict[str, str]:
-    """Key -> {'float','int','str'}, for sweep axis parsing."""
-    kinds = {}
-    for f in fields(RunConfig):
-        if f.name in _STR_KEYS:
-            kinds[f.name] = "str"
-        elif f.name in _INT_KEYS:
-            kinds[f.name] = "int"
-        else:
-            kinds[f.name] = "float"
-    return kinds
 
 
 def convert_config_value(key: str, raw: str):

@@ -9,17 +9,20 @@ are folded in chunk order whatever the worker count, and the record CSV is
 written chunk by chunk in trajectory-index order.  Identical config implies
 byte-identical outputs.
 
-A chunk is stepped as one batch.  Covariance, gain and clock do not depend on
-the outcomes, so they stay scalars shared by the chunk, while the sampled
-means become arrays over its trajectories; the scalar ``thermal_step`` and
-``measure`` then advance the whole chunk with elementwise arithmetic.  Their
-random draws come from ``_ChunkDraws``, which stands in for the Generator:
-its k-th ``normal(loc, scale)`` returns ``loc + scale * z_k``, where ``z_k``
-holds the k-th standard normal of every trajectory's own stream.  That is the
-same arithmetic a Generator does for a scalar draw, so each trajectory gets
-the values it would get if stepped alone through ``run_schedule``, bit for
-bit.  The normals are drawn in blocks of ``DRAW_BLOCK`` per stream, so memory
-per chunk does not grow with n_meas unless records are written.
+A chunk is stepped as one batch through ``measurement.run_schedule``, the
+one loop that alternates ``thermal_step`` and ``measure``.  Covariance, gain
+and clock do not depend on the outcomes, so they stay scalars shared by the
+chunk, while the sampled means become arrays over its trajectories; the
+scalar step functions then advance the whole chunk with elementwise
+arithmetic.  Their random draws come from ``_ChunkDraws``, which stands in
+for the Generator: its k-th ``normal(loc, scale)`` returns
+``loc + scale * z_k``, where ``z_k`` holds the k-th standard normal of every
+trajectory's own stream.  That is the same arithmetic a Generator does for a
+scalar draw, so each trajectory gets the values it would get if stepped alone
+through ``run_schedule``, bit for bit.  The normals are drawn in blocks of
+``DRAW_BLOCK`` per stream.  The schedule's records, one per step, carry the
+chunk's outcomes, means and variances: they feed the v22 trace and, when
+asked for, the record CSV rows.
 
 Trajectories start at thermal stationarity in realization form: the thermal
 spread of the ensemble is carried by the sampled means, N(0, V_inf - V_floor)
@@ -46,7 +49,7 @@ from .budget import BudgetInputs, eta1 as _eta1, eta2 as _eta2
 from .config import CONFIG_KEYS, RunConfig
 from .dynamics import GaussianQuadState, stationary_variance, thermal_step, zero_point_variance
 from .errors import DegenerateSeriesError, InsufficientDataError, ParameterError
-from .measurement import backaction_sigma, measure
+from .measurement import backaction_sigma, run_schedule
 from .records import RECORD_CSV_HEADER, format_rows
 from .stats import SampleSeries, estimate_t1, gof_boltzmann, heating_slope
 
@@ -117,23 +120,15 @@ def _run_chunk(config: RunConfig, start: int, stop: int, collect_rows: bool) -> 
     )
     if config.burn_in_s > 0.0:
         state = thermal_step(state, config.burn_in_s, params, draws)
-    post_v22 = np.empty(config.n_meas)
-    steps: list[tuple] | None = [] if collect_rows else None
-    # same operation order as measurement.run_schedule, with post-measure
-    # means captured for the record rows
-    for step in range(config.n_meas):
-        state = thermal_step(state, config.dt_s, params, draws)
-        outcome, state, record = measure(state, meter, policy, params, draws)
-        post_v22[step] = record.post_v22
-        if steps is not None:
-            steps.append((state.time, outcome, state.mean1, state.mean2, state.v11, state.v22))
+    records, state = run_schedule(state, meter, policy, params, config.dt_s, config.n_meas, draws)
 
     # one addition per trajectory, in order: the sums round exactly as a
     # per-trajectory fold does, which a multiplication by the count would not
+    post_v22 = np.array([record.post_v22 for record in records])
     v22_sum = np.zeros(config.n_meas)
     for _ in range(start, stop):
         v22_sum += post_v22
-    rows = None if steps is None else format_rows(start, steps)
+    rows = format_rows(start, records) if collect_rows else None
     return _ChunkResult(x1=state.mean1, x2=state.mean2, v22_sum=v22_sum, rows=rows)
 
 
@@ -164,7 +159,7 @@ class RunSummary:
     series_x2: np.ndarray = field(repr=False, default=None)
     v22_trace: np.ndarray = field(repr=False, default=None)
 
-    def to_dict(self, include_wall_time: bool = False) -> dict:
+    def to_dict(self) -> dict:
         out = {key: getattr(self.config, key) for key in CONFIG_KEYS}
         out["t1_hat_K"] = self.t1_hat_K
         out["t1_stderr_K"] = self.t1_stderr_K
@@ -172,13 +167,11 @@ class RunSummary:
         out["v22_slope_m2"] = self.v22_slope_m2
         out["eta1"] = self.eta1
         out["eta2"] = self.eta2
-        if include_wall_time:
-            out["wall_time_s"] = self.wall_time_s
         out["records_csv"] = self.records_csv
         return out
 
-    def to_json(self, include_wall_time: bool = False) -> str:
-        return json.dumps(self.to_dict(include_wall_time=include_wall_time))
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict())
 
 
 def ensemble_stats(x1_values, v22_trace, config: RunConfig):
@@ -204,24 +197,19 @@ def ensemble_stats(x1_values, v22_trace, config: RunConfig):
     return t1_hat, t1_stderr, gof_p, slope
 
 
-def run_ensemble(
-    config: RunConfig,
-    workers: int = 1,
-    record_path: str | None = None,
-    traj_start: int = 0,
-) -> RunSummary:
+def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = None) -> RunSummary:
     """Run the configured ensemble and aggregate in trajectory-index order.
 
-    ``traj_start`` offsets the global trajectory indices (hence the RNG
-    streams), so a run over [0, a+b) equals the merge of runs over [0, a)
-    and [a, a+b) with the same master seed.
+    Trajectories 0..n_traj-1 are simulated in chunks of ``CHUNK_SIZE``; with
+    ``record_path`` their rows are written chunk by chunk as they arrive.  A
+    run that fails anywhere, statistics included, removes the record file: a
+    streamed file cut short would otherwise be well-formed.
     """
     if not (isinstance(workers, int) and workers >= 1):
         raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
     started = _time.perf_counter()
-    end = traj_start + config.n_traj
-    starts = range(traj_start, end, CHUNK_SIZE)
-    stops = [min(lo + CHUNK_SIZE, end) for lo in starts]
+    starts = range(0, config.n_traj, CHUNK_SIZE)
+    stops = [min(lo + CHUNK_SIZE, config.n_traj) for lo in starts]
     x1_parts: list[np.ndarray] = []
     x2_parts: list[np.ndarray] = []
     v22_total = np.zeros(config.n_meas)
@@ -243,15 +231,15 @@ def run_ensemble(
                 v22_total += part.v22_sum
                 if handle is not None:
                     handle.write(part.rows)
+        x1s = np.concatenate(x1_parts)
+        x2s = np.concatenate(x2_parts)
+        v22_trace = v22_total / config.n_traj
+        t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1s, v22_trace, config)
     except BaseException:
-        if handle is not None:  # a failed run leaves no partial record file
+        if handle is not None:  # a failed run leaves no record file
             os.remove(record_path)
         raise
-    x1s = np.concatenate(x1_parts)
-    x2s = np.concatenate(x2_parts)
-    v22_trace = v22_total / config.n_traj
 
-    t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1s, v22_trace, config)
     budget_point = BudgetInputs(
         temperature=config.temperature_K,
         omega1=config.omega1_rad_s,

@@ -66,15 +66,18 @@ class MeterSpec:
 
 @dataclass(slots=True)
 class MeasurementRecord:
-    """Audit entry for one measurement: outcome plus variance bookkeeping."""
+    """One measurement: time, outcome, v11 before and after, and the
+    post-measurement v22 and means, which with post_v11 make a record CSV
+    row.  For a batch state the outcome and means are arrays over its
+    trajectories."""
 
     time: float
-    kind: str
     outcome: float
     pre_v11: float
     post_v11: float
-    pre_v22: float
     post_v22: float
+    post_mean1: float
+    post_mean2: float
 
 
 def measurement_direction(kind: str, t: float, params: OscillatorParams) -> tuple[float, float]:
@@ -155,23 +158,24 @@ def measure(
         v22 = state.v22 + sba2 * p2 * p2
         v12 = state.v12 + sba2 * p1 * p2
 
-    # means are floats, or arrays when an ensemble chunk is stepped as a batch
+    # outcome and means are floats, or arrays when an ensemble chunk is
+    # stepped as a batch
     if isinstance(mean1, float):
-        means_finite = math.isfinite(mean1) and math.isfinite(mean2)
+        sampled_finite = math.isfinite(outcome) and math.isfinite(mean1) and math.isfinite(mean2)
     else:
-        means_finite = np.isfinite(mean1).all() and np.isfinite(mean2).all()
-    if not (means_finite and math.isfinite(v11) and math.isfinite(v22)):
-        raise NumericalFailureError("measurement update produced non-finite state")
+        sampled_finite = np.isfinite(outcome).all() and np.isfinite(mean1).all() and np.isfinite(mean2).all()
+    if not (sampled_finite and math.isfinite(v11) and math.isfinite(v22) and math.isfinite(v12)):
+        raise NumericalFailureError("measurement produced a non-finite outcome or state")
 
     new_state = GaussianQuadState(mean1=mean1, mean2=mean2, v11=v11, v22=v22, v12=v12, time=state.time)
     record = MeasurementRecord(
         time=state.time,
-        kind=meter.kind,
         outcome=outcome,
         pre_v11=state.v11,
         post_v11=v11,
-        pre_v22=state.v22,
         post_v22=v22,
+        post_mean1=mean1,
+        post_mean2=mean2,
     )
     return outcome, new_state, record
 
@@ -185,7 +189,11 @@ def run_schedule(
     n_meas: int,
     rng: np.random.Generator,
 ) -> tuple[list[MeasurementRecord], GaussianQuadState]:
-    """Alternate thermal_step(dt) and measure, n_meas times."""
+    """Alternate thermal_step(dt) and measure, n_meas times.
+
+    ``rng`` may be any source with the Generator's ``normal(loc, scale)``;
+    the ensemble passes one that steps a whole chunk of trajectories at once.
+    """
     if n_meas < 1:
         raise ParameterError(f"schedule requires n_meas >= 1, got {n_meas!r}")
     if not (dt > 0.0):

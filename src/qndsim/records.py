@@ -1,15 +1,17 @@
 """The per-measurement record CSV: header, chunk writer and strict reader.
 
-One row per measurement, trajectory-major, steps 1..n_meas within each
-trajectory, floats with 17 significant digits so that every value reads back
-bit for bit:
+One row per measurement, trajectory-major with ids 0, 1, 2, ..., steps
+1..n_meas within each trajectory, floats with 17 significant digits so that
+every value reads back bit for bit:
 
     traj_id,step,time_s,outcome_m,mean_x1_m,mean_x2_m,var_x1_m2,var_x2_m2
 
-``format_rows`` renders one chunk of trajectories at a time.  ``read_records``
-streams a file and keeps only what ``analyze`` needs: the final mean_x1 of
-every trajectory and the per-step sums of var_x2.  It rejects any file that a
-run could not have written, naming the path and line.
+``format_rows`` renders one chunk of trajectories at a time from the
+``MeasurementRecord`` list that ``run_schedule`` returns for it.
+``read_records`` streams a file and keeps only what ``analyze`` needs: the
+final mean_x1 of every trajectory and the per-step sums of var_x2.  It
+rejects any file that a run could not have written, naming the path and
+line.
 """
 
 from __future__ import annotations
@@ -24,34 +26,35 @@ RECORD_CSV_HEADER = "traj_id,step,time_s,outcome_m,mean_x1_m,mean_x2_m,var_x1_m2
 _FIELDS = tuple(RECORD_CSV_HEADER.split(","))
 
 
-def format_rows(first_id: int, steps) -> str:
+def format_rows(first_id: int, records) -> str:
     """Rows of one chunk of trajectories, trajectory-major.
 
-    ``steps`` holds one (time, outcome, mean1, mean2, v11, v22) tuple per
-    measurement: outcome and means are arrays over trajectories first_id,
-    first_id + 1, ...; time and variances are scalars shared by the chunk,
-    so they are rendered once per step, not once per row.
+    ``records`` holds the chunk's ``MeasurementRecord`` of each step, as
+    ``run_schedule`` returns them for a batch state: outcome and means are
+    arrays over trajectories first_id, first_id + 1, ...; time and variances
+    are scalars shared by the chunk, so they are rendered once per step, not
+    once per row.
     """
-    times, outcomes, means1, means2, vars1, vars2 = zip(*steps)
     trajectory_format = "".join(
-        f"%d,{step},{time:.17g},%.17g,%.17g,%.17g,{v11:.17g},{v22:.17g}\n"
-        for step, (time, v11, v22) in enumerate(zip(times, vars1, vars2), start=1)
+        f"%d,{step},{r.time:.17g},%.17g,%.17g,%.17g,{r.post_v11:.17g},{r.post_v22:.17g}\n"
+        for step, r in enumerate(records, start=1)
     )
-    n_traj = len(outcomes[0])
-    table = np.empty((n_traj, len(steps), 4))
+    n_traj = len(records[0].outcome)
+    table = np.empty((n_traj, len(records), 4))
     table[:, :, 0] = np.arange(first_id, first_id + n_traj)[:, None]  # exact; rendered by %d
-    table[:, :, 1] = np.transpose(outcomes)
-    table[:, :, 2] = np.transpose(means1)
-    table[:, :, 3] = np.transpose(means2)
+    table[:, :, 1] = np.transpose([r.outcome for r in records])
+    table[:, :, 2] = np.transpose([r.post_mean1 for r in records])
+    table[:, :, 3] = np.transpose([r.post_mean2 for r in records])
     return (trajectory_format * n_traj) % tuple(table.ravel().tolist())
 
 
 def read_records(path: str) -> tuple[np.ndarray, np.ndarray]:
     """(final mean_x1 per trajectory, mean var_x2 per step) of a record CSV.
 
-    Trajectory ids must be consecutive, every trajectory must hold steps
-    1..n_meas in order, and n_meas must be the same for all of them; any
-    other content raises ConfigError with ``path:line``.
+    Trajectory ids must run 0, 1, 2, ... as a run writes them, every
+    trajectory must hold steps 1..n_meas in order, and n_meas must be the
+    same for all of them; any other content raises ConfigError with
+    ``path:line``.
     """
     x1: list[float] = []
     v22_sums: list[float] = []  # per step, summed in file order
@@ -69,7 +72,7 @@ def read_records(path: str) -> tuple[np.ndarray, np.ndarray]:
                     mean1, v22 = float(parts[4]), float(parts[7])
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: {_bad_field(parts)}") from None
-                if row_step == 1 and (not x1 or row_traj == traj + 1):  # next trajectory
+                if row_step == 1 and row_traj == len(x1):  # next trajectory
                     if x1:
                         _require_complete(path, lineno, traj, step, len(v22_sums))
                     x1.append(0.0)

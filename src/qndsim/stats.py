@@ -241,10 +241,12 @@ def heating_slope(var_x2_by_step, sigma_ba: float) -> tuple[float, float]:
     trace = np.asarray(var_x2_by_step, dtype=np.float64)
     if trace.ndim != 1 or len(trace) < 5:
         raise InsufficientDataError(f"need >= 5 variance points, got shape {trace.shape}")
-    if not (sigma_ba > 0.0 and math.isfinite(sigma_ba)):
-        raise ParameterError(f"sigma_ba must be finite and > 0, got {sigma_ba!r}")
-    slope = float(np.polyfit(np.arange(len(trace)), trace, 1)[0])
     target = sigma_ba * sigma_ba
+    # the square, not just sigma_ba, must be usable: it underflows to 0 for
+    # sigma_ba below about 1e-162
+    if not (sigma_ba > 0.0 and 0.0 < target < math.inf):
+        raise ParameterError(f"sigma_ba must be > 0 with a finite, nonzero square, got {sigma_ba!r} (square {target!r})")
+    slope = float(np.polyfit(np.arange(len(trace)), trace, 1)[0])
     return slope, abs(slope - target) / target
 
 

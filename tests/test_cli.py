@@ -106,8 +106,16 @@ def test_summary_echo_reproduces_run(tmp_path, capsys):
 
 def test_simulate_numerical_failure_exit_code(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path, n_traj=2, n_meas=1, sigma_m_m=1e-300)
-    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    summary_path = tmp_path / "summary.json"
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(summary_path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    assert not summary_path.exists()  # opened before the run, removed after it failed
+    # sigma_m_m**2 overflows, so the outcome's predictive variance is inf
+    cfg_path, _ = write_config(tmp_path, n_traj=4, n_meas=2, sigma_m_m=1e160, collapse_policy="no_conditioning")
+    records_path = tmp_path / "records.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--records", str(records_path)]) == 2
+    assert "numerical failure" in capsys.readouterr().err
+    assert not records_path.exists()
 
 
 def test_sweep_rows_in_flag_order(tmp_path):
@@ -169,10 +177,20 @@ def test_analyze_matches_simulate(tmp_path, capsys):
         ("analyze", "--histogram"),
     ],
 )
-def test_unwritable_output_path_exits_one(command, flag, tmp_path, capsys):
+def test_unwritable_output_path_exits_one(command, flag, tmp_path, capsys, monkeypatch):
     cfg_path, config = write_config(tmp_path, n_traj=150, n_meas=5, seed=3)
     records_path = tmp_path / "records.csv"
     run_ensemble(config, record_path=str(records_path))
+
+    def work(*args, **kwargs):
+        raise AssertionError("the work started before the output paths were opened")
+
+    # simulate --records fails when run_ensemble opens the record file, before any chunk
+    if flag == "--records":
+        monkeypatch.setattr("qndsim.ensemble._run_chunk", work)
+    else:
+        monkeypatch.setattr("qndsim.cli.run_ensemble", work)
+    monkeypatch.setattr("qndsim.cli.read_records", work)
     inputs = {
         "simulate": ["--config", str(cfg_path)],
         "sweep": ["--config", str(cfg_path), "--vary", "seed=1"],
@@ -181,14 +199,39 @@ def test_unwritable_output_path_exits_one(command, flag, tmp_path, capsys):
     }
     target = tmp_path / "missing" / "output"
     assert main([command, *inputs[command], flag, str(target)]) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert err.startswith("error: ")
     assert str(target) in err
     assert "Traceback" not in err
 
 
+# sigma_m_m = 1e130 leaves sigma_ba**2 below the smallest double: the run
+# completes, and the heating-slope fit must refuse it, not divide by zero
+def test_backaction_variance_underflow_exits_one(tmp_path, capsys):
+    cfg_path, _ = write_config(tmp_path, n_traj=20, n_meas=5, sigma_m_m=1e130)
+    records_path = tmp_path / "records.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--records", str(records_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "sigma_ba" in err
+    assert "Traceback" not in err
+    assert not records_path.exists()
+
+    run_ensemble(replace(default_config(), n_traj=20, n_meas=5), record_path=str(records_path))
+    assert main(["analyze", "--records", str(records_path), "--config", str(cfg_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "sigma_ba" in err
+
+
 def test_analyze_missing_records(tmp_path, capsys):
     assert main(["analyze", "--records", str(tmp_path / "nope.csv")]) == 1
+    out_path, hist_path = tmp_path / "analysis.json", tmp_path / "hist.csv"
+    code = main(["analyze", "--records", str(tmp_path / "nope.csv"),
+                 "--out", str(out_path), "--histogram", str(hist_path)])
+    assert code == 1
+    assert not out_path.exists() and not hist_path.exists()
 
 
 def test_simulate_and_sweep_reject_nonpositive_workers(tmp_path, capsys):
@@ -215,7 +258,8 @@ MALFORMED_RECORDS = {
     "duplicate_row": (lambda r: r[:1] + r, 3, "follows trajectory 0 step 1"),
     "missing_step": (lambda r: r[:1] + r[2:], 3, "follows trajectory 0 step 1"),
     "ragged_trajectories": (lambda r: r[:2] + r[3:], 6, "more than 2 steps"),
-    "out_of_order_ids": (lambda r: r[3:6] + r[:3] + r[6:], 5, "follows trajectory 1 step 3"),
+    "out_of_order_ids": (lambda r: r[:3] + r[6:] + r[3:6], 5, "follows trajectory 0 step 3"),
+    "missing_first_trajectory": (lambda r: r[3:], 2, "follows the header"),
 }
 
 

@@ -72,17 +72,6 @@ def test_worker_count_does_not_change_bytes(tmp_path):
     assert serial_bytes == path.read_bytes()
 
 
-def test_partitioned_runs_merge_exactly():
-    config = small_config(n_traj=40)
-    whole = run_ensemble(config)
-    head = run_ensemble(replace(config, n_traj=24))
-    tail = run_ensemble(replace(config, n_traj=16), traj_start=24)
-    merged = np.concatenate([head.series_x1, tail.series_x1])
-    assert np.array_equal(whole.series_x1, merged)
-    merged_trace = (24 * head.v22_trace + 16 * tail.v22_trace) / 40
-    assert np.allclose(whole.v22_trace, merged_trace, rtol=1e-12)
-
-
 # every draw pattern of the chunk kernel: 3 or 5 draws per step, burn-in,
 # the quantum floor, and each meter direction
 REPLAY_BRANCHES = {
@@ -128,10 +117,19 @@ def test_trajectory_replays_through_public_schedule(branch, tmp_path):
 
 
 def test_failed_run_leaves_no_record_file(tmp_path):
+    # each way a run fails after its record file is open: a non-finite
+    # covariance, a non-finite outcome, and statistics that fail after every
+    # chunk was written (sigma_ba**2 underflows to 0)
+    failed_runs = [
+        (dict(n_traj=2, n_meas=1, sigma_m_m=1e-300), NumericalFailureError),
+        (dict(n_traj=2, n_meas=1, sigma_m_m=1e160, collapse_policy="no_conditioning"), NumericalFailureError),
+        (dict(n_traj=20, n_meas=5, sigma_m_m=1e130), ParameterError),
+    ]
     path = tmp_path / "records.csv"
-    with pytest.raises(NumericalFailureError):
-        run_ensemble(small_config(n_traj=2, n_meas=1, sigma_m_m=1e-300), record_path=str(path))
-    assert not path.exists()
+    for overrides, error in failed_runs:
+        with pytest.raises(error):
+            run_ensemble(small_config(**overrides), record_path=str(path))
+        assert not path.exists()
 
 
 def test_workers_must_be_positive():

@@ -178,6 +178,9 @@ def test_tiny_meter_resolution_overflows_cleanly(params, rng):
     state = GaussianQuadState(0.0, 0.0, VINF, VINF, 0.0)
     with pytest.raises(NumericalFailureError):
         measure(state, MeterSpec("qnd_x1", 1e-300), "orthodox", params, rng)
+    # sigma_m**2 overflows: the no-collapse state stays finite, the outcome does not
+    with pytest.raises(NumericalFailureError):
+        measure(state, MeterSpec("qnd_x1", 1e160), "no_conditioning", params, rng)
 
 
 # --- invariants ----------------------------------------------------------------
