@@ -12,7 +12,7 @@ import argparse
 import json
 import os
 import sys
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from itertools import product
 
@@ -56,22 +56,32 @@ class _Parser(argparse.ArgumentParser):
 
 @contextmanager
 def _outputs(*paths):
-    """Open each output path given (None skips one) for writing before the
-    work starts, so that a path that cannot be written fails fast.  If the
-    command then fails, the files are removed, as a failed run removes its
-    record file."""
-    handles = []
+    """Check before the work that each output path given (None skips one) can
+    be written, so that a bad path fails fast.  The check opens the path for
+    appending, which creates a missing file and leaves an existing one as it
+    is; the command writes its outputs with ``_write`` once the work is done.
+    If the command fails, the files the check created are removed, and a path
+    that existed before is left as it was."""
+    created = []
     try:
-        with ExitStack() as stack:
-            for path in paths:
-                handles.append(None if path is None else stack.enter_context(open(path, "w", encoding="utf-8")))
-            yield handles
+        for path in paths:
+            if path is not None:
+                existed = os.path.lexists(path)
+                with open(path, "a", encoding="utf-8"):
+                    pass
+                if not existed:
+                    created.append(path)
+        yield
     except BaseException:
-        for path, handle in zip(paths, handles):
-            if handle is not None:
-                with suppress(FileNotFoundError):  # the same path given twice
-                    os.remove(path)
+        for path in created:
+            with suppress(FileNotFoundError):  # e.g. --out naming the removed record file
+                os.remove(path)
         raise
+
+
+def _write(path: str, lines) -> None:
+    with open(path, "w", encoding="utf-8") as handle:
+        handle.write("\n".join(lines) + "\n")
 
 
 def _float_list(raw: str) -> list[float]:
@@ -140,11 +150,11 @@ def _cmd_budget(args) -> int:
         singles[fieldname] = values[0]
         if len(values) > 1:
             axes[fieldname] = values
-    with _outputs(args.out) as (out,):
+    with _outputs(args.out):
         pairs = budget_sweep(BudgetInputs(**singles), axes)
         lines = budget_csv_rows(pairs)
-        if out is not None:
-            out.write("\n".join(lines) + "\n")
+        if args.out is not None:
+            _write(args.out, lines)
     if len(pairs) == 1:
         report = pairs[0][1]
         print(f"eta1={report.eta1:.4g}")
@@ -152,7 +162,7 @@ def _cmd_budget(args) -> int:
         print(f"eta_a={report.eta_a:.4g}")
         print(f"delta_e_br_J={report.delta_e_br:.4g}")
         print(f"x_zp_m={report.x_zp:.4g}")
-    if out is None and len(pairs) > 1:
+    if args.out is None and len(pairs) > 1:
         for line in lines:
             print(line)
     return 0
@@ -170,11 +180,11 @@ def _cmd_simulate(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
-    with _outputs(args.out) as (out,):
+    with _outputs(args.out):
         summary = run_ensemble(config, workers=args.workers, record_path=args.records)
         text = summary.to_json()
-        if out is not None:
-            out.write(text + "\n")
+        if args.out is not None:
+            _write(args.out, [text])
     print(text)
     print(f"wall_time_s={summary.wall_time_s:.3f}", file=sys.stderr)
     return 0
@@ -197,7 +207,7 @@ def _cmd_sweep(args) -> int:
         keys.append(key)
         value_lists.append(values)
     lines = [",".join(list(keys) + list(_SWEEP_STAT_COLUMNS))]
-    with _outputs(args.out) as (out,):
+    with _outputs(args.out):
         for combo in product(*value_lists) if keys else [()]:
             point = replace(base, **dict(zip(keys, combo))) if keys else base
             summary = run_ensemble(point, workers=args.workers)
@@ -205,9 +215,9 @@ def _cmd_sweep(args) -> int:
             stats = summary.to_dict()
             cells += [_format_cell(stats[column]) for column in _SWEEP_STAT_COLUMNS]
             lines.append(",".join(cells))
-        if out is not None:
-            out.write("\n".join(lines) + "\n")
-    if out is None:
+        if args.out is not None:
+            _write(args.out, lines)
+    if args.out is None:
         for line in lines:
             print(line)
     return 0
@@ -223,7 +233,7 @@ def _format_cell(value) -> str:
 
 def _cmd_analyze(args) -> int:
     config = load_config(args.config) if args.config is not None else default_config()
-    with _outputs(args.out, args.histogram) as (out, histogram):
+    with _outputs(args.out, args.histogram):
         x1, v22_trace = read_records(args.records)
         t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1, v22_trace, config)
         text = json.dumps({
@@ -235,7 +245,7 @@ def _cmd_analyze(args) -> int:
             "v22_slope_m2": slope,
             "alpha": args.alpha,
         })
-        if histogram is not None:
+        if args.histogram is not None:
             hist = energy_histogram(SampleSeries(x1, "x1"), config.oscillator(), args.bins)
             lines = ["e_lo_J,e_hi_J,count,model_density_per_J"]
             for i in range(len(hist.counts)):
@@ -243,9 +253,9 @@ def _cmd_analyze(args) -> int:
                     f"{hist.bin_edges[i]:.17g},{hist.bin_edges[i + 1]:.17g},"
                     f"{int(hist.counts[i])},{hist.model_density[i]:.17g}"
                 )
-            histogram.write("\n".join(lines) + "\n")
-        if out is not None:
-            out.write(text + "\n")
+            _write(args.histogram, lines)
+        if args.out is not None:
+            _write(args.out, [text])
     print(text)
     if gof_p is None:
         print("boltzmann: undetermined (too few trajectories)")

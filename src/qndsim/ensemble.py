@@ -20,9 +20,12 @@ for the Generator: its k-th ``normal(loc, scale)`` returns
 trajectory's own stream.  That is the same arithmetic a Generator does for a
 scalar draw, so each trajectory gets the values it would get if stepped alone
 through ``run_schedule``, bit for bit.  The normals are drawn in blocks of
-``DRAW_BLOCK`` per stream.  The schedule's records, one per step, carry the
-chunk's outcomes, means and variances: they feed the v22 trace and, when
-asked for, the record CSV rows.
+``DRAW_BLOCK`` per stream.  The schedule runs in segments of at most
+``DRAW_BLOCK`` steps, each starting from the state the last one ended in,
+which is the same sequence of operations as one call.  The records of a
+segment, one per step, carry the chunk's outcomes, means and variances: they
+feed the v22 trace and are kept for the record CSV rows only when those are
+asked for, so that without them memory per chunk does not grow with n_meas.
 
 Trajectories start at thermal stationarity in realization form: the thermal
 spread of the ensemble is carried by the sampled means, N(0, V_inf - V_floor)
@@ -37,6 +40,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 import time as _time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
@@ -120,15 +124,22 @@ def _run_chunk(config: RunConfig, start: int, stop: int, collect_rows: bool) -> 
     )
     if config.burn_in_s > 0.0:
         state = thermal_step(state, config.burn_in_s, params, draws)
-    records, state = run_schedule(state, meter, policy, params, config.dt_s, config.n_meas, draws)
 
-    # one addition per trajectory, in order: the sums round exactly as a
-    # per-trajectory fold does, which a multiplication by the count would not
-    post_v22 = np.array([record.post_v22 for record in records])
+    # the schedule runs in segments of at most DRAW_BLOCK steps, the state
+    # carried across, so that without rows memory does not grow with n_meas
     v22_sum = np.zeros(config.n_meas)
-    for _ in range(start, stop):
-        v22_sum += post_v22
-    rows = format_rows(start, records) if collect_rows else None
+    kept = []
+    for lo in range(0, config.n_meas, DRAW_BLOCK):
+        hi = min(lo + DRAW_BLOCK, config.n_meas)
+        records, state = run_schedule(state, meter, policy, params, config.dt_s, hi - lo, draws)
+        # one addition per trajectory, in order: the sums round exactly as a
+        # per-trajectory fold does, which a multiplication by the count would not
+        post_v22 = np.array([record.post_v22 for record in records])
+        for _ in range(start, stop):
+            v22_sum[lo:hi] += post_v22
+        if collect_rows:
+            kept += records
+    rows = format_rows(start, kept) if collect_rows else None
     return _ChunkResult(x1=state.mean1, x2=state.mean2, v22_sum=v22_sum, rows=rows)
 
 
@@ -202,8 +213,9 @@ def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = 
 
     Trajectories 0..n_traj-1 are simulated in chunks of ``CHUNK_SIZE``; with
     ``record_path`` their rows are written chunk by chunk as they arrive.  A
-    run that fails anywhere, statistics included, removes the record file: a
-    streamed file cut short would otherwise be well-formed.
+    run that fails anywhere, statistics included, removes the record file if
+    it is a regular file: a streamed file cut short would otherwise be
+    well-formed.
     """
     if not (isinstance(workers, int) and workers >= 1):
         raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
@@ -236,7 +248,9 @@ def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = 
         v22_trace = v22_total / config.n_traj
         t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1s, v22_trace, config)
     except BaseException:
-        if handle is not None:  # a failed run leaves no record file
+        # a failed run leaves no record file; a path that names no regular
+        # file (a device such as /dev/null, a symlink) is left alone
+        if handle is not None and stat.S_ISREG(os.lstat(record_path).st_mode):
             os.remove(record_path)
         raise
 

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from dataclasses import replace
 
 import pytest
@@ -232,6 +233,24 @@ def test_analyze_missing_records(tmp_path, capsys):
                  "--out", str(out_path), "--histogram", str(hist_path)])
     assert code == 1
     assert not out_path.exists() and not hist_path.exists()
+
+
+def test_failed_command_leaves_existing_paths_alone(tmp_path, capsys, monkeypatch):
+    # outputs that existed before a failed command, a device among them,
+    # are neither removed nor truncated
+    removed = []
+    monkeypatch.setattr("os.remove", removed.append)
+    keep = tmp_path / "keep.json"
+    keep.write_text("earlier result\n")
+    code = main(["analyze", "--records", str(tmp_path / "nope.csv"),
+                 "--out", str(keep), "--histogram", os.devnull])
+    assert code == 1
+    # the statistics fail after every chunk was written to the device
+    cfg_path, _ = write_config(tmp_path, n_traj=20, n_meas=5, sigma_m_m=1e130)
+    code = main(["simulate", "--config", str(cfg_path), "--records", os.devnull, "--out", str(keep)])
+    assert code == 1
+    assert removed == []
+    assert keep.read_text() == "earlier result\n"
 
 
 def test_simulate_and_sweep_reject_nonpositive_workers(tmp_path, capsys):

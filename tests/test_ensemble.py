@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,7 +18,7 @@ from qndsim import (
     trajectory_rng,
 )
 from qndsim.dynamics import stationary_variance, zero_point_variance
-from qndsim.ensemble import CHUNK_SIZE, _pool_size
+from qndsim.ensemble import CHUNK_SIZE, DRAW_BLOCK, _pool_size, _run_chunk
 from qndsim.records import RECORD_CSV_HEADER
 
 
@@ -73,9 +74,10 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 
 
 # every draw pattern of the chunk kernel: 3 or 5 draws per step, burn-in,
-# the quantum floor, and each meter direction
+# the quantum floor, each meter direction, and a schedule run in segments
 REPLAY_BRANCHES = {
     "orthodox": {},
+    "segments": {"n_meas": 2 * DRAW_BLOCK + 3},
     "no_conditioning": {"collapse_policy": "no_conditioning"},
     "burn_in": {"burn_in_s": 5.0},
     "quantum_floor": {"bath_model": "quantum"},
@@ -88,13 +90,14 @@ REPLAY_BRANCHES = {
 def test_trajectory_replays_through_public_schedule(branch, tmp_path):
     # each trajectory of a batched chunk gets exactly the draws of its own
     # stream, in the order the scalar step and run_schedule consume them
-    config = small_config(n_traj=3, n_meas=5, **REPLAY_BRANCHES[branch])
+    config = small_config(**{"n_traj": 3, "n_meas": 5, **REPLAY_BRANCHES[branch]})
     path = tmp_path / "records.csv"
     summary = run_ensemble(config, record_path=str(path))
     rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
     params, meter, policy = config.oscillator(), config.meter(), config.policy()
     floor = 0.0 if config.bath_model == "classical" else zero_point_variance(params)
     sd = math.sqrt(max(stationary_variance(params) - floor, 0.0))
+    v22_sum = np.zeros(config.n_meas)
     for index in range(config.n_traj):
         rng = trajectory_rng(config.seed, index)
         start = GaussianQuadState(rng.normal(0.0, sd), rng.normal(0.0, sd), floor, floor, 0.0, 0.0)
@@ -114,6 +117,22 @@ def test_trajectory_replays_through_public_schedule(branch, tmp_path):
             [r.time, r.outcome, r.post_v11, r.post_v22] for r in scheduled
         ]
         assert (final.mean1, final.mean2) == (summary.series_x1[index], summary.series_x2[index])
+        v22_sum += [r.post_v22 for r in scheduled]
+    assert np.array_equal(summary.v22_trace, v22_sum / config.n_traj)
+
+
+def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
+    def peak_bytes(n_meas):
+        tracemalloc.start()
+        try:
+            _run_chunk(small_config(n_meas=n_meas), 0, 16, False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # at most two segments of records are alive at once, and the v22 sums add
+    # 8 bytes a step; keeping every step's record would add about 0.6 MB here
+    assert peak_bytes(8 * DRAW_BLOCK) - peak_bytes(2 * DRAW_BLOCK) < 50_000
 
 
 def test_failed_run_leaves_no_record_file(tmp_path):
