@@ -18,7 +18,7 @@ from itertools import product
 
 from .budget import BudgetInputs, budget_csv_rows, budget_sweep
 from .config import CONFIG_KEYS, convert_config_value, default_config, load_config
-from .ensemble import ensemble_stats, run_ensemble
+from .ensemble import ensemble_stats, run_ensemble, v22_mean
 from .errors import (
     ConfigError,
     DegenerateSeriesError,
@@ -232,9 +232,12 @@ def _format_cell(value) -> str:
 
 
 def _cmd_analyze(args) -> int:
+    if not (0.0 < args.alpha < 1.0):
+        raise _UsageError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
     config = load_config(args.config) if args.config is not None else default_config()
     with _outputs(args.out, args.histogram):
-        x1, v22_trace = read_records(args.records)
+        x1, post_v22 = read_records(args.records)
+        v22_trace = v22_mean(post_v22, len(x1))
         t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1, v22_trace, config)
         text = json.dumps({
             "n_traj": len(x1),

@@ -24,8 +24,16 @@ through ``run_schedule``, bit for bit.  The normals are drawn in blocks of
 ``DRAW_BLOCK`` steps, each starting from the state the last one ended in,
 which is the same sequence of operations as one call.  The records of a
 segment, one per step, carry the chunk's outcomes, means and variances: they
-feed the v22 trace and are kept for the record CSV rows only when those are
-asked for, so that without them memory per chunk does not grow with n_meas.
+give the chunk's v22 trace and are kept for the record CSV rows only when
+those are asked for, so that without them memory per chunk does not grow
+with n_meas.
+
+The v22 trace needs no outcomes (the Riccati recursion of Kalman 1960 is
+data-free), so every trajectory of a run has the same one.  Each chunk
+returns it once, the parent requires every chunk's to be byte-equal to the
+first, and ``v22_mean`` folds that one trace into the per-step mean as if
+each trajectory had added its own copy, chunk by chunk.  ``analyze`` applies
+the same fold to the trace it reads, so both report the same slope.
 
 Trajectories start at thermal stationarity in realization form: the thermal
 spread of the ensemble is carried by the sampled means, N(0, V_inf - V_floor)
@@ -52,7 +60,7 @@ import numpy as np
 from .budget import BudgetInputs, eta1 as _eta1, eta2 as _eta2
 from .config import CONFIG_KEYS, RunConfig
 from .dynamics import GaussianQuadState, stationary_variance, thermal_step, zero_point_variance
-from .errors import DegenerateSeriesError, InsufficientDataError, ParameterError
+from .errors import DegenerateSeriesError, InsufficientDataError, NumericalFailureError, ParameterError
 from .measurement import backaction_sigma, run_schedule
 from .records import RECORD_CSV_HEADER, format_rows
 from .stats import SampleSeries, estimate_t1, gof_boltzmann, heating_slope
@@ -99,7 +107,7 @@ class _ChunkDraws:
 class _ChunkResult:
     x1: np.ndarray
     x2: np.ndarray
-    v22_sum: np.ndarray
+    post_v22: np.ndarray
     rows: str | None
 
 
@@ -127,20 +135,43 @@ def _run_chunk(config: RunConfig, start: int, stop: int, collect_rows: bool) -> 
 
     # the schedule runs in segments of at most DRAW_BLOCK steps, the state
     # carried across, so that without rows memory does not grow with n_meas
-    v22_sum = np.zeros(config.n_meas)
+    post_v22 = np.empty(config.n_meas)
     kept = []
     for lo in range(0, config.n_meas, DRAW_BLOCK):
         hi = min(lo + DRAW_BLOCK, config.n_meas)
         records, state = run_schedule(state, meter, policy, params, config.dt_s, hi - lo, draws)
-        # one addition per trajectory, in order: the sums round exactly as a
-        # per-trajectory fold does, which a multiplication by the count would not
-        post_v22 = np.array([record.post_v22 for record in records])
-        for _ in range(start, stop):
-            v22_sum[lo:hi] += post_v22
+        post_v22[lo:hi] = [record.post_v22 for record in records]
         if collect_rows:
             kept += records
     rows = format_rows(start, kept) if collect_rows else None
-    return _ChunkResult(x1=state.mean1, x2=state.mean2, v22_sum=v22_sum, rows=rows)
+    return _ChunkResult(x1=state.mean1, x2=state.mean2, post_v22=post_v22, rows=rows)
+
+
+def v22_mean(post_v22, n_traj: int) -> np.ndarray:
+    """Mean v22 per step over ``n_traj`` trajectories that share the trace
+    ``post_v22``, rounded as the canonical fold of per-trajectory traces: one
+    addition per trajectory into its chunk's sum, then the chunk sums added
+    in chunk order, then the division by ``n_traj``.  A multiplication by the
+    count would round differently."""
+    trace = np.asarray(post_v22, dtype=np.float64)
+
+    def repeated_sum(count: int) -> np.ndarray:
+        total = np.zeros(len(trace))
+        for _ in range(count):
+            total += trace
+        return total
+
+    full, rest = divmod(n_traj, CHUNK_SIZE)
+    total = np.zeros(len(trace))
+    # a sum that overflows stays inf, which heating_slope rejects
+    with np.errstate(over="ignore"):
+        if full:
+            chunk_sum = repeated_sum(CHUNK_SIZE)
+            for _ in range(full):
+                total += chunk_sum
+        if rest:
+            total += repeated_sum(rest)
+    return total / n_traj
 
 
 def _pool_size(workers: int, n_chunks: int) -> int:
@@ -224,7 +255,7 @@ def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = 
     stops = [min(lo + CHUNK_SIZE, config.n_traj) for lo in starts]
     x1_parts: list[np.ndarray] = []
     x2_parts: list[np.ndarray] = []
-    v22_total = np.zeros(config.n_meas)
+    post_v22 = None
     handle = None
     try:
         with ExitStack() as stack:
@@ -237,15 +268,21 @@ def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = 
             else:
                 run_map = map
             # both maps yield in chunk order: the canonical fold
-            for part in run_map(_run_chunk, repeat(config), starts, stops, repeat(record_path is not None)):
+            chunks = run_map(_run_chunk, repeat(config), starts, stops, repeat(record_path is not None))
+            for start, part in zip(starts, chunks):
+                if post_v22 is None:
+                    post_v22 = part.post_v22
+                elif part.post_v22.tobytes() != post_v22.tobytes():
+                    raise NumericalFailureError(
+                        f"the chunk from trajectory {start} returned a v22 trace that differs from chunk 0's"
+                    )
                 x1_parts.append(part.x1)
                 x2_parts.append(part.x2)
-                v22_total += part.v22_sum
                 if handle is not None:
                     handle.write(part.rows)
         x1s = np.concatenate(x1_parts)
         x2s = np.concatenate(x2_parts)
-        v22_trace = v22_total / config.n_traj
+        v22_trace = v22_mean(post_v22, config.n_traj)
         t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1s, v22_trace, config)
     except BaseException:
         # a failed run leaves no record file; a path that names no regular

@@ -97,10 +97,25 @@ def backaction_sigma(meter: MeterSpec, params: OscillatorParams) -> float:
     return HBAR / (2.0 * params.mass * params.omega1 * meter.sigma_m)
 
 
-def _require_psd(state: GaussianQuadState) -> None:
-    det = state.v11 * state.v22 - state.v12 * state.v12
-    scale = max(state.v11, state.v22, 0.0)
-    if state.v11 < 0.0 or state.v22 < 0.0 or det < -_PSD_SLACK * scale * scale:
+def _scale_exponent(state: GaussianQuadState, sigma_m: float) -> int:
+    """The j >= 0 for which measure scales the covariance and sigma_m^2 by
+    4**j: the largest of them then lies near 2**509, so that products of
+    tiny variances stay normal numbers and no product overflows.  A power of
+    two scales exactly, so wherever the unscaled products were normal the
+    scaled update returns the same bits; j = 0 leaves huge and non-finite
+    values as they are, and j <= 511 keeps 4**j and its inverse normal."""
+    largest = max(sigma_m * sigma_m, abs(state.v11), abs(state.v22), abs(state.v12))
+    if not math.isfinite(largest):
+        return 0
+    return min(max((510 - math.frexp(largest)[1]) // 2, 0), 511)
+
+
+def _require_psd(v11: float, v22: float, v12: float, state: GaussianQuadState) -> None:
+    """Reject a covariance that is not PSD; v11, v22, v12 are the state's,
+    scaled so that the determinant does not underflow."""
+    det = v11 * v22 - v12 * v12
+    scale = max(v11, v22, 0.0)
+    if v11 < 0.0 or v22 < 0.0 or det < -_PSD_SLACK * scale * scale:
         raise StateDomainError(
             f"covariance not PSD: v11={state.v11!r} v22={state.v22!r} v12={state.v12!r}"
         )
@@ -117,18 +132,27 @@ def measure(
 
     The clock does not advance: measurements are instantaneous events between
     thermal steps.  For a batch state (array means) the outcome is an array
-    too; covariance and record bookkeeping stay scalars.
+    too; covariance and record bookkeeping stay scalars.  The covariance
+    arithmetic runs on the covariance and sigma_m^2 scaled by 4**j (see
+    ``_scale_exponent``), and the results are scaled back; the gain and the
+    outcome's spread are ratios and square roots, from which the scale
+    divides out exactly.
     """
     policy = CollapsePolicy(policy)
-    _require_psd(state)
+    j = _scale_exponent(state, meter.sigma_m)
+    half, scale = 2.0**j, 4.0**j
+    v11, v22, v12 = state.v11 * scale, state.v22 * scale, state.v12 * scale
+    _require_psd(v11, v22, v12, state)
 
     u1, u2 = measurement_direction(meter.kind, state.time, params)
     mu = u1 * state.mean1 + u2 * state.mean2
-    vu1 = state.v11 * u1 + state.v12 * u2
-    vu2 = state.v12 * u1 + state.v22 * u2
+    vu1 = v11 * u1 + v12 * u2
+    vu2 = v12 * u1 + v22 * u2
     var_pred = u1 * vu1 + u2 * vu2
-    sigma_y2 = var_pred + meter.sigma_m * meter.sigma_m
-    outcome = rng.normal(mu, math.sqrt(sigma_y2))
+    sm = meter.sigma_m * half
+    s2 = sm * sm
+    sigma_y2 = var_pred + s2
+    outcome = rng.normal(mu, math.sqrt(sigma_y2) / half)
 
     sba = backaction_sigma(meter, params)
     sba2 = sba * sba
@@ -145,11 +169,10 @@ def measure(
         mean2 = state.mean2 + k2 * innov
         # cancellation-free form of V - (Vu)(Vu)^T / sigma_y2: the posterior is
         # (sigma_m^2 V + det(V) u_perp u_perp^T) / sigma_y2, manifestly PSD
-        det = state.v11 * state.v22 - state.v12 * state.v12
-        s2 = meter.sigma_m * meter.sigma_m
-        v11 = (s2 * state.v11 + det * u2 * u2) / sigma_y2 + sba2 * p1 * p1
-        v22 = (s2 * state.v22 + det * u1 * u1) / sigma_y2 + sba2 * p2 * p2
-        v12 = (s2 * state.v12 - det * u1 * u2) / sigma_y2 + sba2 * p1 * p2
+        det = v11 * v22 - v12 * v12
+        v11 = (s2 * v11 + det * u2 * u2) / sigma_y2 / scale + sba2 * p1 * p1
+        v22 = (s2 * v22 + det * u1 * u1) / sigma_y2 / scale + sba2 * p2 * p2
+        v12 = (s2 * v12 - det * u1 * u2) / sigma_y2 / scale + sba2 * p1 * p2
     else:
         # no collapse: unsteered meter disturbance kicks the sampled means
         mean1 = state.mean1 + rng.normal(0.0, sba)
@@ -159,11 +182,8 @@ def measure(
         v12 = state.v12 + sba2 * p1 * p2
 
     # outcome and means are floats, or arrays when an ensemble chunk is
-    # stepped as a batch
-    if isinstance(mean1, float):
-        sampled_finite = math.isfinite(outcome) and math.isfinite(mean1) and math.isfinite(mean2)
-    else:
-        sampled_finite = np.isfinite(outcome).all() and np.isfinite(mean1).all() and np.isfinite(mean2).all()
+    # stepped as a batch; np.isfinite takes both
+    sampled_finite = np.isfinite(outcome).all() and np.isfinite(mean1).all() and np.isfinite(mean2).all()
     if not (sampled_finite and math.isfinite(v11) and math.isfinite(v22) and math.isfinite(v12)):
         raise NumericalFailureError("measurement produced a non-finite outcome or state")
 

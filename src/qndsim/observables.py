@@ -183,6 +183,12 @@ def is_qnd_sequence(
     """
     if len(times) < 2:
         raise ParameterError("a QND sequence needs at least 2 measurement times")
+    # checked here, before any time reaches math.cos: omega1 * t must be finite too
+    for t in times:
+        if not math.isfinite(params.omega1 * t):
+            raise ParameterError(f"measurement times must be finite, with omega1 * t finite, got {t!r}")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ParameterError(f"tol must be finite and >= 0, got {tol!r}")
     evolved = [heisenberg_evolve(resolve_observable(obs, t, params), t, params) for t in times]
     worst = 0.0
     for i in range(len(evolved)):

@@ -9,12 +9,17 @@ every value reads back bit for bit:
 ``format_rows`` renders one chunk of trajectories at a time from the
 ``MeasurementRecord`` list that ``run_schedule`` returns for it.
 ``read_records`` streams a file and keeps only what ``analyze`` needs: the
-final mean_x1 of every trajectory and the per-step sums of var_x2.  It
-rejects any file that a run could not have written, naming the path and
-line.
+final mean_x1 of every trajectory and the var_x2 trace of trajectory 0.
+Every trajectory of a run has the same var_x2 trace, since the covariance
+recursion needs no outcomes, so the reader requires each row's var_x2 to
+equal trajectory 0's at that step; ``analyze`` then folds that one trace as
+``simulate`` does.  The reader rejects any file that a run could not have
+written, naming the path and line.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -49,15 +54,16 @@ def format_rows(first_id: int, records) -> str:
 
 
 def read_records(path: str) -> tuple[np.ndarray, np.ndarray]:
-    """(final mean_x1 per trajectory, mean var_x2 per step) of a record CSV.
+    """(final mean_x1 per trajectory, var_x2 per step of trajectory 0).
 
     Trajectory ids must run 0, 1, 2, ... as a run writes them, every
-    trajectory must hold steps 1..n_meas in order, and n_meas must be the
-    same for all of them; any other content raises ConfigError with
-    ``path:line``.
+    trajectory must hold steps 1..n_meas in order, n_meas must be the same
+    for all of them, mean_x1 and var_x2 must be finite, and each var_x2 must
+    equal trajectory 0's at that step; any other content raises ConfigError
+    with ``path:line``.
     """
     x1: list[float] = []
-    v22_sums: list[float] = []  # per step, summed in file order
+    trace: list[float] = []  # var_x2 of trajectory 0, per step
     traj = step = lineno = 0
     try:
         with open(path, "rb") as handle:
@@ -72,26 +78,34 @@ def read_records(path: str) -> tuple[np.ndarray, np.ndarray]:
                     mean1, v22 = float(parts[4]), float(parts[7])
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: {_bad_field(parts)}") from None
+                if not math.isfinite(mean1):
+                    raise ConfigError(f"{path}:{lineno}: mean_x1_m is not finite: {mean1!r}")
                 if row_step == 1 and row_traj == len(x1):  # next trajectory
                     if x1:
-                        _require_complete(path, lineno, traj, step, len(v22_sums))
+                        _require_complete(path, lineno, traj, step, len(trace))
                     x1.append(0.0)
                 elif not (x1 and row_traj == traj and row_step == step + 1):  # not the next step
                     after = f"trajectory {traj} step {step}" if x1 else "the header"
                     raise ConfigError(f"{path}:{lineno}: trajectory {row_traj} step {row_step} follows {after}")
-                if row_step > len(v22_sums):  # the first trajectory fixes n_meas
-                    if len(x1) > 1:
-                        raise ConfigError(f"{path}:{lineno}: trajectory {traj} has more than {len(v22_sums)} steps")
-                    v22_sums.append(0.0)
+                if len(x1) == 1:  # trajectory 0 fixes n_meas and the trace
+                    if not math.isfinite(v22):
+                        raise ConfigError(f"{path}:{lineno}: var_x2_m2 is not finite: {v22!r}")
+                    trace.append(v22)
+                elif row_step > len(trace):
+                    raise ConfigError(f"{path}:{lineno}: trajectory {row_traj} has more than {len(trace)} steps")
+                elif v22 != trace[row_step - 1]:
+                    raise ConfigError(
+                        f"{path}:{lineno}: var_x2_m2 {v22!r} differs from trajectory 0's "
+                        f"{trace[row_step - 1]!r} at step {row_step}"
+                    )
                 traj, step = row_traj, row_step
                 x1[-1] = mean1
-                v22_sums[step - 1] += v22
     except OSError as exc:
         raise ConfigError(f"cannot read records {path!r}: {exc}") from None
     if not x1:
         raise ConfigError(f"{path!r} contains no record rows")
-    _require_complete(path, lineno, traj, step, len(v22_sums))
-    return np.array(x1), np.array(v22_sums) / len(x1)
+    _require_complete(path, lineno, traj, step, len(trace))
+    return np.array(x1), np.array(trace)
 
 
 def _require_complete(path: str, lineno: int, traj: int, step: int, n_meas: int) -> None:

@@ -246,7 +246,11 @@ def heating_slope(var_x2_by_step, sigma_ba: float) -> tuple[float, float]:
     # sigma_ba below about 1e-162
     if not (sigma_ba > 0.0 and 0.0 < target < math.inf):
         raise ParameterError(f"sigma_ba must be > 0 with a finite, nonzero square, got {sigma_ba!r} (square {target!r})")
+    if not np.isfinite(trace).all():
+        raise ParameterError("the v22 trace must be finite")
     slope = float(np.polyfit(np.arange(len(trace)), trace, 1)[0])
+    if not math.isfinite(slope):
+        raise ParameterError(f"the v22 heating slope is not finite: {slope!r}")
     return slope, abs(slope - target) / target
 
 

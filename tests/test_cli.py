@@ -53,6 +53,25 @@ def test_qnd_check_bad_times(capsys):
     assert main(["qnd-check", "--observable", "x1", "--times", "asdf"]) == 1
 
 
+@pytest.mark.parametrize(
+    "flags, word",
+    [
+        (["--times", "0,inf"], "finite"),
+        (["--times", "nan,1"], "finite"),
+        (["--times", "0,1e305"], "omega1 * t"),  # finite, but omega1 * t is not
+        (["--times", "0,1", "--tol", "nan"], "tol"),
+        (["--times", "0,1", "--tol", "inf"], "tol"),
+        (["--times", "0,1", "--tol", "-1e-9"], "tol"),
+    ],
+)
+def test_qnd_check_rejects_non_finite_input(flags, word, capsys):
+    assert main(["qnd-check", "--observable", "x1", *flags]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and word in err
+    assert "Traceback" not in err
+
+
 def test_simulate_missing_config(capsys, tmp_path):
     assert main(["simulate", "--config", str(tmp_path / "missing.cfg")]) == 1
     assert "error:" in capsys.readouterr().err
@@ -159,7 +178,8 @@ def test_analyze_matches_simulate(tmp_path, capsys):
     # .17g serialization round-trips the series, so the refit is bit-identical
     assert analyzed["t1_hat_K"] == simulated["t1_hat_K"]
     assert analyzed["gof_p_value"] == simulated["gof_p_value"]
-    assert math.isclose(analyzed["v22_slope_m2"], simulated["v22_slope_m2"], rel_tol=1e-12)
+    # both fold the one shared v22 trace the same way
+    assert analyzed["v22_slope_m2"] == simulated["v22_slope_m2"]
     assert analyzed["n_traj"] == 150 and analyzed["n_meas"] == 6
     assert any(line.startswith("boltzmann:") for line in out[1:])
     hist_lines = hist_path.read_text().splitlines()
@@ -226,6 +246,30 @@ def test_backaction_variance_underflow_exits_one(tmp_path, capsys):
     assert err.startswith("error: ") and "sigma_ba" in err
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf", "0", "1", "5", "-0.01"])
+def test_analyze_rejects_alpha_outside_unit_interval(alpha, tmp_path, capsys):
+    records_path = tmp_path / "records.csv"
+    run_ensemble(replace(default_config(), n_traj=40, n_meas=5), record_path=str(records_path))
+    assert main(["analyze", "--records", str(records_path), "--alpha", alpha]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "--alpha" in err
+
+
+def test_analyze_rejects_overflowing_v22_trace(tmp_path, capsys):
+    # every trajectory agrees at every step, but the folded mean of 1e308
+    # overflows: no run writes such a file, and NaN is not JSON
+    path = tmp_path / "records.csv"
+    run_ensemble(replace(default_config(), n_traj=3, n_meas=5), record_path=str(path))
+    header, *rows = path.read_text().splitlines()
+    rows = [_with_field(row, 7, "1e308") if row.split(",")[1] == "2" else row for row in rows]
+    path.write_text("\n".join([header] + rows) + "\n")
+    assert main(["analyze", "--records", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "v22 trace must be finite" in err
+
+
 def test_analyze_missing_records(tmp_path, capsys):
     assert main(["analyze", "--records", str(tmp_path / "nope.csv")]) == 1
     out_path, hist_path = tmp_path / "analysis.json", tmp_path / "hist.csv"
@@ -279,6 +323,12 @@ MALFORMED_RECORDS = {
     "ragged_trajectories": (lambda r: r[:2] + r[3:], 6, "more than 2 steps"),
     "out_of_order_ids": (lambda r: r[:3] + r[6:] + r[3:6], 5, "follows trajectory 0 step 3"),
     "missing_first_trajectory": (lambda r: r[3:], 2, "follows the header"),
+    "var_differs_from_trajectory_0": (lambda r: r[:3] + [_with_field(r[3], 7, "1e-3")] + r[4:], 5, "var_x2_m2"),
+    "nan_var": (lambda r: r[:1] + [_with_field(r[1], 7, "nan")] + r[2:], 3, "var_x2_m2 is not finite"),
+    "inf_var_later_trajectory": (lambda r: r[:7] + [_with_field(r[7], 7, "inf")] + r[8:], 9, "var_x2_m2"),
+    "huge_var_in_trajectory_0": (lambda r: r[:1] + [_with_field(r[1], 7, "1e308")] + r[2:], 6, "var_x2_m2"),
+    "nan_mean": (lambda r: r[:5] + [_with_field(r[5], 4, "nan")] + r[6:], 7, "mean_x1_m is not finite"),
+    "inf_mean": (lambda r: r[:2] + [_with_field(r[2], 4, "-inf")] + r[3:], 4, "mean_x1_m is not finite"),
 }
 
 

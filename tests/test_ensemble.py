@@ -18,7 +18,9 @@ from qndsim import (
     trajectory_rng,
 )
 from qndsim.dynamics import stationary_variance, zero_point_variance
-from qndsim.ensemble import CHUNK_SIZE, DRAW_BLOCK, _pool_size, _run_chunk
+from qndsim.cli import main
+from qndsim.config import format_config
+from qndsim.ensemble import CHUNK_SIZE, DRAW_BLOCK, _pool_size, _run_chunk, v22_mean
 from qndsim.records import RECORD_CSV_HEADER
 
 
@@ -130,9 +132,46 @@ def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
         finally:
             tracemalloc.stop()
 
-    # at most two segments of records are alive at once, and the v22 sums add
-    # 8 bytes a step; keeping every step's record would add about 0.6 MB here
+    # at most two segments of records are alive at once, and the v22 trace
+    # adds 8 bytes a step; keeping every step's record would add about 0.6 MB here
     assert peak_bytes(8 * DRAW_BLOCK) - peak_bytes(2 * DRAW_BLOCK) < 50_000
+
+
+@pytest.mark.parametrize("n_traj", [1, 127, 128, 129, 300])
+def test_v22_mean_is_the_two_level_fold(n_traj):
+    # the fold of identical per-trajectory traces as chunks and the parent
+    # did it: one addition per trajectory into its chunk's sum, chunk sums in
+    # chunk order, then the division
+    trace = trajectory_rng(5, 0).uniform(1e-31, 1e-29, size=7)
+    total = np.zeros(len(trace))
+    for lo in range(0, n_traj, CHUNK_SIZE):
+        chunk_sum = np.zeros(len(trace))
+        for _ in range(lo, min(lo + CHUNK_SIZE, n_traj)):
+            chunk_sum += trace
+        total += chunk_sum
+    assert v22_mean(trace, n_traj).tobytes() == (total / n_traj).tobytes()
+
+
+def test_chunk_trace_mismatch_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
+    # every chunk of a run shares one v22 trace; a chunk that returns another
+    # one is an engine fault, not something to average away
+    def perturbed(config, start, stop, collect_rows):
+        part = _run_chunk(config, start, stop, collect_rows)
+        if start == CHUNK_SIZE:
+            part.post_v22[2] = np.nextafter(part.post_v22[2], np.inf)
+        return part
+
+    monkeypatch.setattr("qndsim.ensemble._run_chunk", perturbed)
+    config = small_config(n_traj=3 * CHUNK_SIZE, n_meas=5)
+    path = tmp_path / "records.csv"
+    with pytest.raises(NumericalFailureError, match=f"trajectory {CHUNK_SIZE}"):
+        run_ensemble(config, record_path=str(path))
+    assert not path.exists()
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(format_config(config))
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "numerical failure" in err
 
 
 def test_failed_run_leaves_no_record_file(tmp_path):

@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qndsim import (
@@ -20,6 +21,7 @@ from qndsim import (
     run_schedule,
     thermal_step,
 )
+from qndsim.measurement import METER_KINDS
 
 M = 1e-3
 W1 = 1e4
@@ -227,6 +229,66 @@ def test_backaction_evasion_never_raises_v11(v11, v22, corr, log_sigma, orthodox
     _, out, record = measure(state, MeterSpec("qnd_x1", 10.0**log_sigma), policy, params, rng)
     assert record.post_v11 <= record.pre_v11 * (1.0 + 1e-15)
     assert out.v11 <= state.v11 * (1.0 + 1e-15)
+
+
+def test_underflowing_product_does_not_raise_v11():
+    # s2 * v11 is about 2.6e-324: unscaled it rounds up to the smallest
+    # subnormal, and v11 came out as 5.87e-272, nearly twice the input
+    params = OscillatorParams(M, W1, 1e4, 0.05)
+    v = 3.0668299705607350e-272
+    state = GaussianQuadState(0.0, 0.0, v, v, 0.0)
+    meter = MeterSpec("qnd_x1", 10**-26.0375)
+    _, out, record = measure(state, meter, "orthodox", params, np.random.default_rng(3))
+    s2 = Fraction(meter.sigma_m) ** 2
+    exact = Fraction(v) * s2 / (Fraction(v) + s2)
+    assert out.v11 <= v
+    assert abs(Fraction(out.v11) - exact) <= exact * 2**-52
+    assert record.post_v11 == out.v11
+
+
+def _tiny(exponent, mantissa):
+    """mantissa * 2**exponent, rounded onto the subnormal grid below 2**-1022."""
+    return math.ldexp(mantissa, exponent)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(METER_KINDS),
+    e11=st.integers(-1074, -93),
+    e22=st.integers(-1074, -93),
+    m11=st.floats(1.0, 2.0),
+    m22=st.floats(1.0, 2.0),
+    corr=st.floats(-1.0, 1.0),
+    log_sigma=st.floats(-30.0, -5.0),
+    phase=st.floats(0.0, 2 * math.pi),
+)
+def test_orthodox_update_over_the_subnormal_range(kind, e11, e22, m11, m22, corr, log_sigma, phase):
+    # variances from 1e-28 down through the subnormals, where s2 * V and
+    # det(V) underflow unless the update scales them; the checks are exact
+    # rational arithmetic on the doubles that go in and come out
+    params = OscillatorParams(M, W1, 1e4, 0.05)
+    v11, v22 = _tiny(e11, m11), _tiny(e22, m22)
+    v12 = corr * math.sqrt(v11) * math.sqrt(v22)
+    f11, f22, f12 = Fraction(v11), Fraction(v22), Fraction(v12)
+    det_in = f11 * f22 - f12 * f12
+    assume(det_in >= 0)
+    state = GaussianQuadState(0.0, 0.0, v11, v22, v12, phase / W1)
+    _, out, _ = measure(state, MeterSpec(kind, 10.0**log_sigma), "orthodox", params, np.random.default_rng(7))
+    g11, g22, g12 = Fraction(out.v11), Fraction(out.v22), Fraction(out.v12)
+    u1, u2 = (Fraction(c) for c in measurement_direction(kind, state.time, params))
+    # rounding slack: a few ulps of each term, and of the subnormal grid
+    eps, grid = Fraction(2) ** -50, Fraction(2) ** -1072
+
+    terms = (u1 * u1 * g11, 2 * u1 * u2 * g12, u2 * u2 * g22)
+    monitored_in = u1 * u1 * f11 + 2 * u1 * u2 * f12 + u2 * u2 * f22
+    assert sum(terms) <= monitored_in + eps * (sum(abs(t) for t in terms) + monitored_in) + grid
+
+    products = abs(g11 * g22) + g12 * g12
+    slack = eps * products + grid * (abs(g11) + abs(g22) + 2 * abs(g12))
+    det_out = g11 * g22 - g12 * g12
+    assert g11 >= 0 and g22 >= 0 and det_out >= -slack
+    # det' = floor + (s2 / sigma_y2) (det - floor): never below min(det, floor)
+    assert det_out >= min(det_in, Fraction(ZP_VAR)) - slack
 
 
 # --- schedules -------------------------------------------------------------------
