@@ -65,6 +65,7 @@ def read_records(path: str) -> tuple[np.ndarray, np.ndarray]:
     x1: list[float] = []
     trace: list[float] = []  # var_x2 of trajectory 0, per step
     traj = step = lineno = 0
+    isfinite = math.isfinite  # once per row: a local name is looked up faster
     try:
         with open(path, "rb") as handle:
             if handle.readline().rstrip(b"\r\n") != RECORD_CSV_HEADER.encode():
@@ -78,7 +79,7 @@ def read_records(path: str) -> tuple[np.ndarray, np.ndarray]:
                     mean1, v22 = float(parts[4]), float(parts[7])
                 except ValueError:
                     raise ConfigError(f"{path}:{lineno}: {_bad_field(parts)}") from None
-                if not math.isfinite(mean1):
+                if not isfinite(mean1):
                     raise ConfigError(f"{path}:{lineno}: mean_x1_m is not finite: {mean1!r}")
                 if row_step == 1 and row_traj == len(x1):  # next trajectory
                     if x1:
@@ -87,8 +88,8 @@ def read_records(path: str) -> tuple[np.ndarray, np.ndarray]:
                 elif not (x1 and row_traj == traj and row_step == step + 1):  # not the next step
                     after = f"trajectory {traj} step {step}" if x1 else "the header"
                     raise ConfigError(f"{path}:{lineno}: trajectory {row_traj} step {row_step} follows {after}")
-                if len(x1) == 1:  # trajectory 0 fixes n_meas and the trace
-                    if not math.isfinite(v22):
+                if not row_traj:  # trajectory 0 fixes n_meas and the trace
+                    if not isfinite(v22):
                         raise ConfigError(f"{path}:{lineno}: var_x2_m2 is not finite: {v22!r}")
                     trace.append(v22)
                 elif row_step > len(trace):
