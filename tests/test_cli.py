@@ -61,7 +61,7 @@ def test_qnd_check_bad_times(capsys):
         (["--times", "0,1e305"], "omega1 * t"),  # finite, but omega1 * t is not
         (["--times", "0,1", "--tol", "nan"], "tol"),
         (["--times", "0,1", "--tol", "inf"], "tol"),
-        (["--times", "0,1", "--tol", "-1e-9"], "tol"),
+        (["--times", "0,1", "--tol=-1e-9"], "tol"),
     ],
 )
 def test_qnd_check_rejects_non_finite_input(flags, word, capsys):
