@@ -3,8 +3,9 @@
 
 With the thermal coupling negligible, repeated X1 measurements contract
 v11 along the Kalman recursion while v22 climbs by sigma_ba^2 per
-measurement.  Prints the fitted slope against the ideal injection and,
-optionally, the full variance traces as CSV.
+measurement.  The covariance recursion needs no outcomes, so one trajectory
+gives the variance traces of every trajectory.  Prints the fitted slope
+against the ideal injection and, optionally, the full variance traces as CSV.
 """
 
 import argparse
@@ -26,7 +27,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--sigma-m", type=float, default=1e-18)
     parser.add_argument("--n-meas", type=int, default=100)
-    parser.add_argument("--n-traj", type=int, default=1000)
     parser.add_argument("--v0", type=float, default=6.903245e-30, help="initial variance per quadrature")
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--trace-out", default=None, help="write step,v11,v22 CSV here")
@@ -37,26 +37,18 @@ def main() -> int:
     sba = backaction_sigma(meter, params)
     rng = np.random.default_rng(args.seed)
 
-    v11_trace = np.zeros(args.n_meas)
-    v22_trace = np.zeros(args.n_meas)
-    for _ in range(args.n_traj):
-        state = GaussianQuadState(0.0, 0.0, args.v0, args.v0, 0.0)
-        records, _ = run_schedule(state, meter, "orthodox", params, 1e-2, args.n_meas, rng)
-        v11_trace += [r.post_v11 for r in records]
-        v22_trace += [r.post_v22 for r in records]
-    v11_trace /= args.n_traj
-    v22_trace /= args.n_traj
-
-    slope, rel_err = heating_slope(v22_trace, sba)
+    state = GaussianQuadState(0.0, 0.0, args.v0, args.v0, 0.0)
+    records, _ = run_schedule(state, meter, "orthodox", params, 1e-2, args.n_meas, rng)
+    slope, rel_err = heating_slope([r.post_v22 for r in records], sba)
     print(f"sigma_ba^2 = {sba**2:.6e} m^2 per measurement")
     print(f"fitted v22 slope = {slope:.6e} m^2 per measurement (rel err {rel_err:.2e})")
-    print(f"v11: {args.v0:.3e} -> {v11_trace[-1]:.3e} m^2 after {args.n_meas} measurements")
+    print(f"v11: {args.v0:.3e} -> {records[-1].post_v11:.3e} m^2 after {args.n_meas} measurements")
 
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as handle:
             handle.write("step,v11_m2,v22_m2\n")
-            for k in range(args.n_meas):
-                handle.write(f"{k + 1},{v11_trace[k]:.17g},{v22_trace[k]:.17g}\n")
+            for step, r in enumerate(records, start=1):
+                handle.write(f"{step},{r.post_v11:.17g},{r.post_v22:.17g}\n")
     return 0
 
 

@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from qndsim import default_config, run_ensemble
+from qndsim import boltzmann_verdict, default_config, run_ensemble
 
 
 def main() -> int:
@@ -37,8 +37,8 @@ def main() -> int:
     print(f"{'run':<18} {'t1_hat [K]':>12} {'pull [se]':>10} {'gof p':>10} verdict")
     for name, config in runs:
         summary = run_ensemble(config, workers=args.workers)
-        pull = (summary.t1_hat_K - bath_t) / summary.t1_stderr_K
-        flagged = summary.gof_p_value < args.alpha or pull > 5.0
+        flagged, pull = boltzmann_verdict(summary.gof_p_value, summary.t1_hat_K, summary.t1_stderr_K,
+                                          bath_t, args.alpha)
         verdict = "DEVIATION" if flagged else "boltzmann-consistent"
         print(f"{name:<18} {summary.t1_hat_K:>12.5g} {pull:>10.1f} {summary.gof_p_value:>10.3g} {verdict}")
     return 0

@@ -58,6 +58,7 @@ from .stats import (
     EnergyHistogram,
     GofReport,
     SampleSeries,
+    boltzmann_verdict,
     energy_histogram,
     estimate_t1,
     gof_boltzmann,

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import stat
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import replace
@@ -18,7 +19,7 @@ from itertools import product
 
 from .budget import BudgetInputs, budget_csv_rows, budget_sweep
 from .config import CONFIG_KEYS, convert_config_value, default_config, load_config
-from .ensemble import ensemble_stats, run_ensemble, v22_mean
+from .ensemble import ensemble_stats, run_ensemble
 from .errors import (
     ConfigError,
     DegenerateSeriesError,
@@ -29,7 +30,7 @@ from .errors import (
 )
 from .observables import OscillatorParams, is_qnd_sequence
 from .records import read_records
-from .stats import SampleSeries, energy_histogram
+from .stats import SampleSeries, boltzmann_verdict, energy_histogram
 
 _BUDGET_FLAGS = (
     ("T", "temperature", 0.05),
@@ -74,9 +75,29 @@ def _outputs(*paths):
         yield
     except BaseException:
         for path in created:
-            with suppress(FileNotFoundError):  # e.g. --out naming the removed record file
+            with suppress(FileNotFoundError):  # e.g. removed meanwhile by another process
                 os.remove(path)
         raise
+
+
+def _require_distinct(args, *names) -> None:
+    """Refuse, before any work, two of the path flags ``names`` (attributes of
+    ``args``) that name the same file: an output written over an input or
+    another output would destroy it.  Regular files compare by device and
+    inode, missing ones by resolved path; a device such as /dev/null may repeat."""
+    seen = {}
+    for name in names:
+        path = getattr(args, name)
+        if path is None:
+            continue
+        try:
+            info = os.stat(path)
+            key = (info.st_dev, info.st_ino) if stat.S_ISREG(info.st_mode) else None
+        except FileNotFoundError:
+            key = os.path.realpath(path)
+        if key is not None and key in seen:
+            raise _UsageError(f"--{seen[key]} and --{name} name the same file {path!r}")
+        seen[key] = name
 
 
 def _write(path: str, lines) -> None:
@@ -177,6 +198,7 @@ def _cmd_qnd_check(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    _require_distinct(args, "config", "records", "out")
     config = load_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -191,6 +213,7 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    _require_distinct(args, "config", "out")
     base = load_config(args.config) if args.config is not None else default_config()
     if args.seed is not None:
         base = replace(base, seed=args.seed)
@@ -201,6 +224,8 @@ def _cmd_sweep(args) -> int:
         key = key.strip()
         if not sep or key not in CONFIG_KEYS:
             raise ConfigError(f"--vary expects KEY=V1,V2 with a config key, got {item!r}")
+        if key in keys:
+            raise ConfigError(f"--vary {key} is given more than once")
         values = [convert_config_value(key, part.strip()) for part in raw.split(",") if part.strip()]
         if not values:
             raise ConfigError(f"--vary {key} needs at least one value")
@@ -234,10 +259,10 @@ def _format_cell(value) -> str:
 def _cmd_analyze(args) -> int:
     if not (0.0 < args.alpha < 1.0):
         raise _UsageError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
+    _require_distinct(args, "config", "records", "out", "histogram")
     config = load_config(args.config) if args.config is not None else default_config()
     with _outputs(args.out, args.histogram):
-        x1, post_v22 = read_records(args.records)
-        v22_trace = v22_mean(post_v22, len(x1))
+        x1, v22_trace = read_records(args.records)
         t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1, v22_trace, config)
         text = json.dumps({
             "n_traj": len(x1),
@@ -250,22 +275,19 @@ def _cmd_analyze(args) -> int:
         })
         if args.histogram is not None:
             hist = energy_histogram(SampleSeries(x1, "x1"), config.oscillator(), args.bins)
+            bins = zip(hist.bin_edges, hist.bin_edges[1:], hist.counts, hist.model_density)
             lines = ["e_lo_J,e_hi_J,count,model_density_per_J"]
-            for i in range(len(hist.counts)):
-                lines.append(
-                    f"{hist.bin_edges[i]:.17g},{hist.bin_edges[i + 1]:.17g},"
-                    f"{int(hist.counts[i])},{hist.model_density[i]:.17g}"
-                )
+            lines += [f"{lo:.17g},{hi:.17g},{int(count)},{density:.17g}" for lo, hi, count, density in bins]
             _write(args.histogram, lines)
         if args.out is not None:
             _write(args.out, [text])
     print(text)
     if gof_p is None:
         print("boltzmann: undetermined (too few trajectories)")
-    elif gof_p < args.alpha:
-        print(f"boltzmann: deviation detected (p={gof_p:.6g} < alpha={args.alpha:g})")
     else:
-        print(f"boltzmann: consistent (p={gof_p:.6g} >= alpha={args.alpha:g})")
+        deviation, pull = boltzmann_verdict(gof_p, t1_hat, t1_stderr, config.temperature_K, args.alpha)
+        verdict = "deviation detected" if deviation else "consistent"
+        print(f"boltzmann: {verdict} (p={gof_p:.6g}, alpha={args.alpha:g}, T1 pull={pull:.3g} se)")
     return 0
 
 

@@ -108,7 +108,10 @@ def default_config() -> RunConfig:
     )
 
 
-def _convert(key: str, raw: str):
+def convert_config_value(key: str, raw: str):
+    """Parse one raw string as the given config key's type."""
+    if key not in CONFIG_KEYS:
+        raise ConfigError(f"unknown config key {key!r}")
     try:
         if key in _STR_KEYS:
             return raw
@@ -144,7 +147,7 @@ def parse_config(text: str) -> RunConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen[key] = raw
-    overrides = {key: _convert(key, raw) for key, raw in seen.items()}
+    overrides = {key: convert_config_value(key, raw) for key, raw in seen.items()}
     return replace(default_config(), **overrides)
 
 
@@ -164,10 +167,3 @@ def format_config(config: RunConfig) -> str:
         value = getattr(config, key)
         lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
     return "\n".join(lines) + "\n"
-
-
-def convert_config_value(key: str, raw: str):
-    """Parse one raw string as the given config key's type."""
-    if key not in CONFIG_KEYS:
-        raise ConfigError(f"unknown config key {key!r}")
-    return _convert(key, raw)

@@ -3,11 +3,10 @@
 Stream derivation is counter-based: trajectory i of a run with master seed s
 draws from Philox keyed by the pair (s, i).  The key alone identifies the
 stream; nothing is spawned or shared, so any worker may own any trajectory
-and the statistics cannot depend on scheduling.  Reduction is likewise
-canonical: trajectories are grouped into fixed-size chunks, chunk partials
-are folded in chunk order whatever the worker count, and the record CSV is
-written chunk by chunk in trajectory-index order.  Identical config implies
-byte-identical outputs.
+and the statistics cannot depend on scheduling.  Trajectories are grouped
+into chunks, and the chunks' final means and record CSV rows are concatenated
+in trajectory-index order whatever the worker count or chunk size.  Identical
+config implies byte-identical outputs.
 
 A chunk is stepped as one batch through ``measurement.run_schedule``, the
 one loop that alternates ``thermal_step`` and ``measure``.  Covariance, gain
@@ -29,11 +28,10 @@ those are asked for, so that without them memory per chunk does not grow
 with n_meas.
 
 The v22 trace needs no outcomes (the Riccati recursion of Kalman 1960 is
-data-free), so every trajectory of a run has the same one.  Each chunk
-returns it once, the parent requires every chunk's to be byte-equal to the
-first, and ``v22_mean`` folds that one trace into the per-step mean as if
-each trajectory had added its own copy, chunk by chunk.  ``analyze`` applies
-the same fold to the trace it reads, so both report the same slope.
+data-free), so every trajectory of a run has the same one, and it is its own
+ensemble mean.  Each chunk returns it once, the parent requires every chunk's
+to be byte-equal to the first and reports that trace as is; ``analyze`` reads
+the same trace from the record CSV, so both report the same slope.
 
 Trajectories start at thermal stationarity in realization form: the thermal
 spread of the ensemble is carried by the sampled means, N(0, V_inf - V_floor)
@@ -65,8 +63,8 @@ from .measurement import backaction_sigma, run_schedule
 from .records import RECORD_CSV_HEADER, format_rows
 from .stats import SampleSeries, estimate_t1, gof_boltzmann, heating_slope
 
-#: Fixed chunk size; the reduction order is defined by these boundaries,
-#: never by the worker count.
+#: Trajectories stepped as one batch.  An execution choice only: no output
+#: depends on it.
 CHUNK_SIZE = 128
 
 #: Standard normals drawn per stream at a time.
@@ -147,33 +145,6 @@ def _run_chunk(config: RunConfig, start: int, stop: int, collect_rows: bool) -> 
     return _ChunkResult(x1=state.mean1, x2=state.mean2, post_v22=post_v22, rows=rows)
 
 
-def v22_mean(post_v22, n_traj: int) -> np.ndarray:
-    """Mean v22 per step over ``n_traj`` trajectories that share the trace
-    ``post_v22``, rounded as the canonical fold of per-trajectory traces: one
-    addition per trajectory into its chunk's sum, then the chunk sums added
-    in chunk order, then the division by ``n_traj``.  A multiplication by the
-    count would round differently."""
-    trace = np.asarray(post_v22, dtype=np.float64)
-
-    def repeated_sum(count: int) -> np.ndarray:
-        total = np.zeros(len(trace))
-        for _ in range(count):
-            total += trace
-        return total
-
-    full, rest = divmod(n_traj, CHUNK_SIZE)
-    total = np.zeros(len(trace))
-    # a sum that overflows stays inf, which heating_slope rejects
-    with np.errstate(over="ignore"):
-        if full:
-            chunk_sum = repeated_sum(CHUNK_SIZE)
-            for _ in range(full):
-                total += chunk_sum
-        if rest:
-            total += repeated_sum(rest)
-    return total / n_traj
-
-
 def _pool_size(workers: int, n_chunks: int) -> int:
     """Processes worth starting: never more than the chunks or the cores."""
     return min(workers, n_chunks, os.cpu_count() or 1)
@@ -233,7 +204,7 @@ def ensemble_stats(x1_values, v22_trace, config: RunConfig):
         pass
     try:
         sba = backaction_sigma(config.meter(), params)
-        slope = heating_slope(np.asarray(v22_trace), sba)[0]
+        slope = heating_slope(v22_trace, sba)[0]
     except InsufficientDataError:
         pass
     return t1_hat, t1_stderr, gof_p, slope
@@ -255,7 +226,7 @@ def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = 
     stops = [min(lo + CHUNK_SIZE, config.n_traj) for lo in starts]
     x1_parts: list[np.ndarray] = []
     x2_parts: list[np.ndarray] = []
-    post_v22 = None
+    v22_trace = None
     handle = None
     try:
         with ExitStack() as stack:
@@ -267,12 +238,12 @@ def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = 
                 run_map = stack.enter_context(ProcessPoolExecutor(max_workers=n_procs)).map
             else:
                 run_map = map
-            # both maps yield in chunk order: the canonical fold
+            # both maps yield in chunk order, so results concatenate in trajectory order
             chunks = run_map(_run_chunk, repeat(config), starts, stops, repeat(record_path is not None))
             for start, part in zip(starts, chunks):
-                if post_v22 is None:
-                    post_v22 = part.post_v22
-                elif part.post_v22.tobytes() != post_v22.tobytes():
+                if v22_trace is None:
+                    v22_trace = part.post_v22
+                elif part.post_v22.tobytes() != v22_trace.tobytes():
                     raise NumericalFailureError(
                         f"the chunk from trajectory {start} returned a v22 trace that differs from chunk 0's"
                     )
@@ -282,7 +253,6 @@ def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = 
                     handle.write(part.rows)
         x1s = np.concatenate(x1_parts)
         x2s = np.concatenate(x2_parts)
-        v22_trace = v22_mean(post_v22, config.n_traj)
         t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1s, v22_trace, config)
     except BaseException:
         # a failed run leaves no record file; a path that names no regular

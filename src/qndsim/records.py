@@ -7,14 +7,14 @@ every value reads back bit for bit:
     traj_id,step,time_s,outcome_m,mean_x1_m,mean_x2_m,var_x1_m2,var_x2_m2
 
 ``format_rows`` renders one chunk of trajectories at a time from the
-``MeasurementRecord`` list that ``run_schedule`` returns for it.
-``read_records`` streams a file and keeps only what ``analyze`` needs: the
-final mean_x1 of every trajectory and the var_x2 trace of trajectory 0.
-Every trajectory of a run has the same var_x2 trace, since the covariance
-recursion needs no outcomes, so the reader requires each row's var_x2 to
-equal trajectory 0's at that step; ``analyze`` then folds that one trace as
-``simulate`` does.  The reader rejects any file that a run could not have
-written, naming the path and line.
+``MeasurementRecord`` list that ``run_schedule`` returns for it; a run writes
+the chunks in trajectory order, whatever their size.  ``read_records``
+streams a file and keeps only what ``analyze`` needs: the final mean_x1 of
+every trajectory and the var_x2 trace of trajectory 0.  Every trajectory of
+a run has the same var_x2 trace, since the covariance recursion needs no
+outcomes, so the reader requires each row's var_x2 to equal trajectory 0's
+at that step; that trace is the one ``simulate`` reports.  The reader
+rejects any file that a run could not have written, naming the path and line.
 """
 
 from __future__ import annotations

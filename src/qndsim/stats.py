@@ -235,6 +235,15 @@ def gof_boltzmann(series: SampleSeries, params: OscillatorParams, n_mc: int = 20
     return GofReport(statistic=d_obs, p_value=p, method="ks-lilliefors-mc", n_mc=n_mc)
 
 
+def boltzmann_verdict(p_value: float, t1_hat: float, t1_stderr: float, temperature: float, alpha: float):
+    """(deviation, pull) against a bath at ``temperature``, where the pull is
+    (t1_hat - temperature) / t1_stderr.  A run deviates when the fit test
+    rejects at level ``alpha`` or when the pull exceeds 5: a heated ensemble
+    can stay Gaussian, which the fit test alone cannot see."""
+    pull = (t1_hat - temperature) / t1_stderr
+    return p_value < alpha or pull > 5.0, pull
+
+
 def heating_slope(var_x2_by_step, sigma_ba: float) -> tuple[float, float]:
     """Least-squares growth of v22 per measurement and its relative error
     against the ideal injection sigma_ba^2."""

@@ -162,6 +162,15 @@ def test_sweep_rejects_unknown_key(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_sweep_rejects_repeated_key(capsys, monkeypatch):
+    # the second n_traj would silently win while the rows echo the first
+    monkeypatch.setattr("qndsim.cli.run_ensemble", None)
+    assert main(["sweep", "--vary", "n_traj=150", "--vary", "n_traj=200,300"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "--vary n_traj" in err
+
+
 def test_analyze_matches_simulate(tmp_path, capsys):
     cfg_path, _ = write_config(tmp_path, n_traj=150, n_meas=6, seed=31)
     records_path = tmp_path / "records.csv"
@@ -178,7 +187,7 @@ def test_analyze_matches_simulate(tmp_path, capsys):
     # .17g serialization round-trips the series, so the refit is bit-identical
     assert analyzed["t1_hat_K"] == simulated["t1_hat_K"]
     assert analyzed["gof_p_value"] == simulated["gof_p_value"]
-    # both fold the one shared v22 trace the same way
+    # both report the one v22 trace that every trajectory shares
     assert analyzed["v22_slope_m2"] == simulated["v22_slope_m2"]
     assert analyzed["n_traj"] == 150 and analyzed["n_meas"] == 6
     assert any(line.startswith("boltzmann:") for line in out[1:])
@@ -257,17 +266,39 @@ def test_analyze_rejects_alpha_outside_unit_interval(alpha, tmp_path, capsys):
 
 
 def test_analyze_rejects_overflowing_v22_trace(tmp_path, capsys):
-    # every trajectory agrees at every step, but the folded mean of 1e308
-    # overflows: no run writes such a file, and NaN is not JSON
+    # every trajectory agrees at every step and every value is finite, but
+    # the least-squares fit through 1.7e308 at the last two steps overflows:
+    # no run writes such a file, and NaN is not JSON
     path = tmp_path / "records.csv"
     run_ensemble(replace(default_config(), n_traj=3, n_meas=5), record_path=str(path))
     header, *rows = path.read_text().splitlines()
-    rows = [_with_field(row, 7, "1e308") if row.split(",")[1] == "2" else row for row in rows]
+    rows = [_with_field(row, 7, "1.7e308") if row.split(",")[1] in ("4", "5") else row for row in rows]
     path.write_text("\n".join([header] + rows) + "\n")
     assert main(["analyze", "--records", str(path)]) == 1
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("error: ") and "v22 trace must be finite" in err
+    assert err.startswith("error: ") and "the v22 heating slope is not finite" in err
+
+
+@pytest.mark.parametrize(
+    "overrides, verdict",
+    [
+        ({}, "boltzmann: consistent"),
+        # Gaussian, so the fit test passes, but about 15 standard errors too hot
+        ({"meter_kind": "position", "sigma_m_m": 1e-20}, "boltzmann: deviation detected"),
+    ],
+    ids=["orthodox", "position_foil"],
+)
+def test_analyze_verdict_weighs_the_temperature(overrides, verdict, tmp_path, capsys):
+    cfg_path, config = write_config(tmp_path, n_traj=4000, n_meas=25, **overrides)
+    records_path = tmp_path / "records.csv"
+    summary = run_ensemble(config, record_path=str(records_path))
+    assert main(["analyze", "--records", str(records_path), "--config", str(cfg_path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    pull = (summary.t1_hat_K - config.temperature_K) / summary.t1_stderr_K
+    assert out[1].startswith(verdict)
+    assert f"T1 pull={pull:.3g} se" in out[1]
+    assert summary.gof_p_value >= 0.01  # the fit test alone passes both
 
 
 def test_analyze_missing_records(tmp_path, capsys):
@@ -295,6 +326,56 @@ def test_failed_command_leaves_existing_paths_alone(tmp_path, capsys, monkeypatc
     assert code == 1
     assert removed == []
     assert keep.read_text() == "earlier result\n"
+
+
+# each case: the command, two flags given the same path, and how the second
+# spells it ("same" path, or a symlink to the first)
+PATHS_NAMED_TWICE = {
+    "simulate_records_out": ("simulate", "--records", "--out", "same"),
+    "simulate_config_out": ("simulate", "--config", "--out", "same"),
+    "simulate_config_records": ("simulate", "--config", "--records", "symlink"),
+    "sweep_config_out": ("sweep", "--config", "--out", "same"),
+    "analyze_records_out": ("analyze", "--records", "--out", "same"),
+    "analyze_records_histogram_symlink": ("analyze", "--records", "--histogram", "symlink"),
+    "analyze_config_out": ("analyze", "--config", "--out", "same"),
+    "analyze_out_histogram": ("analyze", "--out", "--histogram", "same"),
+}
+
+
+@pytest.mark.parametrize("case", list(PATHS_NAMED_TWICE))
+def test_path_named_twice_exits_one(case, tmp_path, capsys, monkeypatch):
+    command, first, second, spelling = PATHS_NAMED_TWICE[case]
+    cfg_path, config = write_config(tmp_path, n_traj=150, n_meas=5, seed=3)
+    records_path = tmp_path / "records.csv"
+    run_ensemble(config, record_path=str(records_path))
+    monkeypatch.setattr("qndsim.cli.run_ensemble", None)  # no work may start
+    monkeypatch.setattr("qndsim.cli.read_records", None)
+    before = {path: path.read_bytes() for path in (cfg_path, records_path)}
+    paths = {"--config": str(cfg_path)}
+    if command == "analyze":
+        paths["--records"] = str(records_path)
+    # an input names an existing file; two outputs name one that does not exist yet
+    shared = paths.get(first, str(tmp_path / "new"))
+    paths[first] = shared
+    if spelling == "symlink":
+        (tmp_path / "link").symlink_to(shared)
+        shared = str(tmp_path / "link")
+    paths[second] = shared
+    assert main([command, *(part for flag_path in paths.items() for part in flag_path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and first in err and second in err and "same file" in err
+    assert {path: path.read_bytes() for path in before} == before
+    assert not (tmp_path / "new").exists()
+
+
+def test_devices_may_be_named_twice(tmp_path, capsys):
+    cfg_path, config = write_config(tmp_path, n_traj=150, n_meas=5, seed=3)
+    assert main(["simulate", "--config", str(cfg_path), "--records", os.devnull, "--out", os.devnull]) == 0
+    records_path = tmp_path / "records.csv"
+    run_ensemble(config, record_path=str(records_path))
+    assert main(["analyze", "--records", str(records_path), "--config", str(cfg_path),
+                 "--out", os.devnull, "--histogram", os.devnull]) == 0
 
 
 def test_simulate_and_sweep_reject_nonpositive_workers(tmp_path, capsys):

@@ -20,7 +20,7 @@ from qndsim import (
 from qndsim.dynamics import stationary_variance, zero_point_variance
 from qndsim.cli import main
 from qndsim.config import format_config
-from qndsim.ensemble import CHUNK_SIZE, DRAW_BLOCK, _pool_size, _run_chunk, v22_mean
+from qndsim.ensemble import CHUNK_SIZE, DRAW_BLOCK, _pool_size, _run_chunk
 from qndsim.records import RECORD_CSV_HEADER
 
 
@@ -99,7 +99,6 @@ def test_trajectory_replays_through_public_schedule(branch, tmp_path):
     params, meter, policy = config.oscillator(), config.meter(), config.policy()
     floor = 0.0 if config.bath_model == "classical" else zero_point_variance(params)
     sd = math.sqrt(max(stationary_variance(params) - floor, 0.0))
-    v22_sum = np.zeros(config.n_meas)
     for index in range(config.n_traj):
         rng = trajectory_rng(config.seed, index)
         start = GaussianQuadState(rng.normal(0.0, sd), rng.normal(0.0, sd), floor, floor, 0.0, 0.0)
@@ -119,8 +118,8 @@ def test_trajectory_replays_through_public_schedule(branch, tmp_path):
             [r.time, r.outcome, r.post_v11, r.post_v22] for r in scheduled
         ]
         assert (final.mean1, final.mean2) == (summary.series_x1[index], summary.series_x2[index])
-        v22_sum += [r.post_v22 for r in scheduled]
-    assert np.array_equal(summary.v22_trace, v22_sum / config.n_traj)
+        # the summary reports the trace that every trajectory shares, as is
+        assert summary.v22_trace.tobytes() == np.array([r.post_v22 for r in scheduled]).tobytes()
 
 
 def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
@@ -135,21 +134,6 @@ def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
     # at most two segments of records are alive at once, and the v22 trace
     # adds 8 bytes a step; keeping every step's record would add about 0.6 MB here
     assert peak_bytes(8 * DRAW_BLOCK) - peak_bytes(2 * DRAW_BLOCK) < 50_000
-
-
-@pytest.mark.parametrize("n_traj", [1, 127, 128, 129, 300])
-def test_v22_mean_is_the_two_level_fold(n_traj):
-    # the fold of identical per-trajectory traces as chunks and the parent
-    # did it: one addition per trajectory into its chunk's sum, chunk sums in
-    # chunk order, then the division
-    trace = trajectory_rng(5, 0).uniform(1e-31, 1e-29, size=7)
-    total = np.zeros(len(trace))
-    for lo in range(0, n_traj, CHUNK_SIZE):
-        chunk_sum = np.zeros(len(trace))
-        for _ in range(lo, min(lo + CHUNK_SIZE, n_traj)):
-            chunk_sum += trace
-        total += chunk_sum
-    assert v22_mean(trace, n_traj).tobytes() == (total / n_traj).tobytes()
 
 
 def test_chunk_trace_mismatch_is_a_numerical_failure(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,7 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 SCRIPTS = {
-    "backaction_heating": ["scripts/backaction_heating.py", "--n-traj", "20", "--n-meas", "10"],
+    "backaction_heating": ["scripts/backaction_heating.py", "--n-meas", "10"],
     "central_prediction": ["scripts/central_prediction.py", "--n-traj", "300", "--n-meas", "5"],
     "budget_corners": ["scripts/budget_corners.py"],
 }
