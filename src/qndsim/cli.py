@@ -157,7 +157,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--alpha", type=float, default=0.01, help="significance threshold for the verdict")
     p.add_argument("--out", default=None, help="write the analysis JSON here")
     p.add_argument("--histogram", default=None, help="write the energy histogram CSV here")
-    p.add_argument("--bins", type=int, default=20)
+    p.add_argument("--bins", type=int, default=20, help="histogram bins, 5 to one per trajectory")
     p.set_defaults(func=_cmd_analyze)
     return parser
 

@@ -4,9 +4,10 @@ Stream derivation is counter-based: trajectory i of a run with master seed s
 draws from Philox keyed by the pair (s, i).  The key alone identifies the
 stream; nothing is spawned or shared, so any worker may own any trajectory
 and the statistics cannot depend on scheduling.  Trajectories are grouped
-into chunks, and the chunks' final means and record CSV rows are concatenated
-in trajectory-index order whatever the worker count or chunk size.  Identical
-config implies byte-identical outputs.
+into chunks, ``CHUNK_SIZE`` wide without record rows and ``ROWS_CHUNK_SIZE``
+wide with them, and the chunks' final means and record CSV rows are
+concatenated in trajectory-index order whatever the worker count or chunk
+size.  Identical config implies byte-identical outputs.
 
 A chunk is stepped as one batch through ``measurement.run_schedule``, the
 one loop that alternates ``thermal_step`` and ``measure``.  Covariance, gain
@@ -19,13 +20,15 @@ for the Generator: its k-th ``normal(loc, scale)`` returns
 trajectory's own stream.  That is the same arithmetic a Generator does for a
 scalar draw, so each trajectory gets the values it would get if stepped alone
 through ``run_schedule``, bit for bit.  The normals are drawn in blocks of
-``DRAW_BLOCK`` per stream.  The schedule runs in segments of at most
-``DRAW_BLOCK`` steps, each starting from the state the last one ended in,
-which is the same sequence of operations as one call.  The records of a
-segment, one per step, carry the chunk's outcomes, means and variances: they
-give the chunk's v22 trace and are kept for the record CSV rows only when
-those are asked for, so that without them memory per chunk does not grow
-with n_meas.
+``DRAW_BLOCK`` per stream, by one Philox that is given each stream's state
+in turn (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11: a counter-based stream is its key and counter).  The schedule runs in
+segments of ``SEGMENT_STEPS``, each starting from the state the last one
+ended in, which is the same sequence of operations as one call.  The records
+of a segment, one per step, carry the chunk's outcomes, means and variances:
+they give the chunk's v22 trace and are kept for the record CSV rows only
+when those are asked for, so that without them memory per chunk does not
+grow with n_meas.
 
 The v22 trace needs no outcomes (the Riccati recursion of Kalman 1960 is
 data-free), so every trajectory of a run has the same one, and it is its own
@@ -63,12 +66,23 @@ from .measurement import backaction_sigma, run_schedule
 from .records import RECORD_CSV_HEADER, format_rows
 from .stats import SampleSeries, estimate_t1, gof_boltzmann, heating_slope
 
-#: Trajectories stepped as one batch.  An execution choice only: no output
-#: depends on it.
-CHUNK_SIZE = 128
+#: Trajectories stepped as one batch when no record rows are kept.  An
+#: execution choice only: no output depends on it.  Each of its trajectories
+#: holds a draw block and a saved generator state, about 4 KB, while it runs.
+CHUNK_SIZE = 512
 
-#: Standard normals drawn per stream at a time.
-DRAW_BLOCK = 128
+#: Trajectories stepped as one batch when record rows are kept.  A batch's
+#: rows are held until they are written, so their memory grows with the
+#: width times n_meas; no output depends on it either.
+ROWS_CHUNK_SIZE = 128
+
+#: Standard normals drawn per stream at a time; one block covers the 302
+#: draws of a default run, so each stream's generator state is set once.
+DRAW_BLOCK = 384
+
+#: Steps per ``run_schedule`` call.  Without rows, at most two segments of
+#: records are alive at once, so memory does not grow with n_meas.
+SEGMENT_STEPS = 16
 
 # Electrical readout mode used for the summary's eta2 figure; the run config
 # deliberately has no electrical fields.
@@ -84,17 +98,34 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
 class _ChunkDraws:
     """Stands in for a Generator over trajectories [start, stop): the k-th
     ``normal(loc, scale)`` returns ``loc + scale * z_k``, where ``z_k`` holds
-    the k-th standard normal of each trajectory's own stream."""
+    the k-th standard normal of each trajectory's own stream.
+
+    One Philox serves every stream.  Before it fills a stream's next block it
+    is given that stream's state: at first the state ``trajectory_rng``
+    starts from (key (seed, index), counter 0, empty buffer), afterwards the
+    state the last fill left.  A counter-based stream is its key and counter,
+    so each stream yields exactly the normals of its own ``trajectory_rng``,
+    without a Philox built per stream.
+    """
 
     def __init__(self, seed: int, start: int, stop: int) -> None:
-        self._rngs = [trajectory_rng(seed, index) for index in range(start, stop)]
+        self._bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+        self._generator = np.random.Generator(self._bits)
+        fresh = self._bits.state
+        self._states = [
+            {**fresh, "state": {**fresh["state"], "key": np.array([seed, index], dtype=np.uint64)}}
+            for index in range(start, stop)
+        ]
         self._block = np.empty((stop - start, DRAW_BLOCK))
         self._next = DRAW_BLOCK
 
     def normal(self, loc, scale: float) -> np.ndarray:
         if self._next == DRAW_BLOCK:
-            for rng, row in zip(self._rngs, self._block):
-                rng.standard_normal(out=row)
+            bits, states = self._bits, self._states
+            for index, row in enumerate(self._block):
+                bits.state = states[index]
+                self._generator.standard_normal(out=row)
+                states[index] = bits.state
             self._next = 0
         z = self._block[:, self._next]
         self._next += 1
@@ -131,12 +162,10 @@ def _run_chunk(config: RunConfig, start: int, stop: int, collect_rows: bool) -> 
     if config.burn_in_s > 0.0:
         state = thermal_step(state, config.burn_in_s, params, draws)
 
-    # the schedule runs in segments of at most DRAW_BLOCK steps, the state
-    # carried across, so that without rows memory does not grow with n_meas
     post_v22 = np.empty(config.n_meas)
     kept = []
-    for lo in range(0, config.n_meas, DRAW_BLOCK):
-        hi = min(lo + DRAW_BLOCK, config.n_meas)
+    for lo in range(0, config.n_meas, SEGMENT_STEPS):
+        hi = min(lo + SEGMENT_STEPS, config.n_meas)
         records, state = run_schedule(state, meter, policy, params, config.dt_s, hi - lo, draws)
         post_v22[lo:hi] = [record.post_v22 for record in records]
         if collect_rows:
@@ -214,16 +243,17 @@ def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = 
     """Run the configured ensemble and aggregate in trajectory-index order.
 
     Trajectories 0..n_traj-1 are simulated in chunks of ``CHUNK_SIZE``; with
-    ``record_path`` their rows are written chunk by chunk as they arrive.  A
-    run that fails anywhere, statistics included, removes the record file if
-    it is a regular file: a streamed file cut short would otherwise be
-    well-formed.
+    ``record_path`` in chunks of ``ROWS_CHUNK_SIZE``, whose rows are written
+    chunk by chunk as they arrive.  A run that fails anywhere, statistics
+    included, removes the record file if it is a regular file: a streamed
+    file cut short would otherwise be well-formed.
     """
     if not (isinstance(workers, int) and workers >= 1):
         raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
     started = _time.perf_counter()
-    starts = range(0, config.n_traj, CHUNK_SIZE)
-    stops = [min(lo + CHUNK_SIZE, config.n_traj) for lo in starts]
+    size = CHUNK_SIZE if record_path is None else ROWS_CHUNK_SIZE
+    starts = range(0, config.n_traj, size)
+    stops = [min(lo + size, config.n_traj) for lo in starts]
     x1_parts: list[np.ndarray] = []
     x2_parts: list[np.ndarray] = []
     v22_trace = None

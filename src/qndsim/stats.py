@@ -264,9 +264,14 @@ def heating_slope(var_x2_by_step, sigma_ba: float) -> tuple[float, float]:
 
 
 def energy_histogram(series: SampleSeries, params: OscillatorParams, n_bins: int) -> EnergyHistogram:
-    """Histogram of E = (1/2) m w1^2 X^2 with the Gamma(1/2, kB T1) overlay."""
+    """Histogram of E = (1/2) m w1^2 X^2 with the Gamma(1/2, kB T1) overlay.
+
+    At most one bin per sample, so that the histogram's size is bounded by
+    its input's."""
     if n_bins < 5:
         raise ParameterError(f"need >= 5 bins, got {n_bins}")
+    if n_bins > len(series):
+        raise ParameterError(f"need at most one bin per sample ({len(series)}), got {n_bins}")
     fit = estimate_t1(series, params)
     energies = 0.5 * params.mass * params.omega1**2 * series.values**2
     counts, edges = np.histogram(energies, bins=n_bins)

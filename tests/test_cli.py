@@ -310,6 +310,23 @@ def test_analyze_missing_records(tmp_path, capsys):
     assert not out_path.exists() and not hist_path.exists()
 
 
+def test_analyze_rejects_more_bins_than_trajectories(tmp_path, capsys):
+    # the histogram's size is bounded by the records', not by --bins
+    cfg_path, config = write_config(tmp_path, n_traj=200, n_meas=5)
+    records_path = tmp_path / "records.csv"
+    run_ensemble(config, record_path=str(records_path))
+    out_path, hist_path = tmp_path / "analysis.json", tmp_path / "hist.csv"
+    command = ["analyze", "--records", str(records_path), "--config", str(cfg_path),
+               "--out", str(out_path), "--histogram", str(hist_path), "--bins"]
+    assert main([*command, "10000000"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and "one bin per sample (200), got 10000000" in err
+    assert not out_path.exists() and not hist_path.exists()
+    assert main([*command, "200"]) == 0
+    assert len(hist_path.read_text().splitlines()) == 1 + 200
+
+
 def test_failed_command_leaves_existing_paths_alone(tmp_path, capsys, monkeypatch):
     # outputs that existed before a failed command, a device among them,
     # are neither removed nor truncated

@@ -76,7 +76,8 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 
 
 # every draw pattern of the chunk kernel: 3 or 5 draws per step, burn-in,
-# the quantum floor, each meter direction, and a schedule run in segments
+# the quantum floor, each meter direction, and a schedule of many segments
+# whose 3 draws per step fill more than six draw blocks per stream
 REPLAY_BRANCHES = {
     "orthodox": {},
     "segments": {"n_meas": 2 * DRAW_BLOCK + 3},
@@ -88,6 +89,19 @@ REPLAY_BRANCHES = {
 }
 
 
+def replay_start(config, index):
+    """Trajectory ``index``'s own stream and its state after the start draws
+    and the burn-in, from the public functions alone."""
+    params = config.oscillator()
+    floor = 0.0 if config.bath_model == "classical" else zero_point_variance(params)
+    sd = math.sqrt(max(stationary_variance(params) - floor, 0.0))
+    rng = trajectory_rng(config.seed, index)
+    start = GaussianQuadState(rng.normal(0.0, sd), rng.normal(0.0, sd), floor, floor, 0.0, 0.0)
+    if config.burn_in_s > 0.0:
+        start = thermal_step(start, config.burn_in_s, params, rng)
+    return rng, start
+
+
 @pytest.mark.parametrize("branch", list(REPLAY_BRANCHES))
 def test_trajectory_replays_through_public_schedule(branch, tmp_path):
     # each trajectory of a batched chunk gets exactly the draws of its own
@@ -97,13 +111,8 @@ def test_trajectory_replays_through_public_schedule(branch, tmp_path):
     summary = run_ensemble(config, record_path=str(path))
     rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
     params, meter, policy = config.oscillator(), config.meter(), config.policy()
-    floor = 0.0 if config.bath_model == "classical" else zero_point_variance(params)
-    sd = math.sqrt(max(stationary_variance(params) - floor, 0.0))
     for index in range(config.n_traj):
-        rng = trajectory_rng(config.seed, index)
-        start = GaussianQuadState(rng.normal(0.0, sd), rng.normal(0.0, sd), floor, floor, 0.0, 0.0)
-        if config.burn_in_s > 0.0:
-            start = thermal_step(start, config.burn_in_s, params, rng)
+        rng, start = replay_start(config, index)
         schedule_draws = rng.bit_generator.state
         scheduled, final = run_schedule(start, meter, policy, params, config.dt_s, config.n_meas, rng)
 
@@ -119,6 +128,22 @@ def test_trajectory_replays_through_public_schedule(branch, tmp_path):
         ]
         assert (final.mean1, final.mean2) == (summary.series_x1[index], summary.series_x2[index])
         # the summary reports the trace that every trajectory shares, as is
+        assert summary.v22_trace.tobytes() == np.array([r.post_v22 for r in scheduled]).tobytes()
+
+
+@pytest.mark.parametrize("branch", ["segments", "no_conditioning", "burn_in"])
+def test_trajectory_replays_without_rows(branch, monkeypatch):
+    # the path without rows steps wider chunks from one re-keyed bit
+    # generator; chunks of 2 make the second start at trajectory 2, and the
+    # segments branch draws more than six blocks per stream
+    monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 2)
+    config = small_config(**{"n_traj": 3, "n_meas": 5, **REPLAY_BRANCHES[branch]})
+    summary = run_ensemble(config)
+    params, meter, policy = config.oscillator(), config.meter(), config.policy()
+    for index in range(config.n_traj):
+        rng, start = replay_start(config, index)
+        scheduled, final = run_schedule(start, meter, policy, params, config.dt_s, config.n_meas, rng)
+        assert (final.mean1, final.mean2) == (summary.series_x1[index], summary.series_x2[index])
         assert summary.v22_trace.tobytes() == np.array([r.post_v22 for r in scheduled]).tobytes()
 
 

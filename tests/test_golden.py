@@ -4,9 +4,10 @@ The record CSV digests were produced by the engine before the batched chunk
 kernel replaced the per-trajectory loop, and the summary digests when the
 shared v22 trace replaced the mean of its per-trajectory copies; any change
 to them is a change of output bytes and must be named in CHANGES.md.  300
-trajectories give three chunks, the last one partial, so chunk boundaries
-and the pool are both exercised, and the bytes must not depend on the chunk
-size or the draw block either.
+trajectories give three chunks of rows, the last one partial, so chunk
+boundaries and the pool are both exercised.  A run without rows steps wider
+chunks and must write the same summary, and the bytes must not depend on
+the chunk sizes, the draw block or the schedule segments either.
 """
 
 import hashlib
@@ -55,14 +56,20 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def golden_config(variant):
+    return replace(default_config(), n_traj=300, n_meas=12, seed=271828, **GOLDEN[variant][0])
+
+
+def summary_digest(summary):
+    # the summary echoes the records path; pin the bytes, not the temp dir
+    return sha256(replace(summary, records_csv="records.csv").to_json().encode())
+
+
 def run_digests(variant, workers, tmp_path):
     """(summary digest, record CSV digest) of one golden run."""
-    config = replace(default_config(), n_traj=300, n_meas=12, seed=271828, **GOLDEN[variant][0])
     path = tmp_path / "records.csv"
-    summary = run_ensemble(config, workers=workers, record_path=str(path))
-    # the summary echoes the records path; pin the bytes, not the temp dir
-    summary_json = replace(summary, records_csv="records.csv").to_json()
-    return sha256(summary_json.encode()), sha256(path.read_bytes())
+    summary = run_ensemble(golden_config(variant), workers=workers, record_path=str(path))
+    return summary_digest(summary), sha256(path.read_bytes())
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -71,14 +78,33 @@ def test_outputs_match_golden_digests(variant, workers, tmp_path):
     assert run_digests(variant, workers, tmp_path) == GOLDEN[variant][1:]
 
 
-# (CHUNK_SIZE, DRAW_BLOCK): the default, a chunk size that divides nothing, a
-# single chunk drawing few normals at a time, and one trajectory per chunk
-EXECUTION_CHOICES = [(128, 128), (7, 128), (300, 5), (1, 1)]
-
-
-@pytest.mark.parametrize("chunk_size, draw_block", EXECUTION_CHOICES)
+@pytest.mark.parametrize("width", [None, 7, 1], ids=["default", "7", "1"])
+@pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("variant", list(GOLDEN))
-def test_outputs_do_not_depend_on_chunk_size(variant, chunk_size, draw_block, tmp_path, monkeypatch):
+def test_summary_without_rows_matches_golden_digest(variant, workers, width, monkeypatch):
+    if width is not None:
+        monkeypatch.setattr(ensemble, "CHUNK_SIZE", width)
+    summary = run_ensemble(golden_config(variant), workers=workers)
+    assert summary.records_csv == ""
+    assert summary_digest(summary) == GOLDEN[variant][1]
+
+
+# (chunk size with and without rows, DRAW_BLOCK, SEGMENT_STEPS): the old
+# chunk size and draw block, a chunk size and segment that divide nothing,
+# a single chunk drawing few normals at a time in one segment, and one
+# trajectory per chunk drawing one normal per fill and stepping once per segment
+EXECUTION_CHOICES = [
+    pytest.param(chunk_size, draw_block, segment_steps, id=f"{chunk_size}-{draw_block}")
+    for chunk_size, draw_block, segment_steps in [(128, 128, 16), (7, 128, 5), (300, 5, 12), (1, 1, 1)]
+]
+
+
+@pytest.mark.parametrize("chunk_size, draw_block, segment_steps", EXECUTION_CHOICES)
+@pytest.mark.parametrize("variant", list(GOLDEN))
+def test_outputs_do_not_depend_on_chunk_size(variant, chunk_size, draw_block, segment_steps, tmp_path, monkeypatch):
     monkeypatch.setattr(ensemble, "CHUNK_SIZE", chunk_size)
+    monkeypatch.setattr(ensemble, "ROWS_CHUNK_SIZE", chunk_size)
     monkeypatch.setattr(ensemble, "DRAW_BLOCK", draw_block)
+    monkeypatch.setattr(ensemble, "SEGMENT_STEPS", segment_steps)
     assert run_digests(variant, 1, tmp_path) == GOLDEN[variant][1:]
+    assert summary_digest(run_ensemble(golden_config(variant))) == GOLDEN[variant][1]

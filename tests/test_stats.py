@@ -336,6 +336,14 @@ def test_histogram_bin_contract(params):
         energy_histogram(thermal_series(200, seed=1), params, 4)
 
 
+def test_histogram_has_at_most_one_bin_per_sample(params):
+    series = thermal_series(200, seed=1)
+    assert energy_histogram(series, params, 200).counts.sum() == 200
+    for n_bins in (201, 10_000_000):
+        with pytest.raises(ParameterError, match="one bin per sample"):
+            energy_histogram(series, params, n_bins)
+
+
 # --- series validation ----------------------------------------------------------------
 
 
