@@ -16,8 +16,9 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Iterable, Mapping, Sequence
 
+from .config import RunConfig
 from .constants import HBAR, KB
-from .errors import ParameterError
+from .errors import ParameterError, require_positive
 
 
 @dataclass(frozen=True)
@@ -31,14 +32,29 @@ class BudgetInputs:
     omega2: float  # rad/s, electrical
     tau2: float  # s, electrical relaxation
     dt: float  # s, measurement interval
-    amplifier_quanta: float = 1.0
-    mass: float = 1e-3  # kg
+    amplifier_quanta: float
+    mass: float  # kg
 
     def __post_init__(self) -> None:
         for f in fields(self):
-            value = getattr(self, f.name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-                raise ParameterError(f"{f.name} must be finite and > 0, got {value!r}")
+            require_positive(f.name, getattr(self, f.name))
+
+
+def operating_point(config: RunConfig) -> BudgetInputs:
+    """The budget point of a run: its bath temperature, mechanical mode,
+    interval and mass, read out by an electrical mode at 1e8 rad/s with a
+    1 s relaxation time through an amplifier that adds one quantum.  The run
+    config has no electrical fields; this is their one source."""
+    return BudgetInputs(
+        temperature=config.temperature_K,
+        omega1=config.omega1_rad_s,
+        tau1=config.tau1_s,
+        omega2=1e8,
+        tau2=1.0,
+        dt=config.dt_s,
+        amplifier_quanta=1.0,
+        mass=config.mass_kg,
+    )
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import replace
 from itertools import product
 
-from .budget import BudgetInputs, budget_csv_rows, budget_sweep
+from .budget import BudgetInputs, budget_csv_rows, budget_sweep, operating_point
 from .config import CONFIG_KEYS, convert_config_value, default_config, load_config
 from .ensemble import ensemble_stats, run_ensemble
 from .errors import (
@@ -28,19 +28,21 @@ from .errors import (
     ParameterError,
     StateDomainError,
 )
-from .observables import OscillatorParams, is_qnd_sequence
+from .observables import OBSERVABLE_KINDS, QND_TOL, OscillatorParams, is_qnd_sequence
 from .records import read_records
 from .stats import SampleSeries, boltzmann_verdict, energy_histogram
 
+# budget flag -> BudgetInputs field; unset flags take the default config's
+# operating point
 _BUDGET_FLAGS = (
-    ("T", "temperature", 0.05),
-    ("omega1", "omega1", 1e4),
-    ("tau1", "tau1", 1e4),
-    ("omega2", "omega2", 1e8),
-    ("tau2", "tau2", 1.0),
-    ("dt", "dt", 1e-2),
-    ("eta_a", "amplifier_quanta", 1.0),
-    ("mass", "mass", 1e-3),
+    ("T", "temperature"),
+    ("omega1", "omega1"),
+    ("tau1", "tau1"),
+    ("omega2", "omega2"),
+    ("tau2", "tau2"),
+    ("dt", "dt"),
+    ("eta_a", "amplifier_quanta"),
+    ("mass", "mass"),
 )
 
 _SWEEP_STAT_COLUMNS = ("t1_hat_K", "t1_stderr_K", "gof_p_value", "v22_slope_m2", "eta1", "eta2")
@@ -118,20 +120,22 @@ def _float_list(raw: str) -> list[float]:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="qndsim", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    defaults = default_config()
+    base = operating_point(defaults)
 
     p = sub.add_parser("budget", help="noise-quanta budget figures")
-    for flag, _, default in _BUDGET_FLAGS:
+    for flag, fieldname in _BUDGET_FLAGS:
         p.add_argument(f"--{flag.replace('_', '-')}", dest=flag, default=None,
-                       help=f"value or comma-separated sweep values (default {default:g})")
+                       help=f"value or comma-separated sweep values (default {getattr(base, fieldname):g})")
     p.add_argument("--out", default=None, help="write the budget CSV here")
     p.set_defaults(func=_cmd_budget)
 
     p = sub.add_parser("qnd-check", help="self-commutation verdict for a schedule")
-    p.add_argument("--observable", required=True, choices=("x1", "x2", "x", "p"))
+    p.add_argument("--observable", required=True, choices=OBSERVABLE_KINDS)
     p.add_argument("--times", required=True, help="comma-separated measurement times [s]")
-    p.add_argument("--mass", type=float, default=1e-3)
-    p.add_argument("--omega1", type=float, default=1e4)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--mass", type=float, default=defaults.mass_kg)
+    p.add_argument("--omega1", type=float, default=defaults.omega1_rad_s)
+    p.add_argument("--tol", type=float, default=QND_TOL)
     p.set_defaults(func=_cmd_qnd_check)
 
     p = sub.add_parser("simulate", help="run an ensemble from a config file")
@@ -163,11 +167,12 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_budget(args) -> int:
+    base = operating_point(default_config())
     singles = {}
     axes = {}
-    for flag, fieldname, default in _BUDGET_FLAGS:
+    for flag, fieldname in _BUDGET_FLAGS:
         raw = getattr(args, flag)
-        values = [default] if raw is None else _float_list(raw)
+        values = [getattr(base, fieldname)] if raw is None else _float_list(raw)
         singles[fieldname] = values[0]
         if len(values) > 1:
             axes[fieldname] = values

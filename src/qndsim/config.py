@@ -9,9 +9,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .errors import ConfigError
+from .errors import ConfigError, require_positive
 from .measurement import METER_KINDS, CollapsePolicy, MeterSpec
-from .observables import OscillatorParams
+from .observables import BATH_MODELS, OscillatorParams
 
 CONFIG_KEYS = (
     "mass_kg",
@@ -54,9 +54,7 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         for key in ("mass_kg", "omega1_rad_s", "tau1_s", "temperature_K", "sigma_m_m", "dt_s"):
-            value = getattr(self, key)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-                raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
+            require_positive(key, getattr(self, key), ConfigError)
         if not (isinstance(self.burn_in_s, (int, float)) and math.isfinite(self.burn_in_s) and self.burn_in_s >= 0.0):
             raise ConfigError(f"burn_in_s must be finite and >= 0, got {self.burn_in_s!r}")
         if not (isinstance(self.n_meas, int) and self.n_meas >= 1):
@@ -65,7 +63,7 @@ class RunConfig:
             raise ConfigError(f"n_traj must be an integer >= 1, got {self.n_traj!r}")
         if not (isinstance(self.seed, int) and 0 <= self.seed < 2**64):
             raise ConfigError(f"seed must be a 64-bit unsigned integer, got {self.seed!r}")
-        if self.bath_model not in ("classical", "quantum"):
+        if self.bath_model not in BATH_MODELS:
             raise ConfigError(f"bath_model must be classical or quantum, got {self.bath_model!r}")
         if self.meter_kind not in METER_KINDS:
             raise ConfigError(f"meter_kind must be one of {METER_KINDS}, got {self.meter_kind!r}")

@@ -58,7 +58,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .budget import BudgetInputs, eta1 as _eta1, eta2 as _eta2
+from .budget import eta1 as _eta1, eta2 as _eta2, operating_point
 from .config import CONFIG_KEYS, RunConfig
 from .dynamics import GaussianQuadState, stationary_variance, thermal_step, zero_point_variance
 from .errors import DegenerateSeriesError, InsufficientDataError, NumericalFailureError, ParameterError
@@ -83,11 +83,6 @@ DRAW_BLOCK = 384
 #: Steps per ``run_schedule`` call.  Without rows, at most two segments of
 #: records are alive at once, so memory does not grow with n_meas.
 SEGMENT_STEPS = 16
-
-# Electrical readout mode used for the summary's eta2 figure; the run config
-# deliberately has no electrical fields.
-ELECTRICAL_OMEGA2 = 1e8  # rad/s
-ELECTRICAL_TAU2 = 1.0  # s
 
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
@@ -137,7 +132,7 @@ class _ChunkResult:
     x1: np.ndarray
     x2: np.ndarray
     post_v22: np.ndarray
-    rows: str | None
+    rows: list[str] | None
 
 
 def _run_chunk(config: RunConfig, start: int, stop: int, collect_rows: bool) -> _ChunkResult:
@@ -280,7 +275,7 @@ def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = 
                 x1_parts.append(part.x1)
                 x2_parts.append(part.x2)
                 if handle is not None:
-                    handle.write(part.rows)
+                    handle.writelines(part.rows)
         x1s = np.concatenate(x1_parts)
         x2s = np.concatenate(x2_parts)
         t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1s, v22_trace, config)
@@ -291,16 +286,7 @@ def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = 
             os.remove(record_path)
         raise
 
-    budget_point = BudgetInputs(
-        temperature=config.temperature_K,
-        omega1=config.omega1_rad_s,
-        tau1=config.tau1_s,
-        omega2=ELECTRICAL_OMEGA2,
-        tau2=ELECTRICAL_TAU2,
-        dt=config.dt_s,
-        amplifier_quanta=1.0,
-        mass=config.mass_kg,
-    )
+    budget_point = operating_point(config)
     return RunSummary(
         config=config,
         t1_hat_K=t1_hat,

@@ -1,4 +1,7 @@
-"""Exception types: parameter domain, state domain, data sufficiency, numerics."""
+"""Exception types: parameter domain, state domain, data sufficiency, numerics;
+and the one finite-and-positive check that the parameter records share."""
+
+import math
 
 
 class ParameterError(ValueError):
@@ -23,3 +26,9 @@ class NumericalFailureError(ArithmeticError):
 
 class ConfigError(ValueError):
     """A run configuration is missing, malformed, or inconsistent."""
+
+
+def require_positive(name: str, value, error: type[ValueError] = ParameterError) -> None:
+    """Raise ``error`` naming ``name`` unless value is a finite real number > 0."""
+    if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
+        raise error(f"{name} must be finite and > 0, got {value!r}")

@@ -28,13 +28,14 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR
 from .dynamics import GaussianQuadState, thermal_step
-from .errors import NumericalFailureError, ParameterError, StateDomainError
+from .errors import NumericalFailureError, ParameterError, StateDomainError, require_positive
 from .observables import OscillatorParams
 
 METER_KINDS = ("qnd_x1", "qnd_x2", "position")
@@ -60,8 +61,7 @@ class MeterSpec:
     def __post_init__(self) -> None:
         if self.kind not in METER_KINDS:
             raise ParameterError(f"unknown meter kind {self.kind!r}; expected one of {METER_KINDS}")
-        if not (isinstance(self.sigma_m, (int, float)) and math.isfinite(self.sigma_m) and self.sigma_m > 0.0):
-            raise ParameterError(f"sigma_m must be finite and > 0, got {self.sigma_m!r}")
+        require_positive("sigma_m", self.sigma_m)
 
 
 @dataclass(slots=True)
@@ -136,7 +136,9 @@ def measure(
     arithmetic runs on the covariance and sigma_m^2 scaled by 4**j (see
     ``_scale_exponent``), and the results are scaled back; the gain and the
     outcome's spread are ratios and square roots, from which the scale
-    divides out exactly.
+    divides out exactly.  Where the scaled sigma_m^2, or its product with
+    v11 or v22, still falls below the normal range, an orthodox update raises
+    NumericalFailureError rather than return a variance that lost its digits.
     """
     policy = CollapsePolicy(policy)
     j = _scale_exponent(state, meter.sigma_m)
@@ -162,6 +164,13 @@ def measure(
     # conjugate direction receives the covariance back-action term
     p1, p2 = -u2, u1
     if policy is CollapsePolicy.ORTHODOX:
+        # s2 * v11 and s2 * v22 enter the posterior variances: below the
+        # normal range they lose digits or vanish, even below the floor
+        tiny = sys.float_info.min
+        if s2 < tiny or any(v and s2 * v < tiny for v in (v11, v22)):
+            raise NumericalFailureError(
+                f"covariance product underflow at sigma_m={meter.sigma_m!r}, v11={state.v11!r}, v22={state.v22!r}"
+            )
         k1 = vu1 / sigma_y2
         k2 = vu2 / sigma_y2
         innov = outcome - mu

@@ -31,7 +31,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError
+from .errors import ParameterError, require_positive
+
+#: Bath models of OscillatorParams and the run config.
+BATH_MODELS = ("classical", "quantum")
 
 #: Default QND tolerance, relative to the natural commutator scale 1/(m w1).
 QND_TOL = 1e-9
@@ -57,10 +60,8 @@ class OscillatorParams:
 
     def __post_init__(self) -> None:
         for name in ("mass", "omega1", "tau1", "temperature"):
-            value = getattr(self, name)
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
-                raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
-        if self.bath_model not in ("classical", "quantum"):
+            require_positive(name, getattr(self, name))
+        if self.bath_model not in BATH_MODELS:
             raise ParameterError(f"unknown bath_model {self.bath_model!r}")
 
 

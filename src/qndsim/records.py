@@ -31,14 +31,16 @@ RECORD_CSV_HEADER = "traj_id,step,time_s,outcome_m,mean_x1_m,mean_x2_m,var_x1_m2
 _FIELDS = tuple(RECORD_CSV_HEADER.split(","))
 
 
-def format_rows(first_id: int, records) -> str:
-    """Rows of one chunk of trajectories, trajectory-major.
+def format_rows(first_id: int, records) -> list[str]:
+    """Rows of one chunk of trajectories, one string per trajectory, in
+    trajectory order.
 
     ``records`` holds the chunk's ``MeasurementRecord`` of each step, as
     ``run_schedule`` returns them for a batch state: outcome and means are
     arrays over trajectories first_id, first_id + 1, ...; time and variances
     are scalars shared by the chunk, so they are rendered once per step, not
-    once per row.
+    once per row.  Formatting one trajectory at a time keeps only its own
+    values boxed as Python floats, not the whole chunk's.
     """
     trajectory_format = "".join(
         f"%d,{step},{r.time:.17g},%.17g,%.17g,%.17g,{r.post_v11:.17g},{r.post_v22:.17g}\n"
@@ -50,7 +52,7 @@ def format_rows(first_id: int, records) -> str:
     table[:, :, 1] = np.transpose([r.outcome for r in records])
     table[:, :, 2] = np.transpose([r.post_mean1 for r in records])
     table[:, :, 3] = np.transpose([r.post_mean2 for r in records])
-    return (trajectory_format * n_traj) % tuple(table.ravel().tolist())
+    return [trajectory_format % tuple(row.ravel().tolist()) for row in table]
 
 
 def read_records(path: str) -> tuple[np.ndarray, np.ndarray]:

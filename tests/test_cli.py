@@ -26,12 +26,25 @@ def test_budget_prints_reference_eta1(capsys):
 
 def test_budget_grid_csv(capsys, tmp_path):
     out_path = tmp_path / "budget.csv"
-    code = main(["budget", "--T", "0.05,0.1", "--tau1", "1e3,1e4", "--out", str(out_path)])
+    code = main(["budget", "--T", "0.05,0.1", "--tau1", "1e3,1e4", "--omega2", "1e7,1e8", "--out", str(out_path)])
     assert code == 0
     lines = out_path.read_text().splitlines()
     assert lines[0] == "T_K,omega1,tau1,omega2,tau2,dt_s,eta1,eta2,eta_a,x_zp_m"
-    assert len(lines) == 5
-    assert float(lines[1].split(",")[0]) == 0.05
+    assert len(lines) == 9
+    # row-major in flag order: T, then tau1, then omega2
+    grid = [tuple(float(cell) for cell in (row[0], row[2], row[3])) for row in (line.split(",") for line in lines[1:])]
+    assert grid == [(t, tau1, omega2) for t in (0.05, 0.1) for tau1 in (1e3, 1e4) for omega2 in (1e7, 1e8)]
+
+
+def test_budget_defaults_match_the_run_summary(tmp_path, capsys):
+    # the budget command's default point and a default run's eta figures
+    # come from one operating point; n_traj and n_meas do not enter them
+    out_path = tmp_path / "budget.csv"
+    assert main(["budget", "--out", str(out_path)]) == 0
+    header, row = out_path.read_text().splitlines()
+    point = dict(zip(header.split(","), map(float, row.split(","))))
+    summary = run_ensemble(replace(default_config(), n_traj=2, n_meas=1))
+    assert (summary.eta1, summary.eta2) == (point["eta1"], point["eta2"])
 
 
 def test_budget_grid_stdout(capsys):
@@ -135,6 +148,14 @@ def test_simulate_numerical_failure_exit_code(tmp_path, capsys):
     records_path = tmp_path / "records.csv"
     assert main(["simulate", "--config", str(cfg_path), "--records", str(records_path)]) == 2
     assert "numerical failure" in capsys.readouterr().err
+    assert not records_path.exists()
+    # v22 grows by sigma_ba**2, about 2.8e229, per step, so from step 2 the
+    # covariance cannot be scaled as a whole, and sigma_m**2 * v11, about
+    # 7e-336, would flush var_x1 to 0, below the uncertainty floor
+    cfg_path, _ = write_config(tmp_path, n_traj=200, n_meas=6, bath_model="quantum", sigma_m_m=1e-150)
+    assert main(["simulate", "--config", str(cfg_path), "--records", str(records_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure: covariance product underflow")
     assert not records_path.exists()
 
 

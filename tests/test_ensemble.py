@@ -161,6 +161,20 @@ def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
     assert peak_bytes(8 * DRAW_BLOCK) - peak_bytes(2 * DRAW_BLOCK) < 50_000
 
 
+def test_rows_chunk_memory_stays_under_twice_its_text():
+    # one string per trajectory: only a trajectory's values are boxed as
+    # Python floats at a time; boxing the whole chunk's peaked at 3.3 times
+    # the text
+    config = small_config(n_traj=128, n_meas=200)
+    tracemalloc.start()
+    try:
+        part = _run_chunk(config, 0, 128, True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * sum(map(len, part.rows))
+
+
 def test_chunk_trace_mismatch_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
     # every chunk of a run shares one v22 trace; a chunk that returns another
     # one is an engine fault, not something to average away

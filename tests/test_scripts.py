@@ -12,7 +12,6 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = {
     "backaction_heating": ["scripts/backaction_heating.py", "--n-meas", "10"],
     "central_prediction": ["scripts/central_prediction.py", "--n-traj", "300", "--n-meas", "5"],
-    "budget_corners": ["scripts/budget_corners.py"],
 }
 
 
