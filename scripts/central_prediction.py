@@ -11,7 +11,7 @@ import argparse
 import sys
 from dataclasses import replace
 
-from qndsim import boltzmann_verdict, default_config, run_ensemble
+from qndsim import boltzmann_verdict, default_config, run_ensembles
 
 
 def main() -> int:
@@ -35,8 +35,10 @@ def main() -> int:
     bath_t = base.temperature_K
     print(f"bath T = {bath_t} K, n_traj = {args.n_traj}, n_meas = {args.n_meas}")
     print(f"{'run':<18} {'t1_hat [K]':>12} {'pull [se]':>10} {'gof p':>10} verdict")
-    for name, config in runs:
-        summary = run_ensemble(config, workers=args.workers)
+    # one process pool for the three runs; the summaries come first, so that
+    # their generator runs to its end
+    summaries = run_ensembles([config for _, config in runs], workers=args.workers)
+    for summary, (name, _) in zip(summaries, runs):
         flagged, pull = boltzmann_verdict(summary.gof_p_value, summary.t1_hat_K, summary.t1_stderr_K,
                                           bath_t, args.alpha)
         verdict = "DEVIATION" if flagged else "boltzmann-consistent"

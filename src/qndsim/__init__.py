@@ -1,68 +1,92 @@
 """Stroboscopic back-action-evading measurement of a thermally coupled
 oscillator: quadrature algebra, exact thermal dynamics, Gaussian meters,
-noise budgets, and Boltzmann-deviation statistics."""
+noise budgets, and Boltzmann-deviation statistics.
 
-from .budget import (
-    BudgetInputs,
-    BudgetReport,
-    budget_report,
-    budget_sweep,
-    eta1,
-    eta2,
-    zero_point_displacement,
-)
-from .config import RunConfig, default_config, format_config, load_config, parse_config
-from .constants import HBAR, KB
-from .dynamics import (
-    EnergyReport,
-    GaussianQuadState,
-    energy_of,
-    free_evolve,
-    stationary_variance,
-    thermal_step,
-    zero_point_variance,
-)
-from .ensemble import RunSummary, run_ensemble, trajectory_rng
-from .errors import (
-    ConfigError,
-    DegenerateSeriesError,
-    InsufficientDataError,
-    NumericalFailureError,
-    ParameterError,
-    StateDomainError,
-)
-from .measurement import (
-    CollapsePolicy,
-    MeasurementRecord,
-    MeterSpec,
-    backaction_sigma,
-    measure,
-    measurement_direction,
-    run_schedule,
-)
-from .observables import (
-    LinearObservable,
-    OscillatorParams,
-    QndVerdict,
-    commutator_symplectic,
-    heisenberg_evolve,
-    is_interaction_qnd,
-    is_qnd_sequence,
-    phase_point_of,
-    quadrature_observable,
-    quadratures_of,
-    resolve_observable,
-)
-from .stats import (
-    BoltzmannFit,
-    EnergyHistogram,
-    GofReport,
-    SampleSeries,
-    boltzmann_verdict,
-    energy_histogram,
-    estimate_t1,
-    gof_boltzmann,
-    heating_slope,
-)
+The public names below are imported from their modules on first use
+(PEP 562), so that ``import qndsim`` costs nothing a caller does not use.
+"""
 
+from importlib import import_module
+
+# module -> the public names it provides
+_EXPORTS = {
+    "budget": (
+        "BudgetInputs",
+        "BudgetReport",
+        "budget_report",
+        "budget_sweep",
+        "eta1",
+        "eta2",
+        "zero_point_displacement",
+    ),
+    "config": ("RunConfig", "default_config", "format_config", "load_config", "parse_config"),
+    "constants": ("HBAR", "KB"),
+    "dynamics": (
+        "EnergyReport",
+        "GaussianQuadState",
+        "energy_of",
+        "free_evolve",
+        "stationary_variance",
+        "thermal_step",
+        "zero_point_variance",
+    ),
+    "ensemble": ("RunSummary", "run_ensemble", "run_ensembles", "trajectory_rng"),
+    "errors": (
+        "ConfigError",
+        "DegenerateSeriesError",
+        "InsufficientDataError",
+        "NumericalFailureError",
+        "ParameterError",
+        "StateDomainError",
+    ),
+    "measurement": (
+        "CollapsePolicy",
+        "MeasurementRecord",
+        "MeterSpec",
+        "backaction_sigma",
+        "measure",
+        "measurement_direction",
+        "run_schedule",
+    ),
+    "observables": (
+        "LinearObservable",
+        "OscillatorParams",
+        "QndVerdict",
+        "commutator_symplectic",
+        "heisenberg_evolve",
+        "is_interaction_qnd",
+        "is_qnd_sequence",
+        "phase_point_of",
+        "quadrature_observable",
+        "quadratures_of",
+        "resolve_observable",
+    ),
+    "stats": (
+        "BoltzmannFit",
+        "EnergyHistogram",
+        "GofReport",
+        "SampleSeries",
+        "boltzmann_verdict",
+        "energy_histogram",
+        "estimate_t1",
+        "gof_boltzmann",
+        "heating_slope",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_MODULE_OF))

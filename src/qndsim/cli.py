@@ -19,7 +19,7 @@ from itertools import product
 
 from .budget import BudgetInputs, budget_csv_rows, budget_sweep, operating_point
 from .config import CONFIG_KEYS, convert_config_value, default_config, load_config
-from .ensemble import ensemble_stats, run_ensemble
+from .ensemble import ensemble_stats, run_ensemble, run_ensembles
 from .errors import (
     ConfigError,
     DegenerateSeriesError,
@@ -236,11 +236,12 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"--vary {key} needs at least one value")
         keys.append(key)
         value_lists.append(values)
+    combos = list(product(*value_lists))  # one empty combo when nothing varies
+    points = [replace(base, **dict(zip(keys, combo))) for combo in combos]
     lines = [",".join(list(keys) + list(_SWEEP_STAT_COLUMNS))]
     with _outputs(args.out):
-        for combo in product(*value_lists) if keys else [()]:
-            point = replace(base, **dict(zip(keys, combo))) if keys else base
-            summary = run_ensemble(point, workers=args.workers)
+        # the summaries come first, so that their generator runs to its end
+        for summary, combo in zip(run_ensembles(points, workers=args.workers), combos):
             cells = [_format_cell(value) for value in combo]
             stats = summary.to_dict()
             cells += [_format_cell(stats[column]) for column in _SWEEP_STAT_COLUMNS]

@@ -20,15 +20,22 @@ for the Generator: its k-th ``normal(loc, scale)`` returns
 trajectory's own stream.  That is the same arithmetic a Generator does for a
 scalar draw, so each trajectory gets the values it would get if stepped alone
 through ``run_schedule``, bit for bit.  The normals are drawn in blocks of
-``DRAW_BLOCK`` per stream, by one Philox that is given each stream's state
-in turn (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-SC'11: a counter-based stream is its key and counter).  The schedule runs in
+at most ``DRAW_BLOCK`` per stream, and no more than the chunk uses
+(``measurement.schedule_draws`` plus the start and the burn-in), by one
+Philox that is given each stream's state in turn (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11: a counter-based stream is its
+key and counter).  The schedule runs in
 segments of ``SEGMENT_STEPS``, each starting from the state the last one
 ended in, which is the same sequence of operations as one call.  The records
 of a segment, one per step, carry the chunk's outcomes, means and variances:
 they give the chunk's v22 trace and are kept for the record CSV rows only
 when those are asked for, so that without them memory per chunk does not
 grow with n_meas.
+
+``run_ensembles`` runs a list of configs, as ``sweep`` does, through one
+process pool at most: every config's chunks go to the same pool in order,
+and each config's summary is yielded as soon as its last chunk is in.
+``run_ensemble`` is the one-config case.
 
 The v22 trace needs no outcomes (the Riccati recursion of Kalman 1960 is
 data-free), so every trajectory of a run has the same one, and it is its own
@@ -51,24 +58,26 @@ import json
 import os
 import stat
 import time as _time
+from collections import deque
+from collections.abc import Iterator, Sequence
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import repeat
+from itertools import starmap
 
 import numpy as np
 
 from .budget import eta1 as _eta1, eta2 as _eta2, operating_point
 from .config import CONFIG_KEYS, RunConfig
-from .dynamics import GaussianQuadState, stationary_variance, thermal_step, zero_point_variance
+from .dynamics import THERMAL_STEP_DRAWS, GaussianQuadState, stationary_variance, thermal_step, zero_point_variance
 from .errors import DegenerateSeriesError, InsufficientDataError, NumericalFailureError, ParameterError
-from .measurement import backaction_sigma, run_schedule
+from .measurement import backaction_sigma, run_schedule, schedule_draws
 from .records import RECORD_CSV_HEADER, format_rows
 from .stats import SampleSeries, estimate_t1, gof_boltzmann, heating_slope
 
 #: Trajectories stepped as one batch when no record rows are kept.  An
 #: execution choice only: no output depends on it.  Each of its trajectories
-#: holds a draw block and a saved generator state, about 4 KB, while it runs.
+#: holds a draw block and a generator state, at most about 4 KB, while it runs.
 CHUNK_SIZE = 512
 
 #: Trajectories stepped as one batch when record rows are kept.  A batch's
@@ -76,8 +85,9 @@ CHUNK_SIZE = 512
 #: width times n_meas; no output depends on it either.
 ROWS_CHUNK_SIZE = 128
 
-#: Standard normals drawn per stream at a time; one block covers the 302
-#: draws of a default run, so each stream's generator state is set once.
+#: Most standard normals drawn per stream at a time.  A chunk's block is no
+#: wider than the normals it uses, so a run of at most 384 per stream (a
+#: default run uses 302) sets each stream's generator state once and saves none.
 DRAW_BLOCK = 384
 
 #: Steps per ``run_schedule`` call.  Without rows, at most two segments of
@@ -101,9 +111,13 @@ class _ChunkDraws:
     state the last fill left.  A counter-based stream is its key and counter,
     so each stream yields exactly the normals of its own ``trajectory_rng``,
     without a Philox built per stream.
+
+    ``n_draws`` is the number of normals the chunk takes from each stream.
+    A block is at most that wide, and a stream's state is saved only when
+    another fill will follow.  Asking for more than ``n_draws`` raises.
     """
 
-    def __init__(self, seed: int, start: int, stop: int) -> None:
+    def __init__(self, seed: int, start: int, stop: int, n_draws: int) -> None:
         self._bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
         self._generator = np.random.Generator(self._bits)
         fresh = self._bits.state
@@ -111,20 +125,30 @@ class _ChunkDraws:
             {**fresh, "state": {**fresh["state"], "key": np.array([seed, index], dtype=np.uint64)}}
             for index in range(start, stop)
         ]
-        self._block = np.empty((stop - start, DRAW_BLOCK))
-        self._next = DRAW_BLOCK
+        self._block = np.empty((stop - start, min(DRAW_BLOCK, n_draws)))
+        self._unfilled = n_draws
+        self._next = self._filled = 0
 
     def normal(self, loc, scale: float) -> np.ndarray:
-        if self._next == DRAW_BLOCK:
-            bits, states = self._bits, self._states
-            for index, row in enumerate(self._block):
-                bits.state = states[index]
-                self._generator.standard_normal(out=row)
-                states[index] = bits.state
-            self._next = 0
+        if self._next == self._filled:
+            self._fill()
         z = self._block[:, self._next]
         self._next += 1
         return loc + scale * z
+
+    def _fill(self) -> None:
+        width = min(self._block.shape[1], self._unfilled)
+        if width == 0:
+            raise RuntimeError("a chunk asked for more normals than it declared")
+        more = self._unfilled > width
+        bits, states = self._bits, self._states
+        for index, row in enumerate(self._block):
+            bits.state = states[index]
+            self._generator.standard_normal(out=row[:width])
+            if more:
+                states[index] = bits.state
+        self._unfilled -= width
+        self._next, self._filled = 0, width
 
 
 @dataclass
@@ -145,7 +169,9 @@ def _run_chunk(config: RunConfig, start: int, stop: int, collect_rows: bool) -> 
     floor = 0.0 if config.bath_model == "classical" else zero_point_variance(params)
     mean_sd = float(np.sqrt(max(vinf - floor, 0.0)))
 
-    draws = _ChunkDraws(config.seed, start, stop)
+    # the two start means, the burn-in's step, then the schedule
+    n_draws = 2 + THERMAL_STEP_DRAWS * (config.burn_in_s > 0.0) + schedule_draws(policy, config.n_meas)
+    draws = _ChunkDraws(config.seed, start, stop, n_draws)
     state = GaussianQuadState(
         mean1=draws.normal(0.0, mean_sd),
         mean2=draws.normal(0.0, mean_sd),
@@ -170,8 +196,11 @@ def _run_chunk(config: RunConfig, start: int, stop: int, collect_rows: bool) -> 
 
 
 def _pool_size(workers: int, n_chunks: int) -> int:
-    """Processes worth starting: never more than the chunks or the cores."""
-    return min(workers, n_chunks, os.cpu_count() or 1)
+    """Processes worth starting: never more than the chunks or the cores this
+    process may run on (its CPU affinity where the platform reports it)."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    cores = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
+    return min(workers, n_chunks, cores)
 
 
 @dataclass(eq=False)
@@ -234,51 +263,103 @@ def ensemble_stats(x1_values, v22_trace, config: RunConfig):
     return t1_hat, t1_stderr, gof_p, slope
 
 
-def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = None) -> RunSummary:
-    """Run the configured ensemble and aggregate in trajectory-index order.
+def _in_order(pool: ProcessPoolExecutor, jobs, ahead: int) -> Iterator[_ChunkResult]:
+    """``_run_chunk`` over ``jobs`` in ``pool``, yielded in job order, with at
+    most ``ahead`` chunks submitted and not yet yielded."""
+    pending: deque = deque()
+    try:
+        for job in jobs:
+            if len(pending) == ahead:
+                yield pending.popleft().result()
+            pending.append(pool.submit(_run_chunk, *job))
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        for future in pending:
+            future.cancel()
 
-    Trajectories 0..n_traj-1 are simulated in chunks of ``CHUNK_SIZE``; with
-    ``record_path`` in chunks of ``ROWS_CHUNK_SIZE``, whose rows are written
-    chunk by chunk as they arrive.  A run that fails anywhere, statistics
-    included, removes the record file if it is a regular file: a streamed
-    file cut short would otherwise be well-formed.
+
+def run_ensembles(
+    configs: Sequence[RunConfig], workers: int = 1, record_path: str | None = None
+) -> Iterator[RunSummary]:
+    """Run each config's ensemble and yield its summary, in order, as soon as
+    its last chunk is in.
+
+    Trajectories 0..n_traj-1 of each config are simulated in chunks of
+    ``CHUNK_SIZE``; with ``record_path``, which takes one config, in chunks
+    of ``ROWS_CHUNK_SIZE``, whose rows are written chunk by chunk as they
+    arrive.  Every config's chunks go through one pool, started only when
+    more than one process would run, which keeps at most two chunks per
+    process in flight; so memory holds one config's series and those chunks.
+    A run that fails anywhere, statistics included, removes the record file
+    if it is a regular file: a streamed file cut short would otherwise be
+    well-formed.  ``wall_time_s`` is the time since the call or the previous
+    summary.
     """
     if not (isinstance(workers, int) and workers >= 1):
         raise ParameterError(f"workers must be an integer >= 1, got {workers!r}")
+    if record_path is not None and len(configs) != 1:
+        raise ParameterError(f"a record file holds one run, got {len(configs)} configs")
     started = _time.perf_counter()
-    size = CHUNK_SIZE if record_path is None else ROWS_CHUNK_SIZE
-    starts = range(0, config.n_traj, size)
-    stops = [min(lo + size, config.n_traj) for lo in starts]
-    x1_parts: list[np.ndarray] = []
-    x2_parts: list[np.ndarray] = []
-    v22_trace = None
+    collect_rows = record_path is not None
+    size = ROWS_CHUNK_SIZE if collect_rows else CHUNK_SIZE
+    starts = [range(0, config.n_traj, size) for config in configs]
+    jobs = [
+        (config, lo, min(lo + size, config.n_traj), collect_rows)
+        for config, point_starts in zip(configs, starts)
+        for lo in point_starts
+    ]
     handle = None
     try:
         with ExitStack() as stack:
-            if record_path is not None:
+            if collect_rows:
                 handle = stack.enter_context(open(record_path, "w", encoding="utf-8"))
                 handle.write(RECORD_CSV_HEADER + "\n")
-            n_procs = _pool_size(workers, len(starts))
+            n_procs = _pool_size(workers, len(jobs))
             if n_procs > 1:
-                run_map = stack.enter_context(ProcessPoolExecutor(max_workers=n_procs)).map
+                parts = _in_order(stack.enter_context(ProcessPoolExecutor(max_workers=n_procs)), jobs, 2 * n_procs)
+                stack.callback(parts.close)  # cancel what is queued before the pool waits for it
             else:
-                run_map = map
-            # both maps yield in chunk order, so results concatenate in trajectory order
-            chunks = run_map(_run_chunk, repeat(config), starts, stops, repeat(record_path is not None))
-            for start, part in zip(starts, chunks):
-                if v22_trace is None:
-                    v22_trace = part.post_v22
-                elif part.post_v22.tobytes() != v22_trace.tobytes():
-                    raise NumericalFailureError(
-                        f"the chunk from trajectory {start} returned a v22 trace that differs from chunk 0's"
-                    )
-                x1_parts.append(part.x1)
-                x2_parts.append(part.x2)
-                if handle is not None:
-                    handle.writelines(part.rows)
-        x1s = np.concatenate(x1_parts)
-        x2s = np.concatenate(x2_parts)
-        t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1s, v22_trace, config)
+                parts = starmap(_run_chunk, jobs)
+            for point, (config, point_starts) in enumerate(zip(configs, starts)):
+                where = f"grid point {point}: " if len(configs) > 1 else ""
+                x1_parts: list[np.ndarray] = []
+                x2_parts: list[np.ndarray] = []
+                v22_trace = None
+                # parts yields in job order, so each point's chunks arrive in trajectory order
+                for start, part in zip(point_starts, parts):
+                    if v22_trace is None:
+                        v22_trace = part.post_v22
+                    elif part.post_v22.tobytes() != v22_trace.tobytes():
+                        raise NumericalFailureError(
+                            f"{where}the chunk from trajectory {start} returned a v22 trace"
+                            " that differs from chunk 0's"
+                        )
+                    x1_parts.append(part.x1)
+                    x2_parts.append(part.x2)
+                    if handle is not None:
+                        handle.writelines(part.rows)
+                x1s = np.concatenate(x1_parts)
+                x2s = np.concatenate(x2_parts)
+                t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1s, v22_trace, config)
+                budget_point = operating_point(config)
+                yield RunSummary(
+                    config=config,
+                    t1_hat_K=t1_hat,
+                    t1_stderr_K=t1_stderr,
+                    gof_p_value=gof_p,
+                    v22_slope_m2=slope,
+                    eta1=_eta1(budget_point),
+                    eta2=_eta2(budget_point),
+                    wall_time_s=_time.perf_counter() - started,
+                    records_csv=record_path or "",
+                    series_x1=x1s,
+                    series_x2=x2s,
+                    v22_trace=v22_trace,
+                )
+                started = _time.perf_counter()
+    except GeneratorExit:
+        raise  # the caller stopped after a summary: every row it covers was written
     except BaseException:
         # a failed run leaves no record file; a path that names no regular
         # file (a device such as /dev/null, a symlink) is left alone
@@ -286,18 +367,9 @@ def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = 
             os.remove(record_path)
         raise
 
-    budget_point = operating_point(config)
-    return RunSummary(
-        config=config,
-        t1_hat_K=t1_hat,
-        t1_stderr_K=t1_stderr,
-        gof_p_value=gof_p,
-        v22_slope_m2=slope,
-        eta1=_eta1(budget_point),
-        eta2=_eta2(budget_point),
-        wall_time_s=_time.perf_counter() - started,
-        records_csv=record_path or "",
-        series_x1=x1s,
-        series_x2=x2s,
-        v22_trace=v22_trace,
-    )
+
+def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = None) -> RunSummary:
+    """Run the configured ensemble and aggregate in trajectory-index order;
+    see ``run_ensembles``."""
+    (summary,) = run_ensembles([config], workers, record_path)
+    return summary

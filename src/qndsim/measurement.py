@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .dynamics import GaussianQuadState, thermal_step
+from .dynamics import THERMAL_STEP_DRAWS, GaussianQuadState, thermal_step
 from .errors import NumericalFailureError, ParameterError, StateDomainError, require_positive
 from .observables import OscillatorParams
 
@@ -234,3 +234,11 @@ def run_schedule(
         _, state, record = measure(state, meter, policy, params, rng)
         records.append(record)
     return records, state
+
+
+def schedule_draws(policy: CollapsePolicy | str, n_meas: int) -> int:
+    """Normals ``run_schedule`` draws over n_meas steps: per step those of
+    ``thermal_step``, then the outcome, and under no_conditioning the kicks
+    of both means."""
+    measure_draws = 1 if CollapsePolicy(policy) is CollapsePolicy.ORTHODOX else 3
+    return n_meas * (THERMAL_STEP_DRAWS + measure_draws)

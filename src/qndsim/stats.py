@@ -37,8 +37,6 @@ import tempfile
 from dataclasses import dataclass
 
 import numpy as np
-import scipy
-from scipy.special import ndtr
 
 from .constants import KB
 from .errors import DegenerateSeriesError, InsufficientDataError, ParameterError
@@ -128,6 +126,9 @@ def _ks_rows(sorted_rows: np.ndarray, sigmas: np.ndarray, work: np.ndarray) -> n
     """KS distance of each row (pre-sorted) against N(0, sigma^2).
 
     Overwrites ``sorted_rows`` and ``work``, which has the same shape."""
+    # imported on first use, so that commands without statistics never load scipy.special
+    from scipy.special import ndtr
+
     n = sorted_rows.shape[1]
     cdf = ndtr(np.divide(sorted_rows, sigmas[:, None], out=work), out=work)
     below = np.subtract(cdf, np.arange(n) / n, out=sorted_rows).max(axis=1)
@@ -159,6 +160,8 @@ def _table_path(n: int, n_mc: int) -> str:
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
         root = os.path.join(os.path.expanduser("~"), ".cache")
+    import scipy
+
     name = f"ks-{n}-{n_mc}-numpy{np.__version__}-scipy{scipy.__version__}.npy"
     return os.path.join(root, "qndsim", name)
 

@@ -1,13 +1,19 @@
 import json
 import math
 import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from qndsim import default_config, format_config, run_ensemble
 from qndsim.cli import main
 from qndsim.records import RECORD_CSV_HEADER
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def write_config(tmp_path, **overrides):
@@ -52,6 +58,37 @@ def test_budget_grid_stdout(capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0].startswith("T_K,")
     assert len(out) == 3
+
+
+def test_commands_without_statistics_do_not_load_scipy_special(tmp_path):
+    # scipy.special is most of the import time; only the statistics need it
+    cfg_path, _ = write_config(tmp_path, n_traj=200, n_meas=2)
+    code = "\n".join([
+        "import sys, qndsim",
+        "qndsim.load_config(sys.argv[1])",
+        "assert 'scipy.special' not in sys.modules, 'import qndsim and load_config'",
+        "from qndsim.cli import main",
+        "assert main(['budget']) == 0",
+        "assert main(['qnd-check', '--observable', 'x1', '--times', '0,0.01']) == 0",
+        "assert 'scipy.special' not in sys.modules, 'budget and qnd-check'",
+        "assert main(['simulate', '--config', sys.argv[1]]) == 0",
+        "assert 'scipy.special' in sys.modules, 'simulate'",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, str(cfg_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
+def test_every_public_name_imports():
+    import qndsim
+
+    for name in qndsim.__all__:
+        exec(f"from qndsim import {name}", {})
+        assert name in dir(qndsim)
+    with pytest.raises(AttributeError, match="no attribute 'run_ensemblez'"):
+        qndsim.run_ensemblez
 
 
 def test_qnd_check_yes_and_no(capsys):
@@ -178,6 +215,75 @@ def test_sweep_rows_in_flag_order(tmp_path):
     assert float(last_cells[0]) == 1e-17 and last_cells[1] == "no_conditioning"
 
 
+SWEEP_VARY = ["--vary", "collapse_policy=orthodox,no_conditioning", "--vary", "n_traj=33,40"]
+
+
+def run_sweep(tmp_path, name, *flags):
+    cfg_path, _ = write_config(tmp_path, n_meas=3, seed=11)
+    out_path = tmp_path / name
+    assert main(["sweep", "--config", str(cfg_path), *SWEEP_VARY, *flags, "--out", str(out_path)]) == 0
+    return out_path.read_bytes()
+
+
+def test_sweep_bytes_do_not_depend_on_workers_or_chunks(tmp_path, monkeypatch):
+    serial = run_sweep(tmp_path, "serial.csv", "--workers", "1")
+    assert run_sweep(tmp_path, "pooled.csv", "--workers", "2") == serial
+    # chunks of 7 split every point into several chunks, the last one partial
+    monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 7)
+    assert run_sweep(tmp_path, "narrow.csv", "--workers", "2") == serial
+    assert run_sweep(tmp_path, "narrow_serial.csv", "--workers", "1") == serial
+    # one run_ensemble per point gives the same rows
+    base = replace(default_config(), n_meas=3, seed=11)
+    lines = ["collapse_policy,n_traj,t1_hat_K,t1_stderr_K,gof_p_value,v22_slope_m2,eta1,eta2"]
+    for policy in ("orthodox", "no_conditioning"):
+        for n_traj in (33, 40):
+            stats = run_ensemble(replace(base, collapse_policy=policy, n_traj=n_traj)).to_dict()
+            lines.append(",".join([policy, str(n_traj)] + [
+                "nan" if stats[key] is None else f"{stats[key]:.17g}"
+                for key in ("t1_hat_K", "t1_stderr_K", "gof_p_value", "v22_slope_m2", "eta1", "eta2")
+            ]))
+    assert serial == ("\n".join(lines) + "\n").encode()
+
+
+def test_sweep_starts_one_pool(tmp_path, monkeypatch):
+    from concurrent.futures import ProcessPoolExecutor
+
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    # two usable cores whatever the machine has, so the pool is worth starting
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("qndsim.ensemble.ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 16)
+    run_sweep(tmp_path, "sweep.csv", "--workers", "4")
+    assert started == [2]
+
+
+def test_sweep_trace_mismatch_in_a_middle_point_exits_two(tmp_path, capsys, monkeypatch):
+    from qndsim.ensemble import _run_chunk
+
+    def perturbed(config, start, stop, collect_rows):
+        part = _run_chunk(config, start, stop, collect_rows)
+        if (config.collapse_policy, config.n_traj, start) == ("orthodox", 40, 7):
+            part.post_v22[1] = np.nextafter(part.post_v22[1], -np.inf)
+        return part
+
+    monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 7)
+    monkeypatch.setattr("qndsim.ensemble._run_chunk", perturbed)
+    cfg_path, _ = write_config(tmp_path, n_meas=3, seed=11)
+    out_path = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(cfg_path), *SWEEP_VARY, "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("numerical failure: grid point 1: the chunk from trajectory 7 ")
+    assert not out_path.exists()
+
+
 def test_sweep_rejects_unknown_key(tmp_path, capsys):
     assert main(["sweep", "--vary", "voltage=1,2"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -186,6 +292,7 @@ def test_sweep_rejects_unknown_key(tmp_path, capsys):
 def test_sweep_rejects_repeated_key(capsys, monkeypatch):
     # the second n_traj would silently win while the rows echo the first
     monkeypatch.setattr("qndsim.cli.run_ensemble", None)
+    monkeypatch.setattr("qndsim.cli.run_ensembles", None)
     assert main(["sweep", "--vary", "n_traj=150", "--vary", "n_traj=200,300"]) == 1
     out, err = capsys.readouterr()
     assert out == ""
@@ -241,6 +348,7 @@ def test_unwritable_output_path_exits_one(command, flag, tmp_path, capsys, monke
         monkeypatch.setattr("qndsim.ensemble._run_chunk", work)
     else:
         monkeypatch.setattr("qndsim.cli.run_ensemble", work)
+        monkeypatch.setattr("qndsim.cli.run_ensembles", work)
     monkeypatch.setattr("qndsim.cli.read_records", work)
     inputs = {
         "simulate": ["--config", str(cfg_path)],
@@ -387,6 +495,7 @@ def test_path_named_twice_exits_one(case, tmp_path, capsys, monkeypatch):
     records_path = tmp_path / "records.csv"
     run_ensemble(config, record_path=str(records_path))
     monkeypatch.setattr("qndsim.cli.run_ensemble", None)  # no work may start
+    monkeypatch.setattr("qndsim.cli.run_ensembles", None)
     monkeypatch.setattr("qndsim.cli.read_records", None)
     before = {path: path.read_bytes() for path in (cfg_path, records_path)}
     paths = {"--config": str(cfg_path)}

@@ -20,7 +20,7 @@ from qndsim import (
 from qndsim.dynamics import stationary_variance, zero_point_variance
 from qndsim.cli import main
 from qndsim.config import format_config
-from qndsim.ensemble import CHUNK_SIZE, DRAW_BLOCK, _pool_size, _run_chunk
+from qndsim.ensemble import CHUNK_SIZE, DRAW_BLOCK, _ChunkDraws, _pool_size, _run_chunk, run_ensembles
 from qndsim.records import RECORD_CSV_HEADER
 
 
@@ -147,6 +147,41 @@ def test_trajectory_replays_without_rows(branch, monkeypatch):
         assert summary.v22_trace.tobytes() == np.array([r.post_v22 for r in scheduled]).tobytes()
 
 
+@pytest.mark.parametrize("burn_in_s", [0.0, 5.0])
+@pytest.mark.parametrize("meter_kind", ["qnd_x1", "qnd_x2", "position"])
+@pytest.mark.parametrize("policy", ["orthodox", "no_conditioning"])
+def test_chunk_declares_the_draws_it_uses(policy, meter_kind, burn_in_s, monkeypatch):
+    made = []
+
+    class CountingDraws(_ChunkDraws):
+        def __init__(self, seed, start, stop, n_draws):
+            super().__init__(seed, start, stop, n_draws)
+            self.declared, self.used = n_draws, 0
+            made.append(self)
+
+        def normal(self, loc, scale):
+            self.used += 1
+            return super().normal(loc, scale)
+
+    monkeypatch.setattr("qndsim.ensemble._ChunkDraws", CountingDraws)
+    config = small_config(collapse_policy=policy, meter_kind=meter_kind, burn_in_s=burn_in_s, n_meas=7)
+    _run_chunk(config, 0, 3, False)
+    [draws] = made
+    assert draws.used == draws.declared
+
+
+@pytest.mark.parametrize("n_draws", [5, DRAW_BLOCK, 2 * DRAW_BLOCK + 5])
+def test_chunk_draws_are_each_streams_own_and_end_at_the_declared_count(n_draws):
+    # more than one block saves each stream's state between fills, and the
+    # last fill may be narrower than the block
+    draws = _ChunkDraws(2024, 4, 7, n_draws)
+    z = np.array([draws.normal(0.0, 1.0) for _ in range(n_draws)])
+    for column, index in enumerate(range(4, 7)):
+        assert z[:, column].tobytes() == trajectory_rng(2024, index).standard_normal(n_draws).tobytes()
+    with pytest.raises(RuntimeError, match="more normals than it declared"):
+        draws.normal(0.0, 1.0)
+
+
 def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
     def peak_bytes(n_meas):
         tracemalloc.start()
@@ -197,6 +232,37 @@ def test_chunk_trace_mismatch_is_a_numerical_failure(tmp_path, monkeypatch, caps
     assert out == "" and "numerical failure" in err
 
 
+def test_chunk_trace_mismatch_names_the_grid_point(monkeypatch):
+    def perturbed(config, start, stop, collect_rows):
+        part = _run_chunk(config, start, stop, collect_rows)
+        if config.seed == 2 and start > 0:
+            part.post_v22[0] = np.nextafter(part.post_v22[0], np.inf)
+        return part
+
+    monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 7)
+    monkeypatch.setattr("qndsim.ensemble._run_chunk", perturbed)
+    configs = [small_config(n_traj=20, n_meas=3, seed=seed) for seed in (1, 2, 3)]
+    summaries = run_ensembles(configs)
+    assert next(summaries).config.seed == 1
+    with pytest.raises(NumericalFailureError, match="grid point 1: the chunk from trajectory 7 "):
+        next(summaries)
+
+
+def test_record_file_takes_one_config(tmp_path):
+    path = tmp_path / "records.csv"
+    with pytest.raises(ParameterError, match="one run"):
+        next(run_ensembles([small_config(), small_config()], record_path=str(path)))
+    assert not path.exists()
+
+
+def test_record_file_outlives_a_caller_that_stops_at_the_summary(tmp_path):
+    path = tmp_path / "records.csv"
+    summaries = run_ensembles([small_config(n_traj=5, n_meas=3)], record_path=str(path))
+    next(summaries)
+    summaries.close()
+    assert len(path.read_text().splitlines()) == 1 + 5 * 3
+
+
 def test_failed_run_leaves_no_record_file(tmp_path):
     # each way a run fails after its record file is open: a non-finite
     # covariance, a non-finite outcome, and statistics that fail after every
@@ -220,6 +286,8 @@ def test_workers_must_be_positive():
 
 
 def test_pool_size_is_bounded_by_chunks_and_cores(monkeypatch):
+    # where the platform reports no CPU affinity, the core count bounds it
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 4)
     assert _pool_size(100_000, 3) == 3
     assert _pool_size(100_000, 10**6) == 4
@@ -227,6 +295,12 @@ def test_pool_size_is_bounded_by_chunks_and_cores(monkeypatch):
     assert _pool_size(8, 1) == 1
     monkeypatch.setattr("os.cpu_count", lambda: None)
     assert _pool_size(100_000, 10**6) == 1
+    # an affinity mask narrower than the machine bounds it instead
+    monkeypatch.setattr("os.cpu_count", lambda: 64)
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 5}, raising=False)
+    assert _pool_size(64, 10**6) == 2
+    assert _pool_size(64, 1) == 1
+    assert _pool_size(1, 10**6) == 1
 
 
 def test_burn_in_changes_the_stream_but_stays_deterministic():
