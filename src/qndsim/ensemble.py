@@ -24,13 +24,12 @@ at most ``DRAW_BLOCK`` per stream, and no more than the chunk uses
 (``measurement.schedule_draws`` plus the start and the burn-in), by one
 Philox that is given each stream's state in turn (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11: a counter-based stream is its
-key and counter).  The schedule runs in
-segments of ``SEGMENT_STEPS``, each starting from the state the last one
-ended in, which is the same sequence of operations as one call.  The records
-of a segment, one per step, carry the chunk's outcomes, means and variances:
-they give the chunk's v22 trace and are kept for the record CSV rows only
-when those are asked for, so that without them memory per chunk does not
-grow with n_meas.
+key and counter).  The schedule runs in segments of ``SEGMENT_STEPS``, each
+starting from the state the last one ended in, which is the same sequence of
+operations as one call.  The records of a segment, one per step, carry the
+chunk's outcomes, means and variances: they give the chunk's v22 trace and
+are kept for the record CSV rows only when those are asked for, so that
+without them memory per chunk does not grow with n_meas.
 
 ``run_ensembles`` runs a list of configs, as ``sweep`` does, through one
 process pool at most: every config's chunks go to the same pool in order,
@@ -317,7 +316,8 @@ def run_ensembles(
                 handle.write(RECORD_CSV_HEADER + "\n")
             n_procs = _pool_size(workers, len(jobs))
             if n_procs > 1:
-                parts = _in_order(stack.enter_context(ProcessPoolExecutor(max_workers=n_procs)), jobs, 2 * n_procs)
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_procs))
+                parts = _in_order(pool, jobs, 2 * n_procs)
                 stack.callback(parts.close)  # cancel what is queued before the pool waits for it
             else:
                 parts = starmap(_run_chunk, jobs)
