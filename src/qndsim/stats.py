@@ -12,13 +12,15 @@ The test statistic is the Kolmogorov-Smirnov distance between the empirical
 CDF and N(0, sigma_hat^2) with sigma_hat estimated from the same sample, and
 the p-value comes from Monte Carlo recalibration in the style of Lilliefors:
 replicas are drawn from the fitted null, the scale re-estimated per replica,
-and the observed distance ranked in the replica table.  The statistic is
-scale-pivotal (D(c x) = D(x)), so one table per (n, n_mc) serves every
-series.  Tables are seeded deterministically and cached twice: in memory for
-the life of the process (8 * n_mc bytes per distinct (n, n_mc), 16 KB at the
-default n_mc = 2000, never evicted), and on disk in
+and the observed distance ranked in the replica table.  The normal CDF is a
+numpy port of Cephes ``ndtr`` that equals ``scipy.special.ndtr`` bit for bit,
+so the package needs numpy only.  The statistic is scale-pivotal
+(D(c x) = D(x)), so one table per (n, n_mc) serves every series.  Tables are
+seeded deterministically and cached twice: in memory for the life of the
+process (8 * n_mc bytes per distinct (n, n_mc), 16 KB at the default
+n_mc = 2000, never evicted), and on disk in
 ``$XDG_CACHE_HOME/qndsim`` (``~/.cache/qndsim`` when unset), one ``.npy``
-file per (n, n_mc) and numpy/scipy version.  A file is used only if it holds
+file per (n, n_mc) and numpy version.  A file is used only if it holds
 float64 of shape (n_mc,), finite and in (0, 1], whose entry 0 equals a fresh
 one-replica build; anything else is rebuilt and replaced.  A cache that cannot
 be read or written is skipped, so the cache never changes a result.
@@ -122,15 +124,86 @@ def estimate_t1(series: SampleSeries, params: OscillatorParams) -> BoltzmannFit:
     return BoltzmannFit(t1_hat=t1, stderr=t1 * math.sqrt(2.0 / (n - 1)), n=n)
 
 
+# Cephes ndtr, erf and erfc (S. L. Moshier, Methods and Programs for
+# Mathematical Functions, 1989), the code behind scipy.special.ndtr.
+_SQRT1_2 = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2  # log(DBL_MAX): erfc underflows to 0 past exp(-MAXLOG)
+# erfc(z) = exp(-z^2) P(z) / Q(z) for 1 <= z < 8, with R / S from 8 on; Q, S
+# and U lead with the 1 that Cephes leaves implicit (its p1evl)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.0, 1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (1.0, 2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+# erf(w) = w T(w^2) / U(w^2) for |w| <= 1
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (1.0, 3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+
+
+def _polevl(x: np.ndarray, coefs: tuple) -> np.ndarray:
+    """Horner's rule, one rounded multiply and one rounded add per step."""
+    y = np.full_like(x, coefs[0])
+    for c in coefs[1:]:
+        y *= x
+        y += c
+    return y
+
+
+def _half_erfc(z: np.ndarray) -> np.ndarray:
+    """erfc(z) / 2 for z >= 1 (one-dimensional)."""
+    with np.errstate(over="ignore"):  # z * z is inf from 1.3e154 on, past the cut anyway
+        zz = z * z
+    half = np.zeros_like(z)
+    kept = zz <= _MAXLOG
+    z = z[kept]
+    # libm's exp, as the C code calls it: numpy's vectorised exp differs in the last bit
+    e = np.fromiter(map(math.exp, np.negative(zz[kept]).tolist()), np.float64, len(z))
+    low = z < 8.0
+    p = np.where(low, _polevl(z, _ERFC_P), _polevl(z, _ERFC_R))
+    q = np.where(low, _polevl(z, _ERFC_Q), _polevl(z, _ERFC_S))
+    half[kept] = 0.5 * (e * p / q)
+    return half
+
+
+def _ndtr(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Standard normal CDF of ``a``, written to ``out`` (which may be ``a``).
+
+    Cephes' coefficients, branch points and order of operations, so the
+    result equals scipy.special.ndtr bit for bit: 0.5 + erf(x)/2 for
+    |x| < 1/sqrt(2), else erfc(|x|)/2 reflected for x > 0, with x = a/sqrt(2).
+    NaN stays NaN and no input warns."""
+    x = a * _SQRT1_2
+    z = np.abs(x)
+    # the clip keeps |x| > 1, where erf is not used, finite
+    erf = np.clip(x, -1.0, 1.0)
+    ww = erf * erf
+    erf *= _polevl(ww, _ERF_T)
+    erf /= _polevl(ww, _ERF_U)
+    # out = erfc(|x|) / 2: 1 - erf(|x|) below 1, where erf(|x|) = |erf(x)| exactly
+    np.subtract(1.0, np.abs(erf, out=ww), out=out)
+    out *= 0.5
+    far = z >= 1.0
+    out[far] = _half_erfc(z[far])
+    np.subtract(1.0, out, out=out, where=x > 0.0)
+    erf *= 0.5
+    erf += 0.5
+    np.copyto(out, erf, where=z < _SQRT1_2)
+    return out
+
+
 def _ks_rows(sorted_rows: np.ndarray, sigmas: np.ndarray, work: np.ndarray) -> np.ndarray:
     """KS distance of each row (pre-sorted) against N(0, sigma^2).
 
     Overwrites ``sorted_rows`` and ``work``, which has the same shape."""
-    # imported on first use, so that commands without statistics never load scipy.special
-    from scipy.special import ndtr
-
     n = sorted_rows.shape[1]
-    cdf = ndtr(np.divide(sorted_rows, sigmas[:, None], out=work), out=work)
+    cdf = _ndtr(np.divide(sorted_rows, sigmas[:, None], out=work), out=work)
     below = np.subtract(cdf, np.arange(n) / n, out=sorted_rows).max(axis=1)
     above = np.subtract(np.arange(1, n + 1) / n, cdf, out=cdf).max(axis=1)
     return np.maximum(below, above)
@@ -160,9 +233,7 @@ def _table_path(n: int, n_mc: int) -> str:
     root = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(root):
         root = os.path.join(os.path.expanduser("~"), ".cache")
-    import scipy
-
-    name = f"ks-{n}-{n_mc}-numpy{np.__version__}-scipy{scipy.__version__}.npy"
+    name = f"ks-{n}-{n_mc}-numpy{np.__version__}.npy"
     return os.path.join(root, "qndsim", name)
 
 

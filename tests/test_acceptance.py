@@ -47,6 +47,17 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
+class _PerTrajectory:
+    """A generator whose ``normal`` draws one value per trajectory, so that
+    ``thermal_step`` kicks each mean of a batch state independently."""
+
+    def __init__(self, rng: np.random.Generator, n: int):
+        self._rng, self._n = rng, n
+
+    def normal(self, loc, scale):
+        return self._rng.normal(loc, scale, size=self._n)
+
+
 def _budget_point(**overrides):
     base = dict(
         temperature=T_BATH, omega1=W1, tau1=TAU1, omega2=1e8, tau2=1.0,
@@ -140,18 +151,17 @@ def test_criterion_04_equipartition():
 
 def test_criterion_05_brownian_drift_rate():
     params = OscillatorParams(M, W1, TAU1, T_BATH)
-    rng = np.random.default_rng(5)
     n = 100000
+    rng = _PerTrajectory(np.random.default_rng(5), n)
     steps = 10
     dt = 0.002 * TAU1  # window 0.02 tau1, inside the t <= 0.1 tau1 regime
     half_mw2 = 0.5 * M * W1**2
-    energy_sum = np.zeros(steps + 1)
-    for _ in range(n):
-        state = GaussianQuadState(0.0, 0.0, 0.0, 0.0)
-        for k in range(1, steps + 1):
-            state = thermal_step(state, dt, params, rng)
-            energy_sum[k] += half_mw2 * (state.mean1**2 + state.mean2**2)
-    mean_energy = energy_sum / n
+    # the ensemble steps as one batch state: array means, shared covariance
+    state = GaussianQuadState(np.zeros(n), np.zeros(n), 0.0, 0.0)
+    mean_energy = np.zeros(steps + 1)
+    for k in range(1, steps + 1):
+        state = thermal_step(state, dt, params, rng)
+        mean_energy[k] = half_mw2 * np.mean(state.mean1**2 + state.mean2**2)
     slope = np.polyfit(dt * np.arange(steps + 1), mean_energy, 1)[0]
     target = KB * T_BATH / TAU1
     rel = abs(slope - target) / target

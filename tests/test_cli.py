@@ -60,24 +60,29 @@ def test_budget_grid_stdout(capsys):
     assert len(out) == 3
 
 
-def test_commands_without_statistics_do_not_load_scipy_special(tmp_path):
-    # scipy.special is most of the import time; only the statistics need it
+def test_no_command_loads_scipy(tmp_path):
+    # the statistics need numpy only; scipy is a test dependency
     cfg_path, _ = write_config(tmp_path, n_traj=200, n_meas=2)
     code = "\n".join([
-        "import sys, qndsim",
-        "qndsim.load_config(sys.argv[1])",
-        "assert 'scipy.special' not in sys.modules, 'import qndsim and load_config'",
+        "import sys",
+        "sys.modules['scipy'] = None  # every import of scipy or a submodule now fails",
+        "cfg, records, histogram = sys.argv[1:]",
+        "import qndsim",
+        "qndsim.load_config(cfg)",
         "from qndsim.cli import main",
         "assert main(['budget']) == 0",
         "assert main(['qnd-check', '--observable', 'x1', '--times', '0,0.01']) == 0",
-        "assert 'scipy.special' not in sys.modules, 'budget and qnd-check'",
-        "assert main(['simulate', '--config', sys.argv[1]]) == 0",
-        "assert 'scipy.special' in sys.modules, 'simulate'",
+        "assert main(['simulate', '--config', cfg]) == 0",
+        "assert main(['sweep', '--config', cfg, '--vary', 'collapse_policy=orthodox,no_conditioning']) == 0",
+        "assert main(['simulate', '--config', cfg, '--records', records]) == 0",
+        "assert main(['analyze', '--config', cfg, '--records', records, '--histogram', histogram]) == 0",
+        "assert sys.modules.pop('scipy') is None",
+        "assert 'scipy' not in sys.modules and not any(m.startswith('scipy.') for m in sys.modules)",
     ])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", code, str(cfg_path)], env=env,
-                          capture_output=True, text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-c", code, str(cfg_path), str(tmp_path / "records.csv"),
+                           str(tmp_path / "histogram.csv")], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
 
 

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -122,6 +123,46 @@ def test_gof_contracts(params):
         gof_boltzmann(SampleSeries(np.zeros(200), "x1"), params)
     with pytest.raises(ParameterError):
         gof_boltzmann(SampleSeries(rng.normal(size=200), "x1"), params, n_mc=500)
+
+
+# --- normal CDF ------------------------------------------------------------------
+
+
+def ndtr_inputs():
+    """Tails, subnormals, signed zeros, infinities, NaN and 256 ulps either
+    side of every branch point of the Cephes ndtr: |a| = 1 (erf to erfc),
+    sqrt(2) (erfc's own erf branch to its exp form), 8 sqrt(2) (P/Q to R/S)
+    and sqrt(2 MAXLOG) (the underflow cut)."""
+    rng = np.random.default_rng(11)
+    edges = np.array([1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * stats._MAXLOG)])
+    ulps = edges[:, None] + np.arange(-256, 257) * np.spacing(edges)[:, None]
+    tiny = np.array([5e-324, 1e-320, 2.2250738585072009e-308, 2.2250738585072014e-308, 1e-300])
+    magnitudes = np.concatenate([
+        np.linspace(0.0, 45.0, 450_001),
+        np.logspace(-310.0, 308.0, 10_001),
+        ulps.ravel(),
+        tiny,
+        np.abs(rng.standard_normal(100_000)),
+        [np.inf],
+    ])
+    return np.concatenate([magnitudes, -magnitudes, [np.nan, -np.nan]])
+
+
+def test_ndtr_matches_scipy_bit_for_bit():
+    special = pytest.importorskip("scipy.special")
+    a = ndtr_inputs()
+    expected = special.ndtr(a)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = stats._ndtr(a, np.empty_like(a))
+        # in place and two-dimensional, as the KS statistic calls it
+        rows = a[: 2 * (len(a) // 2)].reshape(2, -1).copy()
+        in_place = stats._ndtr(rows, out=rows)
+    nan = np.isnan(expected)
+    assert np.array_equal(np.isnan(got), nan)
+    differ = got[~nan].view(np.uint64) != expected[~nan].view(np.uint64)
+    assert not differ.any(), a[~nan][differ][:10]
+    assert in_place is rows and np.array_equal(rows.ravel(), got[: rows.size], equal_nan=True)
 
 
 # --- calibration tables ------------------------------------------------------------
