@@ -19,7 +19,7 @@ from itertools import product
 
 from .budget import BudgetInputs, budget_csv_rows, budget_sweep, operating_point
 from .config import CONFIG_KEYS, convert_config_value, default_config, load_config
-from .ensemble import ensemble_stats, run_ensemble, run_ensembles
+from .ensemble import SUMMARY_STATS, ensemble_stats, run_ensemble, run_ensembles
 from .errors import (
     ConfigError,
     DegenerateSeriesError,
@@ -44,8 +44,6 @@ _BUDGET_FLAGS = (
     ("eta_a", "amplifier_quanta"),
     ("mass", "mass"),
 )
-
-_SWEEP_STAT_COLUMNS = ("t1_hat_K", "t1_stderr_K", "gof_p_value", "v22_slope_m2", "eta1", "eta2")
 
 
 class _UsageError(Exception):
@@ -238,13 +236,12 @@ def _cmd_sweep(args) -> int:
         value_lists.append(values)
     combos = list(product(*value_lists))  # one empty combo when nothing varies
     points = [replace(base, **dict(zip(keys, combo))) for combo in combos]
-    lines = [",".join(list(keys) + list(_SWEEP_STAT_COLUMNS))]
+    lines = [",".join(keys + list(SUMMARY_STATS))]
     with _outputs(args.out):
         # the summaries come first, so that their generator runs to its end
         for summary, combo in zip(run_ensembles(points, workers=args.workers), combos):
             cells = [_format_cell(value) for value in combo]
-            stats = summary.to_dict()
-            cells += [_format_cell(stats[column]) for column in _SWEEP_STAT_COLUMNS]
+            cells += [_format_cell(getattr(summary, name)) for name in SUMMARY_STATS]
             lines.append(",".join(cells))
         if args.out is not None:
             _write(args.out, lines)

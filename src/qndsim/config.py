@@ -1,56 +1,41 @@
 """Flat ``key = value`` run configuration.
 
 Exact keys, one per line, ``#`` comments; values round-trip bit-exactly
-through repr, so an echoed config reproduces its run.
+through repr, so an echoed config reproduces its run.  ``RunConfig`` is the
+schema: each of its fields declares one key's name, type and default, in
+the canonical order, and ``CONFIG_KEYS`` and the parser read them from there.
 """
 
-from __future__ import annotations
-
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 
 from .errors import ConfigError, require_positive
 from .measurement import METER_KINDS, CollapsePolicy, MeterSpec
 from .observables import BATH_MODELS, OscillatorParams
 
-CONFIG_KEYS = (
-    "mass_kg",
-    "omega1_rad_s",
-    "tau1_s",
-    "temperature_K",
-    "bath_model",
-    "meter_kind",
-    "sigma_m_m",
-    "collapse_policy",
-    "dt_s",
-    "n_meas",
-    "n_traj",
-    "burn_in_s",
-    "seed",
-)
-
-_INT_KEYS = frozenset({"n_meas", "n_traj", "seed"})
-_STR_KEYS = frozenset({"bath_model", "meter_kind", "collapse_policy"})
 _POLICIES = tuple(p.value for p in CollapsePolicy)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a simulation run depends on, including the master seed."""
+    """Everything a simulation run depends on, including the master seed.
 
-    mass_kg: float
-    omega1_rad_s: float
-    tau1_s: float
-    temperature_K: float
-    bath_model: str
-    meter_kind: str
-    sigma_m_m: float
-    collapse_policy: str
-    dt_s: float
-    n_meas: int
-    n_traj: int
-    burn_in_s: float
-    seed: int
+    The defaults are the millikelvin regime: a gram-scale bar mode read out
+    by a quantum-limited back-action-evading X1 meter."""
+
+    mass_kg: float = 1e-3
+    omega1_rad_s: float = 1e4
+    tau1_s: float = 1e4
+    temperature_K: float = 0.05
+    bath_model: str = "classical"
+    meter_kind: str = "qnd_x1"
+    sigma_m_m: float = 1e-18
+    collapse_policy: str = "orthodox"
+    dt_s: float = 1e-2
+    n_meas: int = 100
+    n_traj: int = 10000
+    burn_in_s: float = 0.0
+    seed: int = 20260811
 
     def __post_init__(self) -> None:
         for key in ("mass_kg", "omega1_rad_s", "tau1_s", "temperature_K", "sigma_m_m", "dt_s"):
@@ -86,46 +71,34 @@ class RunConfig:
         return CollapsePolicy(self.collapse_policy)
 
 
+# key -> type, in field order: the class float, int or str, since this module
+# does not postpone the evaluation of annotations
+_KEY_TYPES = {f.name: f.type for f in fields(RunConfig)}
+CONFIG_KEYS = tuple(_KEY_TYPES)
+
+
 def default_config() -> RunConfig:
-    """Millikelvin-regime defaults: gram-scale bar mode read out by a
-    quantum-limited back-action-evading X1 meter."""
-    return RunConfig(
-        mass_kg=1e-3,
-        omega1_rad_s=1e4,
-        tau1_s=1e4,
-        temperature_K=0.05,
-        bath_model="classical",
-        meter_kind="qnd_x1",
-        sigma_m_m=1e-18,
-        collapse_policy="orthodox",
-        dt_s=1e-2,
-        n_meas=100,
-        n_traj=10000,
-        burn_in_s=0.0,
-        seed=20260811,
-    )
+    """The defaults declared on ``RunConfig``'s fields."""
+    return RunConfig()
 
 
 def convert_config_value(key: str, raw: str):
     """Parse one raw string as the given config key's type."""
-    if key not in CONFIG_KEYS:
+    kind = _KEY_TYPES.get(key)
+    if kind is None:
         raise ConfigError(f"unknown config key {key!r}")
     try:
-        if key in _STR_KEYS:
-            return raw
-        if key in _INT_KEYS:
-            try:
-                return int(raw)
-            except ValueError:
-                value = float(raw)
-                if value != int(value):
-                    raise ConfigError(f"{key} must be an integer, got {raw!r}")
-                return int(value)
-        return float(raw)
-    except ConfigError:
-        raise
+        if kind is not int:
+            return kind(raw)
+        try:
+            return int(raw)
+        except ValueError:
+            value = float(raw)  # e.g. "1e3"
     except ValueError:
         raise ConfigError(f"cannot parse value for {key}: {raw!r}") from None
+    if not value.is_integer():
+        raise ConfigError(f"{key} must be an integer, got {raw!r}")
+    return int(value)
 
 
 def parse_config(text: str) -> RunConfig:
@@ -145,8 +118,7 @@ def parse_config(text: str) -> RunConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         seen[key] = raw
-    overrides = {key: convert_config_value(key, raw) for key, raw in seen.items()}
-    return replace(default_config(), **overrides)
+    return RunConfig(**{key: convert_config_value(key, raw) for key, raw in seen.items()})
 
 
 def load_config(path: str) -> RunConfig:

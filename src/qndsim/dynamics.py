@@ -84,7 +84,9 @@ def thermal_step(
 
     Means are sampled (mean1 first, then mean2, two rng draws); covariances
     are deterministic, so the map is a convex mix with V_inf * I and
-    preserves positive semidefiniteness for any dt.
+    preserves positive semidefiniteness for any dt.  Each draw is centred on
+    the decayed mean, so a batch state (array means) gets one normal per
+    trajectory from a plain Generator as from the ensemble's draw source.
     """
     if not (dt > 0.0):
         raise ParameterError(f"thermal step requires dt > 0, got {dt!r}")
@@ -94,8 +96,8 @@ def thermal_step(
     kick = vinf * (1.0 - d2)
     sd = math.sqrt(kick)
     return GaussianQuadState(
-        mean1=d * state.mean1 + rng.normal(0.0, sd),
-        mean2=d * state.mean2 + rng.normal(0.0, sd),
+        mean1=rng.normal(d * state.mean1, sd),
+        mean2=rng.normal(d * state.mean2, sd),
         v11=d2 * state.v11 + kick,
         v22=d2 * state.v22 + kick,
         v12=d2 * state.v12,

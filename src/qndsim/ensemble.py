@@ -93,6 +93,10 @@ DRAW_BLOCK = 384
 #: records are alive at once, so memory does not grow with n_meas.
 SEGMENT_STEPS = 16
 
+#: The statistics a summary reports after its config echo, in the order of
+#: its JSON keys and of the ``sweep`` CSV columns; each is a RunSummary field.
+SUMMARY_STATS = ("t1_hat_K", "t1_stderr_K", "gof_p_value", "v22_slope_m2", "eta1", "eta2")
+
 
 def trajectory_rng(seed: int, index: int) -> np.random.Generator:
     """Counter-based per-trajectory stream keyed by (master seed, index)."""
@@ -226,12 +230,7 @@ class RunSummary:
 
     def to_dict(self) -> dict:
         out = {key: getattr(self.config, key) for key in CONFIG_KEYS}
-        out["t1_hat_K"] = self.t1_hat_K
-        out["t1_stderr_K"] = self.t1_stderr_K
-        out["gof_p_value"] = self.gof_p_value
-        out["v22_slope_m2"] = self.v22_slope_m2
-        out["eta1"] = self.eta1
-        out["eta2"] = self.eta2
+        out.update((name, getattr(self, name)) for name in SUMMARY_STATS)
         out["records_csv"] = self.records_csv
         return out
 

@@ -132,7 +132,9 @@ def measure(
 
     The clock does not advance: measurements are instantaneous events between
     thermal steps.  For a batch state (array means) the outcome is an array
-    too; covariance and record bookkeeping stay scalars.  The covariance
+    too: each draw (the outcome, and under no_conditioning the kicks of both
+    means) is centred on the array, so any generator gives one normal per
+    trajectory.  Covariance and record bookkeeping stay scalars.  The covariance
     arithmetic runs on the covariance and sigma_m^2 scaled by 4**j (see
     ``_scale_exponent``), and the results are scaled back; the gain and the
     outcome's spread are ratios and square roots, from which the scale
@@ -184,8 +186,8 @@ def measure(
         v12 = (s2 * v12 - det * u1 * u2) / sigma_y2 / scale + sba2 * p1 * p2
     else:
         # no collapse: unsteered meter disturbance kicks the sampled means
-        mean1 = state.mean1 + rng.normal(0.0, sba)
-        mean2 = state.mean2 + rng.normal(0.0, sba)
+        mean1 = rng.normal(state.mean1, sba)
+        mean2 = rng.normal(state.mean2, sba)
         v11 = state.v11 + sba2 * p1 * p1
         v22 = state.v22 + sba2 * p2 * p2
         v12 = state.v12 + sba2 * p1 * p2
@@ -220,8 +222,10 @@ def run_schedule(
 ) -> tuple[list[MeasurementRecord], GaussianQuadState]:
     """Alternate thermal_step(dt) and measure, n_meas times.
 
-    ``rng`` may be any source with the Generator's ``normal(loc, scale)``;
-    the ensemble passes one that steps a whole chunk of trajectories at once.
+    ``rng`` may be any source with the Generator's ``normal(loc, scale)``.
+    For a batch state every draw takes the means' shape, so a plain Generator
+    gives each trajectory its own normals; the ensemble passes a source that
+    draws each trajectory's from that trajectory's own stream.
     """
     if n_meas < 1:
         raise ParameterError(f"schedule requires n_meas >= 1, got {n_meas!r}")

@@ -101,15 +101,6 @@ def phase_point_of(x1: float, x2: float, t: float, params: OscillatorParams) -> 
     return x, p
 
 
-def position_observable() -> LinearObservable:
-    return LinearObservable(1.0, 0.0)
-
-
-def momentum_observable(params: OscillatorParams) -> LinearObservable:
-    """Momentum quadrature p / (m w1), valued in meters like everything else."""
-    return LinearObservable(0.0, 1.0 / (params.mass * params.omega1))
-
-
 def quadrature_observable(kind: str, t: float, params: OscillatorParams) -> LinearObservable:
     """Time-t representation of the co-rotating amplitude X1 or X2."""
     w = params.omega1
@@ -134,9 +125,9 @@ def resolve_observable(obs: LinearObservable | str, t: float, params: Oscillator
     if isinstance(obs, LinearObservable):
         return obs
     if obs == "x":
-        return position_observable()
-    if obs == "p":
-        return momentum_observable(params)
+        return LinearObservable(1.0, 0.0)
+    if obs == "p":  # p / (m w1), valued in meters like everything else
+        return LinearObservable(0.0, 1.0 / (params.mass * params.omega1))
     if obs in ("x1", "x2"):
         return quadrature_observable(obs, t, params)
     raise ParameterError(f"unknown observable {obs!r}; expected one of {OBSERVABLE_KINDS}")

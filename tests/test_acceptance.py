@@ -47,17 +47,6 @@ def _report(num: int, ok: bool, detail: str) -> None:
     assert ok, detail
 
 
-class _PerTrajectory:
-    """A generator whose ``normal`` draws one value per trajectory, so that
-    ``thermal_step`` kicks each mean of a batch state independently."""
-
-    def __init__(self, rng: np.random.Generator, n: int):
-        self._rng, self._n = rng, n
-
-    def normal(self, loc, scale):
-        return self._rng.normal(loc, scale, size=self._n)
-
-
 def _budget_point(**overrides):
     base = dict(
         temperature=T_BATH, omega1=W1, tau1=TAU1, omega2=1e8, tau2=1.0,
@@ -152,7 +141,7 @@ def test_criterion_04_equipartition():
 def test_criterion_05_brownian_drift_rate():
     params = OscillatorParams(M, W1, TAU1, T_BATH)
     n = 100000
-    rng = _PerTrajectory(np.random.default_rng(5), n)
+    rng = np.random.default_rng(5)
     steps = 10
     dt = 0.002 * TAU1  # window 0.02 tau1, inside the t <= 0.1 tau1 regime
     half_mw2 = 0.5 * M * W1**2

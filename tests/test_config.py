@@ -1,4 +1,5 @@
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -46,6 +47,8 @@ def test_parse_rejects_unknown_duplicate_and_malformed():
     with pytest.raises(ConfigError):
         parse_config("n_traj = 10.5")
     with pytest.raises(ConfigError):
+        parse_config("n_traj = inf")
+    with pytest.raises(ConfigError):
         parse_config("dt_s = fast")
 
 
@@ -92,3 +95,12 @@ def test_derived_views():
     meter = config.meter()
     assert meter.kind == config.meter_kind
     assert config.policy().value == config.collapse_policy
+
+
+def test_readme_config_block_shows_every_key_and_default():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Config file\n", 1)[1]
+    block = section.split("```\n", 2)[1]
+    keys = [line.split("=", 1)[0].strip() for line in block.splitlines()]
+    assert keys == list(CONFIG_KEYS)
+    assert parse_config(block) == default_config()

@@ -68,6 +68,15 @@ def test_thermal_step_long_relaxation(params, rng):
     assert abs(np.var(finals, ddof=1) - VINF) <= 5 * se
 
 
+def test_thermal_step_kicks_each_trajectory_of_a_batch(params):
+    # a batch state stepped with a plain Generator: one normal per trajectory
+    n = 5
+    state = GaussianQuadState(np.zeros(n), np.zeros(n), 0.0, 0.0)
+    out = thermal_step(state, 20.0, params, np.random.default_rng(5))
+    assert out.mean1.shape == out.mean2.shape == (n,)
+    assert len(np.unique(out.mean1)) == len(np.unique(out.mean2)) == n
+
+
 def test_thermal_step_rejects_nonpositive_dt(params, rng):
     state = GaussianQuadState(0.0, 0.0, 0.0, 0.0)
     with pytest.raises(ParameterError):

@@ -168,6 +168,15 @@ def test_no_conditioning_keeps_covariance_unconditioned(params, rng):
     assert math.isclose(out.v22 - state.v22, sba2, rel_tol=1e-9)
 
 
+def test_no_conditioning_kicks_each_trajectory_of_a_batch(params):
+    # a batch state measured with a plain Generator: one kick per trajectory
+    n = 5
+    state = GaussianQuadState(np.zeros(n), np.zeros(n), VINF, VINF, 0.0)
+    _, out, _ = measure(state, MeterSpec("qnd_x1", 1e-18), "no_conditioning", params, np.random.default_rng(5))
+    assert out.mean1.shape == out.mean2.shape == (n,)
+    assert len(np.unique(out.mean1)) == len(np.unique(out.mean2)) == n
+
+
 def test_measure_rejects_non_psd(params, rng):
     bad = GaussianQuadState(0.0, 0.0, 1e-30, 1e-30, 9e-30)
     with pytest.raises(StateDomainError):
