@@ -64,7 +64,6 @@ _EXPORTS = {
     "stats": (
         "BoltzmannFit",
         "EnergyHistogram",
-        "GofReport",
         "SampleSeries",
         "boltzmann_verdict",
         "energy_histogram",

@@ -266,18 +266,12 @@ def _cmd_analyze(args) -> int:
     config = load_config(args.config) if args.config is not None else default_config()
     with _outputs(args.out, args.histogram):
         x1, v22_trace = read_records(args.records)
-        t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1, v22_trace, config)
-        text = json.dumps({
-            "n_traj": len(x1),
-            "n_meas": len(v22_trace),
-            "t1_hat_K": t1_hat,
-            "t1_stderr_K": t1_stderr,
-            "gof_p_value": gof_p,
-            "v22_slope_m2": slope,
-            "alpha": args.alpha,
-        })
+        values = ensemble_stats(x1, v22_trace, config)
+        t1_hat, t1_stderr, gof_p, _ = values
+        stats = dict(zip(SUMMARY_STATS, values))
+        text = json.dumps({"n_traj": len(x1), "n_meas": len(v22_trace), **stats, "alpha": args.alpha})
         if args.histogram is not None:
-            hist = energy_histogram(SampleSeries(x1, "x1"), config.oscillator(), args.bins)
+            hist = energy_histogram(SampleSeries(x1), config.oscillator(), args.bins)
             bins = zip(hist.bin_edges, hist.bin_edges[1:], hist.counts, hist.model_density)
             lines = ["e_lo_J,e_hi_J,count,model_density_per_J"]
             lines += [f"{lo:.17g},{hi:.17g},{int(count)},{density:.17g}" for lo, hi, count, density in bins]
@@ -306,12 +300,9 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     # OSError: e.g. an output path that cannot be opened; its message names the path
-    except (ConfigError, ParameterError, StateDomainError, InsufficientDataError, DegenerateSeriesError,
-            OSError) as exc:
+    except (_UsageError, ConfigError, ParameterError, StateDomainError, InsufficientDataError,
+            DegenerateSeriesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except NumericalFailureError as exc:

@@ -102,8 +102,16 @@ def convert_config_value(key: str, raw: str):
 
 
 def parse_config(text: str) -> RunConfig:
-    """Parse config text; unset keys fall back to the defaults."""
-    seen: dict[str, str] = {}
+    """Parse config text; unset keys fall back to the defaults.  An error
+    names its line as ``line N: ...``."""
+    return _parse(text, "line ")
+
+
+def _parse(text: str, where: str) -> RunConfig:
+    """``parse_config`` with ``where`` before each error's line number.  A
+    value is checked on its own line, in a ``RunConfig`` with every other
+    field at its default: each field is checked alone."""
+    values = {}
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -111,23 +119,34 @@ def parse_config(text: str) -> RunConfig:
         key, sep, raw = line.partition("=")
         key = key.strip()
         raw = raw.strip()
-        if not sep or not key or not raw:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {raw_line!r}")
-        if key not in CONFIG_KEYS:
-            raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        if key in seen:
-            raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        seen[key] = raw
-    return RunConfig(**{key: convert_config_value(key, raw) for key, raw in seen.items()})
+        try:
+            if not sep or not key or not raw:
+                raise ConfigError(f"expected 'key = value', got {raw_line!r}")
+            if key not in CONFIG_KEYS:
+                raise ConfigError(f"unknown key {key!r}")
+            if key in values:
+                raise ConfigError(f"duplicate key {key!r}")
+            values[key] = convert_config_value(key, raw)
+            RunConfig(**{key: values[key]})
+        except ConfigError as exc:
+            raise ConfigError(f"{where}{lineno}: {exc}") from None
+    return RunConfig(**values)
 
 
 def load_config(path: str) -> RunConfig:
+    """Read and parse a config file.  An error names the file and the line as
+    ``path:N: ...``."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
     except OSError as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from None
-    return parse_config(text)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text") from None
+    return _parse(text, f"{path}:")
 
 
 def format_config(config: RunConfig) -> str:

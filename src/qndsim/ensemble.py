@@ -4,10 +4,10 @@ Stream derivation is counter-based: trajectory i of a run with master seed s
 draws from Philox keyed by the pair (s, i).  The key alone identifies the
 stream; nothing is spawned or shared, so any worker may own any trajectory
 and the statistics cannot depend on scheduling.  Trajectories are grouped
-into chunks, ``CHUNK_SIZE`` wide without record rows and ``ROWS_CHUNK_SIZE``
-wide with them, and the chunks' final means and record CSV rows are
-concatenated in trajectory-index order whatever the worker count or chunk
-size.  Identical config implies byte-identical outputs.
+into chunks, ``CHUNK_SIZE`` wide without record rows and at most
+``ROWS_CHUNK_SIZE`` wide with them, and the chunks' final X1 means and
+record CSV rows are concatenated in trajectory-index order whatever the
+worker count or chunk size.  Identical config implies byte-identical outputs.
 
 A chunk is stepped as one batch through ``measurement.run_schedule``, the
 one loop that alternates ``thermal_step`` and ``measure``.  Covariance, gain
@@ -79,10 +79,14 @@ from .stats import SampleSeries, estimate_t1, gof_boltzmann, heating_slope
 #: holds a draw block and a generator state, at most about 4 KB, while it runs.
 CHUNK_SIZE = 512
 
-#: Trajectories stepped as one batch when record rows are kept.  A batch's
-#: rows are held until they are written, so their memory grows with the
-#: width times n_meas; no output depends on it either.
+#: Most trajectories stepped as one batch when record rows are kept; no
+#: output depends on it either.
 ROWS_CHUNK_SIZE = 128
+
+#: Most rows a chunk holds until they are written, at about 170 bytes each:
+#: past n_meas = 500 chunks narrow, and a step of a narrow chunk costs as
+#: many calls of the step functions as one of a wide chunk.
+ROWS_STEP_BUDGET = 64000
 
 #: Most standard normals drawn per stream at a time.  A chunk's block is no
 #: wider than the normals it uses, so a run of at most 384 per stream (a
@@ -157,7 +161,6 @@ class _ChunkDraws:
 @dataclass
 class _ChunkResult:
     x1: np.ndarray
-    x2: np.ndarray
     post_v22: np.ndarray
     rows: list[str] | None
 
@@ -195,7 +198,7 @@ def _run_chunk(config: RunConfig, start: int, stop: int, collect_rows: bool) -> 
         if collect_rows:
             kept += records
     rows = format_rows(start, kept) if collect_rows else None
-    return _ChunkResult(x1=state.mean1, x2=state.mean2, post_v22=post_v22, rows=rows)
+    return _ChunkResult(x1=state.mean1, post_v22=post_v22, rows=rows)
 
 
 def _pool_size(workers: int, n_chunks: int) -> int:
@@ -225,7 +228,6 @@ class RunSummary:
     wall_time_s: float
     records_csv: str
     series_x1: np.ndarray = field(repr=False, default=None)
-    series_x2: np.ndarray = field(repr=False, default=None)
     v22_trace: np.ndarray = field(repr=False, default=None)
 
     def to_dict(self) -> dict:
@@ -239,10 +241,11 @@ class RunSummary:
 
 
 def ensemble_stats(x1_values, v22_trace, config: RunConfig):
-    """(t1_hat, t1_stderr, gof_p, v22_slope) for an ensemble; None where the
-    run is too small for the corresponding inference."""
+    """(t1_hat, t1_stderr, gof_p, v22_slope), the first four of
+    ``SUMMARY_STATS``, for an ensemble; None where the run is too small for
+    the corresponding inference."""
     t1_hat = t1_stderr = gof_p = slope = None
-    series = SampleSeries(np.asarray(x1_values, dtype=np.float64), "x1")
+    series = SampleSeries(np.asarray(x1_values, dtype=np.float64))
     params = config.oscillator()
     try:
         fit = estimate_t1(series, params)
@@ -250,7 +253,7 @@ def ensemble_stats(x1_values, v22_trace, config: RunConfig):
     except (InsufficientDataError, DegenerateSeriesError):
         pass
     try:
-        gof_p = gof_boltzmann(series, params).p_value
+        gof_p = gof_boltzmann(series)
     except (InsufficientDataError, DegenerateSeriesError):
         pass
     try:
@@ -285,9 +288,10 @@ def run_ensembles(
 
     Trajectories 0..n_traj-1 of each config are simulated in chunks of
     ``CHUNK_SIZE``; with ``record_path``, which takes one config, in chunks
-    of ``ROWS_CHUNK_SIZE``, whose rows are written chunk by chunk as they
-    arrive.  Every config's chunks go through one pool, started only when
-    more than one process would run, which keeps at most two chunks per
+    of ``ROWS_CHUNK_SIZE``, or fewer when n_meas is large, so that a chunk
+    holds at most ``ROWS_STEP_BUDGET`` rows; the rows are written chunk by
+    chunk as they arrive.  Every config's chunks go through one pool, started
+    only when more than one process would run, which keeps at most two chunks per
     process in flight; so memory holds one config's series and those chunks.
     A run that fails anywhere, statistics included, removes the record file
     if it is a regular file: a streamed file cut short would otherwise be
@@ -300,7 +304,7 @@ def run_ensembles(
         raise ParameterError(f"a record file holds one run, got {len(configs)} configs")
     started = _time.perf_counter()
     collect_rows = record_path is not None
-    size = ROWS_CHUNK_SIZE if collect_rows else CHUNK_SIZE
+    size = min(ROWS_CHUNK_SIZE, max(1, ROWS_STEP_BUDGET // configs[0].n_meas)) if collect_rows else CHUNK_SIZE
     starts = [range(0, config.n_traj, size) for config in configs]
     jobs = [
         (config, lo, min(lo + size, config.n_traj), collect_rows)
@@ -323,7 +327,6 @@ def run_ensembles(
             for point, (config, point_starts) in enumerate(zip(configs, starts)):
                 where = f"grid point {point}: " if len(configs) > 1 else ""
                 x1_parts: list[np.ndarray] = []
-                x2_parts: list[np.ndarray] = []
                 v22_trace = None
                 # parts yields in job order, so each point's chunks arrive in trajectory order
                 for start, part in zip(point_starts, parts):
@@ -335,11 +338,9 @@ def run_ensembles(
                             " that differs from chunk 0's"
                         )
                     x1_parts.append(part.x1)
-                    x2_parts.append(part.x2)
                     if handle is not None:
                         handle.writelines(part.rows)
                 x1s = np.concatenate(x1_parts)
-                x2s = np.concatenate(x2_parts)
                 t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1s, v22_trace, config)
                 budget_point = operating_point(config)
                 yield RunSummary(
@@ -353,7 +354,6 @@ def run_ensembles(
                     wall_time_s=_time.perf_counter() - started,
                     records_csv=record_path or "",
                     series_x1=x1s,
-                    series_x2=x2s,
                     v22_trace=v22_trace,
                 )
                 started = _time.perf_counter()

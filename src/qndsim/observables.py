@@ -158,7 +158,6 @@ class QndVerdict:
 
     is_qnd: bool
     max_violation: float  # |symplectic commutator|, s/kg
-    threshold: float  # tolerance * 1/(m w1), s/kg
 
 
 def is_qnd_sequence(
@@ -186,8 +185,7 @@ def is_qnd_sequence(
     for i in range(len(evolved)):
         for j in range(i + 1, len(evolved)):
             worst = max(worst, abs(commutator_symplectic(evolved[i], evolved[j])))
-    threshold = tol / (params.mass * params.omega1)
-    return QndVerdict(worst <= threshold, worst, threshold)
+    return QndVerdict(worst <= tol / (params.mass * params.omega1), worst)
 
 
 def is_interaction_qnd(

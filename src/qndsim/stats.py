@@ -4,26 +4,26 @@
 temperature through equipartition, m w1^2 Var[X1] = kB T1, with the standard
 error from the chi-squared sampling law of the variance.
 
-``gof_boltzmann`` tests the thermal law.  The tested density is proportional
-to exp(-m w1^2 X1^2 / 2 kB T1) PER UNIT X1, i.e. a zero-mean Gaussian in X1;
-over the energy E1 = m w1^2 X1^2 / 2 the same law is Gamma(1/2, kB T1), so
-fitting a plain exponential to E1 values would wrongly reject the true model.
-The test statistic is the Kolmogorov-Smirnov distance between the empirical
-CDF and N(0, sigma_hat^2) with sigma_hat estimated from the same sample, and
-the p-value comes from Monte Carlo recalibration in the style of Lilliefors:
-replicas are drawn from the fitted null, the scale re-estimated per replica,
-and the observed distance ranked in the replica table.  The normal CDF is a
-numpy port of Cephes ``ndtr`` that equals ``scipy.special.ndtr`` bit for bit,
-so the package needs numpy only.  The statistic is scale-pivotal
-(D(c x) = D(x)), so one table per (n, n_mc) serves every series.  Tables are
-seeded deterministically and cached twice: in memory for the life of the
-process (8 * n_mc bytes per distinct (n, n_mc), 16 KB at the default
-n_mc = 2000, never evicted), and on disk in
+``gof_boltzmann`` tests the thermal law and returns its p-value.  The tested
+density is proportional to exp(-m w1^2 X1^2 / 2 kB T1) PER UNIT X1, i.e. a
+zero-mean Gaussian in X1; over the energy E1 = m w1^2 X1^2 / 2 the same law
+is Gamma(1/2, kB T1), so fitting a plain exponential to E1 values would
+wrongly reject the true model.  The test statistic is the Kolmogorov-Smirnov
+distance between the empirical CDF and N(0, sigma_hat^2) with sigma_hat
+estimated from the same sample, and the p-value comes from Monte Carlo
+recalibration in the style of Lilliefors: ``N_MC`` = 2000 replicas are drawn
+from the fitted null, the scale re-estimated per replica, and the observed
+distance ranked in the replica table.  The normal CDF is a numpy port of
+Cephes ``ndtr`` that equals ``scipy.special.ndtr`` bit for bit, so the
+package needs numpy only.  The statistic is scale-pivotal (D(c x) = D(x)),
+so one table per sample size n serves every series.  Tables are seeded
+deterministically and cached twice: in memory for the life of the process
+(16 KB per distinct n, never evicted), and on disk in
 ``$XDG_CACHE_HOME/qndsim`` (``~/.cache/qndsim`` when unset), one ``.npy``
-file per (n, n_mc) and numpy version.  A file is used only if it holds
-float64 of shape (n_mc,), finite and in (0, 1], whose entry 0 equals a fresh
-one-replica build; anything else is rebuilt and replaced.  A cache that cannot
-be read or written is skipped, so the cache never changes a result.
+file per n and numpy version.  A file is used only if it holds float64 of
+shape (N_MC,), finite and in (0, 1], whose entry 0 equals a fresh
+one-replica build; anything else is rebuilt and replaced.  A cache that
+cannot be read or written is skipped, so the cache never changes a result.
 
 ``heating_slope`` quantifies back-action on the demolished quadrature as the
 least-squares growth rate of v22 versus measurement count, compared with the
@@ -44,7 +44,8 @@ from .constants import KB
 from .errors import DegenerateSeriesError, InsufficientDataError, ParameterError
 from .observables import OscillatorParams
 
-SERIES_LABELS = ("x1", "x2")
+#: Replicas in a KS null table.
+N_MC = 2000
 
 #: Stream key for the deterministic calibration tables ("ks_lilli" in hex).
 _TABLE_STREAM_KEY = 0x6B735F6C696C6C69
@@ -60,7 +61,6 @@ class SampleSeries:
     """Ensemble of quadrature samples (meters) at a fixed protocol point."""
 
     values: np.ndarray
-    label: str
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=np.float64)
@@ -68,8 +68,6 @@ class SampleSeries:
             raise ParameterError("sample series must be one-dimensional")
         if not np.all(np.isfinite(values)):
             raise ParameterError("sample series must be finite")
-        if self.label not in SERIES_LABELS:
-            raise ParameterError(f"unknown series label {self.label!r}")
         object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
@@ -82,17 +80,6 @@ class BoltzmannFit:
 
     t1_hat: float  # K
     stderr: float  # K
-    n: int
-
-
-@dataclass(frozen=True)
-class GofReport:
-    """Goodness-of-fit result: KS distance, calibrated p-value, method tag."""
-
-    statistic: float
-    p_value: float
-    method: str
-    n_mc: int
 
 
 @dataclass(frozen=True)
@@ -102,7 +89,6 @@ class EnergyHistogram:
     bin_edges: np.ndarray  # J, length n_bins + 1
     counts: np.ndarray
     model_density: np.ndarray  # 1/J, at bin centers
-    t1_hat: float  # K
 
 
 def _usable_variance(values: np.ndarray) -> float:
@@ -121,7 +107,7 @@ def estimate_t1(series: SampleSeries, params: OscillatorParams) -> BoltzmannFit:
         raise InsufficientDataError(f"need >= 30 samples to estimate T1, got {n}")
     variance = _usable_variance(series.values)
     t1 = params.mass * params.omega1**2 * variance / KB
-    return BoltzmannFit(t1_hat=t1, stderr=t1 * math.sqrt(2.0 / (n - 1)), n=n)
+    return BoltzmannFit(t1_hat=t1, stderr=t1 * math.sqrt(2.0 / (n - 1)))
 
 
 # Cephes ndtr, erf and erfc (S. L. Moshier, Methods and Programs for
@@ -293,20 +279,17 @@ def _calibration_table(n: int, n_mc: int) -> np.ndarray:
     return table
 
 
-def gof_boltzmann(series: SampleSeries, params: OscillatorParams, n_mc: int = 2000) -> GofReport:
-    """Monte-Carlo-calibrated KS test of the thermal law on an X ensemble."""
-    # the table stream key packs (n, n_mc) as (n << 21) ^ n_mc
-    if not 1000 <= n_mc < 2**21:
-        raise ParameterError(f"calibration needs 1000 <= n_mc < 2**21, got {n_mc}")
+def gof_boltzmann(series: SampleSeries) -> float:
+    """p-value of the Monte-Carlo-calibrated KS test of the thermal law on an
+    X ensemble."""
     n = len(series)
     if n < 100:
         raise InsufficientDataError(f"need >= 100 samples for the fit test, got {n}")
     variance = _usable_variance(series.values)
     observed = np.sort(series.values)[None, :]
     d_obs = float(_ks_rows(observed, np.array([math.sqrt(variance)]), np.empty_like(observed))[0])
-    table = _calibration_table(n, n_mc)
-    p = (1 + int(np.count_nonzero(table >= d_obs))) / (n_mc + 1)
-    return GofReport(statistic=d_obs, p_value=p, method="ks-lilliefors-mc", n_mc=n_mc)
+    table = _calibration_table(n, N_MC)
+    return (1 + int(np.count_nonzero(table >= d_obs))) / (N_MC + 1)
 
 
 def boltzmann_verdict(p_value: float, t1_hat: float, t1_stderr: float, temperature: float, alpha: float):
@@ -353,4 +336,4 @@ def energy_histogram(series: SampleSeries, params: OscillatorParams, n_bins: int
     theta = KB * fit.t1_hat
     # Gamma(1/2, theta): E^{-1/2} exp(-E/theta) / (sqrt(pi theta))
     density = np.exp(-centers / theta) / np.sqrt(math.pi * theta * centers)
-    return EnergyHistogram(bin_edges=edges, counts=counts, model_density=density, t1_hat=fit.t1_hat)
+    return EnergyHistogram(bin_edges=edges, counts=counts, model_density=density)

@@ -132,6 +132,28 @@ def test_simulate_missing_config(capsys, tmp_path):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content, line, words",
+    [
+        (b"seed = 3\nn_traj = abc\n", 2, "cannot parse value for n_traj: 'abc'"),
+        (b"# comment\n\nn_traj = 0\n", 3, "n_traj must be an integer >= 1, got 0"),
+        (b"bogus = 1\n", 1, "unknown key 'bogus'"),
+        (b"seed = 3\nseed 4\n", 2, "expected 'key = value'"),
+        (b"seed = 3\nn_meas = 2\nseed = 4\n", 3, "duplicate key 'seed'"),
+        (b"seed = 3\n# \xff\n", 2, "not UTF-8 text"),
+    ],
+    ids=["bad_type", "bad_domain", "unknown_key", "malformed_line", "duplicate_key", "not_utf8"],
+)
+def test_config_errors_name_the_file_and_line(content, line, words, tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(content)
+    assert main(["simulate", "--config", str(path)]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {path}:{line}: {words}")
+    assert "Traceback" not in err
+
+
 def test_unknown_flag_exits_one(capsys):
     assert main(["budget", "--banana", "1"]) == 1
     assert main(["frobnicate"]) == 1

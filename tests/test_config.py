@@ -40,7 +40,7 @@ def test_parse_accepts_comments_and_blanks():
 def test_parse_rejects_unknown_duplicate_and_malformed():
     with pytest.raises(ConfigError):
         parse_config("voltage = 1.0")
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="^line 2: duplicate key 'seed'$"):
         parse_config("seed = 1\nseed = 2")
     with pytest.raises(ConfigError):
         parse_config("seed 1")
@@ -53,8 +53,8 @@ def test_parse_rejects_unknown_duplicate_and_malformed():
 
 
 def test_validation_bounds():
-    with pytest.raises(ConfigError):
-        parse_config("n_traj = 0")
+    with pytest.raises(ConfigError, match="^line 2: n_traj must be an integer >= 1, got 0$"):
+        parse_config("seed = 1\nn_traj = 0")
     with pytest.raises(ConfigError):
         parse_config("dt_s = 0.0")
     with pytest.raises(ConfigError):

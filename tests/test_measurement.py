@@ -143,7 +143,9 @@ def test_outcome_statistics_match_predictive(params, rng):
     meter = MeterSpec("qnd_x1", 2e-15)
     predictive = VINF + meter.sigma_m**2
     n = 100000
-    draws = np.array([measure(state, meter, "orthodox", params, rng)[0] for _ in range(n)])
+    # a batch of n copies of the state draws one outcome per copy
+    batch = GaussianQuadState(np.full(n, state.mean1), np.full(n, state.mean2), state.v11, state.v22, state.v12)
+    draws = measure(batch, meter, "orthodox", params, rng)[0]
     se = predictive * math.sqrt(2.0 / (n - 1))
     assert abs(draws.var(ddof=1) - predictive) <= 3 * se
 
