@@ -117,7 +117,8 @@ class _ChunkDraws:
     starts from (key (seed, index), counter 0, empty buffer), afterwards the
     state the last fill left.  A counter-based stream is its key and counter,
     so each stream yields exactly the normals of its own ``trajectory_rng``,
-    without a Philox built per stream.
+    without a Philox built per stream.  The first states are one dict whose
+    key is rewritten for each stream: the state setter copies its values.
 
     ``n_draws`` is the number of normals the chunk takes from each stream.
     A block is at most that wide, and a stream's state is saved only when
@@ -128,10 +129,12 @@ class _ChunkDraws:
         self._bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
         self._generator = np.random.Generator(self._bits)
         fresh = self._bits.state
-        self._states = [
-            {**fresh, "state": {**fresh["state"], "key": np.array([seed, index], dtype=np.uint64)}}
-            for index in range(start, stop)
-        ]
+        # plain lists, which the state setter reads faster than arrays
+        fresh["state"] = {"counter": fresh["state"]["counter"].tolist(), "key": [seed, start]}
+        fresh["buffer"] = fresh["buffer"].tolist()
+        self._fresh = fresh
+        self._indices = range(start, stop)
+        self._saved: list[dict] | None = None  # each stream's state when another fill follows
         self._block = np.empty((stop - start, min(DRAW_BLOCK, n_draws)))
         self._unfilled = n_draws
         self._next = self._filled = 0
@@ -143,17 +146,25 @@ class _ChunkDraws:
         self._next += 1
         return loc + scale * z
 
+    def _fresh_states(self) -> Iterator[dict]:
+        """Each stream's first state, as one dict re-keyed in turn."""
+        key = self._fresh["state"]["key"]
+        for index in self._indices:
+            key[1] = index
+            yield self._fresh
+
     def _fill(self) -> None:
         width = min(self._block.shape[1], self._unfilled)
         if width == 0:
             raise RuntimeError("a chunk asked for more normals than it declared")
         more = self._unfilled > width
-        bits, states = self._bits, self._states
-        for index, row in enumerate(self._block):
-            bits.state = states[index]
+        bits, saved = self._bits, []
+        for row, state in zip(self._block, self._saved or self._fresh_states()):
+            bits.state = state
             self._generator.standard_normal(out=row[:width])
             if more:
-                states[index] = bits.state
+                saved.append(bits.state)
+        self._saved = saved
         self._unfilled -= width
         self._next, self._filled = 0, width
 

@@ -8,9 +8,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qndsim import default_config, format_config, run_ensemble
+from qndsim import default_config, format_config, records, run_ensemble
 from qndsim.cli import main
+from qndsim.errors import ConfigError
 from qndsim.records import RECORD_CSV_HEADER
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -598,3 +601,145 @@ def test_analyze_rejects_malformed_records(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path}:{line}:" in err
     assert word in err
+
+
+# The block reader against the per-line loop alone: a 30 x 3 run, read in
+# blocks of a few rows so that the numpy checks run on a test-sized file.
+LATE_TRAJECTORY = 20
+
+
+@pytest.fixture(scope="module")
+def late_rows(tmp_path_factory):
+    path = tmp_path_factory.mktemp("late") / "records.csv"
+    run_ensemble(replace(default_config(), n_traj=30, n_meas=3), record_path=str(path))
+    header, *rows = path.read_text().splitlines()
+    return header, rows
+
+
+def read_outcome(path):
+    """read_records' arrays as bytes, or its error message."""
+    try:
+        x1, trace = records.read_records(str(path))
+    except ConfigError as exc:
+        return str(exc)
+    return x1.tobytes(), trace.tobytes()
+
+
+def block_and_loop_outcomes(path, read_block=1000):
+    """(outcome with READ_BLOCK = read_block, outcome of the loop alone,
+    whether any block was vouched for)."""
+    vouched = []
+    rows = records._BlockCheck.rows
+
+    def counting_rows(self, block, first_row):
+        result = rows(self, block, first_row)
+        vouched.append(result is not None)
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(records, "READ_BLOCK", read_block)
+        patch.setattr(records._BlockCheck, "rows", counting_rows)
+        blocks = read_outcome(path)
+        patch.setattr(records._BlockCheck, "rows", lambda self, block, first_row: None)
+        alone = read_outcome(path)
+    return blocks, alone, any(vouched)
+
+
+@pytest.mark.parametrize("read_block", [1, 1000])
+@pytest.mark.parametrize("case", list(MALFORMED_RECORDS))
+def test_late_malformed_records_raise_what_the_loop_raises(case, read_block, late_rows, tmp_path):
+    spoil = MALFORMED_RECORDS[case][0]
+    header, rows = late_rows
+    first = 3 * LATE_TRAJECTORY  # the spoiled rows are those of trajectories 20 to 22
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join([header] + rows[:first] + spoil(rows[first : first + 9]) + rows[first + 9 :]) + "\n")
+    blocks, alone, vouched = block_and_loop_outcomes(path, read_block)
+    assert isinstance(alone, str) and alone.startswith(f"{path}:")
+    assert blocks == alone
+    assert vouched
+
+
+def _keep(text):
+    return lambda original: text
+
+
+# spellings of a field that a run never writes, most of them rejected by the
+# loop; "1" * 400 and "1e999" read as inf, "1e-999" as 0.0
+ODD_SPELLINGS = [
+    "+5", "05", " 1", "1_0", "1E-17", "1e999", "-1e999", "-1e308", "1" * 400, "1e-999", "nan", "inf", "1.",
+    ".5", "-.5", "", "-", "--5", "5-", "1..5", "1.5.5", "1e", "1e-", "e-5", "1e--5", "1e-5e-5", "1e-5.5",
+    "-0", "1e+17", "1e17", "0x10", "\u0663",
+]
+FIELD_EDITS = [pytest.param(_keep(text), id=repr(text)[:12]) for text in ODD_SPELLINGS] + [
+    pytest.param(edit, id=name)
+    for name, edit in {
+        "same": lambda f: f,
+        "plus": lambda f: "+" + f,
+        "leading_zero": lambda f: "0" + f,
+        "leading_space": lambda f: " " + f,
+        "trailing_space": lambda f: f + " ",
+        "trailing_cr": lambda f: f + "\r",
+        "trailing_zero": lambda f: f + "0",
+        "upper": lambda f: f.upper(),
+        "underscore": lambda f: f[:1] + "_" + f[1:],
+        "sign_flip": lambda f: f[1:] if f.startswith("-") else "-" + f,
+        "exponent_zero": lambda f: f.replace("e-", "e-0"),
+        "positive_exponent": lambda f: f.replace("e-", "e+"),
+    }.items()
+]
+FIELD_COLUMNS = [0, 1, 4, 7]  # traj_id, step, mean_x1_m, var_x2_m2
+
+
+def one_late_field_outcomes(rows, header, path, row, column, edit, read_block=1000):
+    spoiled = list(rows)
+    spoiled[row] = _with_field(rows[row], column, edit(rows[row].split(",")[column]))
+    path.write_text("\n".join([header] + spoiled) + "\n")
+    return block_and_loop_outcomes(path, read_block)
+
+
+@pytest.mark.parametrize("edit", FIELD_EDITS)
+@pytest.mark.parametrize("column", FIELD_COLUMNS)
+def test_one_late_field_reads_as_the_loop_reads_it(column, edit, late_rows, tmp_path):
+    header, rows = late_rows
+    # a row within trajectory 20, and its last row, whose mean_x1_m is kept
+    for row in (3 * LATE_TRAJECTORY + 1, 3 * LATE_TRAJECTORY + 2):
+        blocks, alone, vouched = one_late_field_outcomes(rows, header, tmp_path / "records.csv", row, column, edit)
+        assert blocks == alone
+        assert vouched
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    row=st.integers(min_value=3 * 10, max_value=3 * 30 - 1),
+    column=st.sampled_from(FIELD_COLUMNS),
+    edit=st.one_of(
+        st.sampled_from([param.values[0] for param in FIELD_EDITS]),
+        st.text(alphabet="0123456789+-.eE_ nfi", max_size=12).map(_keep),
+    ),
+    read_block=st.sampled_from([1, 300, 1000]),
+)
+def test_any_late_field_reads_as_the_loop_reads_it(late_rows, tmp_path_factory, row, column, edit, read_block):
+    header, rows = late_rows
+    path = tmp_path_factory.mktemp("field") / "records.csv"
+    blocks, alone, vouched = one_late_field_outcomes(rows, header, path, row, column, edit, read_block)
+    assert blocks == alone
+    assert vouched
+
+
+@pytest.mark.parametrize("layout", ["lf", "crlf", "no_final_newline", "long_trajectory_0"])
+def test_block_reader_equals_the_loop(layout, late_rows, tmp_path):
+    header, rows = late_rows
+    path = tmp_path / "records.csv"
+    if layout == "long_trajectory_0":  # trajectory 0 spans several blocks
+        run_ensemble(replace(default_config(), n_traj=12, n_meas=40), record_path=str(path))
+    else:
+        ending = "\r\n" if layout == "crlf" else "\n"
+        text = ending.join([header] + rows)
+        path.write_bytes((text if layout == "no_final_newline" else text + ending).encode())
+    blocks, alone, vouched = block_and_loop_outcomes(path)
+    assert blocks == alone
+    assert not isinstance(alone, str)
+    assert vouched or layout == "crlf"  # carriage returns go to the loop
+    if layout != "long_trajectory_0":
+        path.write_text("\n".join([header] + rows) + "\n")
+        assert read_outcome(path) == alone

@@ -182,6 +182,22 @@ def test_chunk_draws_are_each_streams_own_and_end_at_the_declared_count(n_draws)
         draws.normal(0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "seed, start, n_draws",
+    [
+        (2**64 - 1, 0, 7),  # the largest key word
+        (11, 2**32 - 1, 7),  # indices past 32 bits
+        (2**64 - 1, 2**32 + 5, DRAW_BLOCK + 9),  # a second fill starts from saved states
+    ],
+)
+def test_rekeyed_chunk_draws_equal_each_trajectory_rng(seed, start, n_draws):
+    draws = _ChunkDraws(seed, start, start + 3, n_draws)
+    z = np.array([draws.normal(0.0, 1.0) for _ in range(n_draws)])
+    for column in range(3):
+        expected = trajectory_rng(seed, start + column).standard_normal(n_draws)
+        assert z[:, column].tobytes() == expected.tobytes()
+
+
 def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
     def peak_bytes(n_meas):
         tracemalloc.start()
