@@ -9,7 +9,7 @@ into chunks, ``CHUNK_SIZE`` wide without record rows and at most
 record CSV rows are concatenated in trajectory-index order whatever the
 worker count or chunk size.  Identical config implies byte-identical outputs.
 
-A chunk is stepped as one batch through ``measurement.run_schedule``, the
+A chunk is stepped as one batch through ``measurement.schedule_steps``, the
 one loop that alternates ``thermal_step`` and ``measure``.  Covariance, gain
 and clock do not depend on the outcomes, so they stay scalars shared by the
 chunk, while the sampled means become arrays over its trajectories; the
@@ -24,12 +24,11 @@ at most ``DRAW_BLOCK`` per stream, and no more than the chunk uses
 (``measurement.schedule_draws`` plus the start and the burn-in), by one
 Philox that is given each stream's state in turn (Salmon et al., "Parallel
 random numbers: as easy as 1, 2, 3", SC'11: a counter-based stream is its
-key and counter).  The schedule runs in segments of ``SEGMENT_STEPS``, each
-starting from the state the last one ended in, which is the same sequence of
-operations as one call.  The records of a segment, one per step, carry the
-chunk's outcomes, means and variances: they give the chunk's v22 trace and
-are kept for the record CSV rows only when those are asked for, so that
-without them memory per chunk does not grow with n_meas.
+key and counter).  The chunk takes the schedule one measurement at a time.
+Each step's record carries the chunk's outcomes, means and variances: its
+v22 goes into the chunk's trace, and the record is kept for the record CSV
+rows only when those are asked for, so that without them a chunk holds one
+step's record and its memory grows with n_meas only by the trace.
 
 ``run_ensembles`` runs a list of configs, as ``sweep`` does, through one
 process pool at most: every config's chunks go to the same pool in order,
@@ -46,9 +45,15 @@ Trajectories start at thermal stationarity in realization form: the thermal
 spread of the ensemble is carried by the sampled means, N(0, V_inf - V_floor)
 per quadrature, while the conditional covariance starts at the bath floor
 (zero for a classical bath, the zero-point variance for a quantum one).  The
-ensemble marginal is then exactly the stationary law, and conditioning can
-only move uncertainty between the covariance and the mean spread without
-inflating the marginal.
+ensemble marginal then starts exactly at the stationary law.  Conditioning
+should only move uncertainty between the covariance and the mean spread, but
+today it inflates the marginal: ``thermal_step`` gives the bath's kick both
+to the sampled means and to the covariance, and each orthodox update moves
+the covariance's share into the means.  So the variance of the X1 means
+tends to V_inf (2 - exp(-t / tau1)), and the fitted temperature drifts from
+T towards 2 T: T1/T = 1.62 was measured at t = tau1 on 4 000 trajectories.
+The excess is about t / tau1, 1e-4 on the default run.  This is the first
+open item of ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from .budget import eta1 as _eta1, eta2 as _eta2, operating_point
 from .config import CONFIG_KEYS, RunConfig
 from .dynamics import THERMAL_STEP_DRAWS, GaussianQuadState, stationary_variance, thermal_step, zero_point_variance
 from .errors import DegenerateSeriesError, InsufficientDataError, NumericalFailureError, ParameterError
-from .measurement import backaction_sigma, run_schedule, schedule_draws
+from .measurement import backaction_sigma, schedule_draws, schedule_steps
 from .records import RECORD_CSV_HEADER, format_rows
 from .stats import SampleSeries, estimate_t1, gof_boltzmann, heating_slope
 
@@ -92,10 +97,6 @@ ROWS_STEP_BUDGET = 64000
 #: wider than the normals it uses, so a run of at most 384 per stream (a
 #: default run uses 302) sets each stream's generator state once and saves none.
 DRAW_BLOCK = 384
-
-#: Steps per ``run_schedule`` call.  Without rows, at most two segments of
-#: records are alive at once, so memory does not grow with n_meas.
-SEGMENT_STEPS = 16
 
 #: The statistics a summary reports after its config echo, in the order of
 #: its JSON keys and of the ``sweep`` CSV columns; each is a RunSummary field.
@@ -202,12 +203,11 @@ def _run_chunk(config: RunConfig, start: int, stop: int, collect_rows: bool) -> 
 
     post_v22 = np.empty(config.n_meas)
     kept = []
-    for lo in range(0, config.n_meas, SEGMENT_STEPS):
-        hi = min(lo + SEGMENT_STEPS, config.n_meas)
-        records, state = run_schedule(state, meter, policy, params, config.dt_s, hi - lo, draws)
-        post_v22[lo:hi] = [record.post_v22 for record in records]
+    steps = schedule_steps(state, meter, policy, params, config.dt_s, config.n_meas, draws)
+    for step, (record, state) in enumerate(steps):
+        post_v22[step] = record.post_v22
         if collect_rows:
-            kept += records
+            kept.append(record)
     rows = format_rows(start, kept) if collect_rows else None
     return _ChunkResult(x1=state.mean1, post_v22=post_v22, rows=rows)
 

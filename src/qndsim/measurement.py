@@ -29,6 +29,7 @@ from __future__ import annotations
 import enum
 import math
 import sys
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -211,6 +212,37 @@ def measure(
     return outcome, new_state, record
 
 
+def schedule_steps(
+    state: GaussianQuadState,
+    meter: MeterSpec,
+    policy: CollapsePolicy | str,
+    params: OscillatorParams,
+    dt: float,
+    n_meas: int,
+    rng: np.random.Generator,
+) -> Iterator[tuple[MeasurementRecord, GaussianQuadState]]:
+    """Alternate thermal_step(dt) and measure, n_meas times, and yield each
+    measurement's (record, state after it).
+
+    This is the one step loop: ``run_schedule`` collects it, and the
+    ensemble takes one step at a time, so that it holds one step's record
+    when it keeps no rows.  The arguments are checked once, when the first
+    step is asked for.  ``rng`` may be any source with the Generator's
+    ``normal(loc, scale)``.  For a batch state every draw takes the means'
+    shape, so a plain Generator gives each trajectory its own normals; the
+    ensemble passes a source that draws each trajectory's from that
+    trajectory's own stream.
+    """
+    if n_meas < 1:
+        raise ParameterError(f"schedule requires n_meas >= 1, got {n_meas!r}")
+    if not (dt > 0.0):
+        raise ParameterError(f"schedule requires dt > 0, got {dt!r}")
+    for _ in range(n_meas):
+        state = thermal_step(state, dt, params, rng)
+        _, state, record = measure(state, meter, policy, params, rng)
+        yield record, state
+
+
 def run_schedule(
     initial: GaussianQuadState,
     meter: MeterSpec,
@@ -220,28 +252,14 @@ def run_schedule(
     n_meas: int,
     rng: np.random.Generator,
 ) -> tuple[list[MeasurementRecord], GaussianQuadState]:
-    """Alternate thermal_step(dt) and measure, n_meas times.
-
-    ``rng`` may be any source with the Generator's ``normal(loc, scale)``.
-    For a batch state every draw takes the means' shape, so a plain Generator
-    gives each trajectory its own normals; the ensemble passes a source that
-    draws each trajectory's from that trajectory's own stream.
-    """
-    if n_meas < 1:
-        raise ParameterError(f"schedule requires n_meas >= 1, got {n_meas!r}")
-    if not (dt > 0.0):
-        raise ParameterError(f"schedule requires dt > 0, got {dt!r}")
-    records: list[MeasurementRecord] = []
-    state = initial
-    for _ in range(n_meas):
-        state = thermal_step(state, dt, params, rng)
-        _, state, record = measure(state, meter, policy, params, rng)
-        records.append(record)
-    return records, state
+    """Alternate thermal_step(dt) and measure, n_meas times, and return
+    (every step's record, final state), as ``schedule_steps`` yields them."""
+    steps = list(schedule_steps(initial, meter, policy, params, dt, n_meas, rng))
+    return [record for record, _ in steps], steps[-1][1]
 
 
 def schedule_draws(policy: CollapsePolicy | str, n_meas: int) -> int:
-    """Normals ``run_schedule`` draws over n_meas steps: per step those of
+    """Normals ``schedule_steps`` draws over n_meas steps: per step those of
     ``thermal_step``, then the outcome, and under no_conditioning the kicks
     of both means."""
     measure_draws = 1 if CollapsePolicy(policy) is CollapsePolicy.ORTHODOX else 3

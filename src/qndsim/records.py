@@ -7,10 +7,10 @@ every value reads back bit for bit:
     traj_id,step,time_s,outcome_m,mean_x1_m,mean_x2_m,var_x1_m2,var_x2_m2
 
 ``format_rows`` renders one chunk of trajectories at a time from the
-``MeasurementRecord`` list that ``run_schedule`` returns for it; a run writes
-the chunks in trajectory order, whatever their size.  ``read_records``
-streams a file and keeps only what ``analyze`` needs: the final mean_x1 of
-every trajectory and the var_x2 trace of trajectory 0.  Every trajectory of
+``MeasurementRecord`` of each of its steps; a run writes the chunks in
+trajectory order, whatever their size.  ``read_records`` streams a file
+and keeps only what ``analyze`` needs: the final mean_x1 of every
+trajectory and the var_x2 trace of trajectory 0.  Every trajectory of
 a run has the same var_x2 trace, since the covariance recursion needs no
 outcomes, so the reader requires each row's var_x2 to equal trajectory 0's
 at that step; that trace is the one ``simulate`` reports.  The reader
@@ -55,11 +55,11 @@ def format_rows(first_id: int, records) -> list[str]:
     trajectory order.
 
     ``records`` holds the chunk's ``MeasurementRecord`` of each step, as
-    ``run_schedule`` returns them for a batch state: outcome and means are
-    arrays over trajectories first_id, first_id + 1, ...; time and variances
-    are scalars shared by the chunk, so they are rendered once per step, not
-    once per row.  Formatting one trajectory at a time keeps only its own
-    values boxed as Python floats, not the whole chunk's.
+    ``measurement.schedule_steps`` yields them for a batch state: outcome
+    and means are arrays over trajectories first_id, first_id + 1, ...; time
+    and variances are scalars shared by the chunk, so they are rendered once
+    per step, not once per row.  Formatting one trajectory at a time keeps
+    only its own values boxed as Python floats, not the whole chunk's.
     """
     trajectory_format = "".join(
         f"%d,{step},{r.time:.17g},%.17g,%.17g,%.17g,{r.post_v11:.17g},{r.post_v22:.17g}\n"
@@ -118,7 +118,7 @@ def read_records(path: str) -> tuple[np.ndarray, np.ndarray]:
     except OSError as exc:
         raise ConfigError(f"cannot read records {path!r}: {exc}") from None
     if not x1:
-        raise ConfigError(f"{path!r} contains no record rows")
+        raise ConfigError(f"{path}:2: no record rows after the header")
     _require_complete(path, lineno, traj, step, len(trace))
     return np.array(x1), np.array(trace)
 
@@ -299,11 +299,11 @@ def _require_complete(path: str, lineno: int, traj: int, step: int, n_meas: int)
 
 
 def _bad_field(parts: list[bytes]) -> str:
-    """Name the first field of a row that read_records cannot parse."""
+    """Name the first field of a row that read_records cannot parse: it
+    retries the conversions that just raised, so one of them raises again."""
     for index, convert in ((0, int), (1, int), (4, float), (7, float)):
         try:
             convert(parts[index])
         except ValueError:
             kind = "an integer" if convert is int else "a number"
             return f"{_FIELDS[index]} is not {kind}: {parts[index].decode(errors='replace').strip()!r}"
-    return "unparsable row"

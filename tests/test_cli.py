@@ -144,8 +144,11 @@ def test_simulate_missing_config(capsys, tmp_path):
         (b"seed = 3\nseed 4\n", 2, "expected 'key = value'"),
         (b"seed = 3\nn_meas = 2\nseed = 4\n", 3, "duplicate key 'seed'"),
         (b"seed = 3\n# \xff\n", 2, "not UTF-8 text"),
+        (b"n_traj = 40\nn_meas = 0\n", 2, "n_meas must be an integer >= 1, got 0"),
+        (b"bath_model = hot\n", 1, "bath_model must be classical or quantum, got 'hot'"),
     ],
-    ids=["bad_type", "bad_domain", "unknown_key", "malformed_line", "duplicate_key", "not_utf8"],
+    ids=["bad_type", "bad_domain", "unknown_key", "malformed_line", "duplicate_key", "not_utf8", "zero_n_meas",
+         "unknown_bath_model"],
 )
 def test_config_errors_name_the_file_and_line(content, line, words, tmp_path, capsys):
     path = tmp_path / "bad.cfg"
@@ -445,19 +448,26 @@ def test_analyze_rejects_overflowing_v22_trace(tmp_path, capsys):
         ({}, "boltzmann: consistent"),
         # Gaussian, so the fit test passes, but about 15 standard errors too hot
         ({"meter_kind": "position", "sigma_m_m": 1e-20}, "boltzmann: deviation detected"),
+        # enough trajectories for T1, too few for the fit test
+        ({"n_traj": 50}, "boltzmann: undetermined"),
     ],
-    ids=["orthodox", "position_foil"],
+    ids=["orthodox", "position_foil", "too_few_for_the_fit_test"],
 )
 def test_analyze_verdict_weighs_the_temperature(overrides, verdict, tmp_path, capsys):
-    cfg_path, config = write_config(tmp_path, n_traj=4000, n_meas=25, **overrides)
+    cfg_path, config = write_config(tmp_path, **{"n_traj": 4000, "n_meas": 25, **overrides})
     records_path = tmp_path / "records.csv"
     summary = run_ensemble(config, record_path=str(records_path))
     assert main(["analyze", "--records", str(records_path), "--config", str(cfg_path)]) == 0
     out = capsys.readouterr().out.splitlines()
-    pull = (summary.t1_hat_K - config.temperature_K) / summary.t1_stderr_K
     assert out[1].startswith(verdict)
-    assert f"T1 pull={pull:.3g} se" in out[1]
-    assert summary.gof_p_value >= 0.01  # the fit test alone passes both
+    analysis = json.loads(out[0])
+    assert (analysis["t1_hat_K"], analysis["gof_p_value"]) == (summary.t1_hat_K, summary.gof_p_value)
+    if verdict.endswith("undetermined"):
+        assert summary.gof_p_value is None and summary.t1_hat_K is not None
+    else:
+        pull = (summary.t1_hat_K - config.temperature_K) / summary.t1_stderr_K
+        assert f"T1 pull={pull:.3g} se" in out[1]
+        assert summary.gof_p_value >= 0.01  # the fit test alone passes both
 
 
 def test_analyze_missing_records(tmp_path, capsys):
@@ -587,6 +597,7 @@ MALFORMED_RECORDS = {
     "huge_var_in_trajectory_0": (lambda r: r[:1] + [_with_field(r[1], 7, "1e308")] + r[2:], 6, "var_x2_m2"),
     "nan_mean": (lambda r: r[:5] + [_with_field(r[5], 4, "nan")] + r[6:], 7, "mean_x1_m is not finite"),
     "inf_mean": (lambda r: r[:2] + [_with_field(r[2], 4, "-inf")] + r[3:], 4, "mean_x1_m is not finite"),
+    "header_only": (lambda r: [], 2, "no record rows"),
 }
 
 
@@ -601,6 +612,18 @@ def test_analyze_rejects_malformed_records(case, tmp_path, capsys):
     err = capsys.readouterr().err
     assert f"{path}:{line}:" in err
     assert word in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["", "\n", RECORD_CSV_HEADER.replace("var_x2_m2", "var_x2") + "\n", "0,1,0.01,0,0,0,0,0\n"],
+    ids=["empty", "blank_line", "renamed_column", "row_first"],
+)
+def test_analyze_rejects_a_bad_header(text, tmp_path, capsys):
+    path = tmp_path / "records.csv"
+    path.write_text(text)
+    assert main(["analyze", "--records", str(path)]) == 1
+    assert f"{path}:1: not a record CSV (bad header)" in capsys.readouterr().err
 
 
 # The block reader against the per-line loop alone: a 30 x 3 run, read in

@@ -76,11 +76,11 @@ def test_worker_count_does_not_change_bytes(tmp_path):
 
 
 # every draw pattern of the chunk kernel: 3 or 5 draws per step, burn-in,
-# the quantum floor, each meter direction, and a schedule of many segments
-# whose 3 draws per step fill more than six draw blocks per stream
+# the quantum floor, each meter direction, and a long schedule whose 3 draws
+# per step fill more than six draw blocks per stream
 REPLAY_BRANCHES = {
     "orthodox": {},
-    "segments": {"n_meas": 2 * DRAW_BLOCK + 3},
+    "long_schedule": {"n_meas": 2 * DRAW_BLOCK + 3},
     "no_conditioning": {"collapse_policy": "no_conditioning"},
     "burn_in": {"burn_in_s": 5.0},
     "quantum_floor": {"bath_model": "quantum"},
@@ -131,11 +131,11 @@ def test_trajectory_replays_through_public_schedule(branch, tmp_path):
         assert summary.v22_trace.tobytes() == np.array([r.post_v22 for r in scheduled]).tobytes()
 
 
-@pytest.mark.parametrize("branch", ["segments", "no_conditioning", "burn_in"])
+@pytest.mark.parametrize("branch", ["long_schedule", "no_conditioning", "burn_in"])
 def test_trajectory_replays_without_rows(branch, monkeypatch):
     # the path without rows steps wider chunks from one re-keyed bit
     # generator; chunks of 2 make the second start at trajectory 2, and the
-    # segments branch draws more than six blocks per stream
+    # long schedule draws more than six blocks per stream
     monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 2)
     config = small_config(**{"n_traj": 3, "n_meas": 5, **REPLAY_BRANCHES[branch]})
     summary = run_ensemble(config)
@@ -207,8 +207,8 @@ def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
         finally:
             tracemalloc.stop()
 
-    # at most two segments of records are alive at once, and the v22 trace
-    # adds 8 bytes a step; keeping every step's record would add about 0.6 MB here
+    # one step's record is alive at a time, and the v22 trace adds 8 bytes a
+    # step; keeping every step's record would add about 0.6 MB here
     assert peak_bytes(8 * DRAW_BLOCK) - peak_bytes(2 * DRAW_BLOCK) < 50_000
 
 
@@ -304,20 +304,29 @@ def test_record_file_outlives_a_caller_that_stops_at_the_summary(tmp_path):
     assert len(path.read_text().splitlines()) == 1 + 5 * 3
 
 
-def test_failed_run_leaves_no_record_file(tmp_path):
+def test_failed_run_leaves_no_record_file(tmp_path, monkeypatch):
     # each way a run fails after its record file is open: a non-finite
     # covariance, a non-finite outcome, and statistics that fail after every
-    # chunk was written (sigma_ba**2 underflows to 0)
+    # chunk was written (sigma_ba**2 underflows to 0); in-process, and in a
+    # pool of two (whatever the machine has) that still holds queued chunks,
+    # one trajectory wide, when the first one fails
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("qndsim.ensemble.ROWS_CHUNK_SIZE", 1)
     failed_runs = [
-        (dict(n_traj=2, n_meas=1, sigma_m_m=1e-300), NumericalFailureError),
-        (dict(n_traj=2, n_meas=1, sigma_m_m=1e160, collapse_policy="no_conditioning"), NumericalFailureError),
+        (dict(n_traj=8, n_meas=1, sigma_m_m=1e-300), NumericalFailureError),
+        (dict(n_traj=8, n_meas=1, sigma_m_m=1e160, collapse_policy="no_conditioning"), NumericalFailureError),
         (dict(n_traj=20, n_meas=5, sigma_m_m=1e130), ParameterError),
     ]
     path = tmp_path / "records.csv"
-    for overrides, error in failed_runs:
-        with pytest.raises(error):
-            run_ensemble(small_config(**overrides), record_path=str(path))
-        assert not path.exists()
+    messages = {}
+    for workers in (1, 2):
+        for overrides, error in failed_runs:
+            with pytest.raises(error) as failure:
+                run_ensemble(small_config(**overrides), workers=workers, record_path=str(path))
+            assert not path.exists()
+            messages.setdefault(workers, []).append(str(failure.value))
+    assert messages[2] == messages[1]
 
 
 def test_workers_must_be_positive():

@@ -7,7 +7,7 @@ to them is a change of output bytes and must be named in CHANGES.md.  300
 trajectories give three chunks of rows, the last one partial, so chunk
 boundaries and the pool are both exercised.  A run without rows steps wider
 chunks and must write the same summary, and the bytes must not depend on
-the chunk sizes, the draw block or the schedule segments either.
+the chunk sizes or the draw block either.
 """
 
 import hashlib
@@ -89,22 +89,20 @@ def test_summary_without_rows_matches_golden_digest(variant, workers, width, mon
     assert summary_digest(summary) == GOLDEN[variant][1]
 
 
-# (chunk size with and without rows, DRAW_BLOCK, SEGMENT_STEPS): the old
-# chunk size and draw block, a chunk size and segment that divide nothing,
-# a single chunk drawing few normals at a time in one segment, and one
-# trajectory per chunk drawing one normal per fill and stepping once per segment
+# (chunk size with and without rows, DRAW_BLOCK): the old chunk size and
+# draw block, a chunk size that divides nothing, a single chunk drawing few
+# normals at a time, and one trajectory per chunk drawing one normal per fill
 EXECUTION_CHOICES = [
-    pytest.param(chunk_size, draw_block, segment_steps, id=f"{chunk_size}-{draw_block}")
-    for chunk_size, draw_block, segment_steps in [(128, 128, 16), (7, 128, 5), (300, 5, 12), (1, 1, 1)]
+    pytest.param(chunk_size, draw_block, id=f"{chunk_size}-{draw_block}")
+    for chunk_size, draw_block in [(128, 128), (7, 128), (300, 5), (1, 1)]
 ]
 
 
-@pytest.mark.parametrize("chunk_size, draw_block, segment_steps", EXECUTION_CHOICES)
+@pytest.mark.parametrize("chunk_size, draw_block", EXECUTION_CHOICES)
 @pytest.mark.parametrize("variant", list(GOLDEN))
-def test_outputs_do_not_depend_on_chunk_size(variant, chunk_size, draw_block, segment_steps, tmp_path, monkeypatch):
+def test_outputs_do_not_depend_on_chunk_size(variant, chunk_size, draw_block, tmp_path, monkeypatch):
     monkeypatch.setattr(ensemble, "CHUNK_SIZE", chunk_size)
     monkeypatch.setattr(ensemble, "ROWS_CHUNK_SIZE", chunk_size)
     monkeypatch.setattr(ensemble, "DRAW_BLOCK", draw_block)
-    monkeypatch.setattr(ensemble, "SEGMENT_STEPS", segment_steps)
     assert run_digests(variant, 1, tmp_path) == GOLDEN[variant][1:]
     assert summary_digest(run_ensemble(golden_config(variant))) == GOLDEN[variant][1]

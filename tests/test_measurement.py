@@ -21,7 +21,7 @@ from qndsim import (
     run_schedule,
     thermal_step,
 )
-from qndsim.measurement import METER_KINDS
+from qndsim.measurement import METER_KINDS, schedule_steps
 
 M = 1e-3
 W1 = 1e4
@@ -316,6 +316,24 @@ def test_schedule_base_case_matches_manual_composition(params):
     assert records[0] == manual_record
 
 
+def test_schedule_steps_yield_each_step_of_the_schedule(params):
+    # one (record, state after it) per measurement, as composed by hand
+    meter = MeterSpec("qnd_x1", 1e-18)
+    state = GaussianQuadState(np.array([1e-15, -2e-15]), np.zeros(2), VINF, VINF, 0.0)
+    key = np.array([5, 6], dtype=np.uint64)
+    rng = np.random.Generator(np.random.Philox(key=key))
+    steps = list(schedule_steps(state, meter, "no_conditioning", params, 1e-2, 4, rng))
+    assert len(steps) == 4
+    rng = np.random.Generator(np.random.Philox(key=key))
+    manual = state
+    for record, stepped in steps:
+        manual = thermal_step(manual, 1e-2, params, rng)
+        _, manual, manual_record = measure(manual, meter, "no_conditioning", params, rng)
+        assert record.outcome.tobytes() == manual_record.outcome.tobytes()
+        for name in ("mean1", "mean2", "v11", "v22", "v12", "time"):
+            assert np.array_equal(getattr(stepped, name), getattr(manual, name))
+
+
 def test_schedule_kalman_contraction_law(rng):
     params = negligible_bath()
     meter = MeterSpec("qnd_x1", 1e-18)
@@ -356,3 +374,7 @@ def test_schedule_argument_validation(params, rng):
         run_schedule(state, meter, "orthodox", params, 1e-2, 0, rng)
     with pytest.raises(ParameterError):
         run_schedule(state, meter, "orthodox", params, 0.0, 5, rng)
+    # the step generator checks them when its first step is asked for
+    steps = schedule_steps(state, meter, "orthodox", params, 1e-2, 0, rng)
+    with pytest.raises(ParameterError):
+        next(steps)

@@ -224,6 +224,16 @@ def test_calibration_table_disk_hit(cold_tables, monkeypatch):
     assert list(stats._null_tables) == [(n, n_mc)]
 
 
+def test_relative_xdg_cache_home_falls_back_to_home(cold_tables, monkeypatch):
+    # the XDG spec ignores a relative XDG_CACHE_HOME; so does the table cache
+    monkeypatch.setenv("XDG_CACHE_HOME", "relative/cache")
+    monkeypatch.setenv("HOME", str(cold_tables))
+    path = stats._table_path(300, 1000)
+    assert path == str(cold_tables / ".cache" / "qndsim" / f"ks-300-1000-numpy{np.__version__}.npy")
+    stats._calibration_table(300, 1000)
+    assert os.path.isfile(path)
+
+
 def _truncated(handle, good):
     np.save(handle, good)
     handle.truncate(128 + 8 * 500)
@@ -298,6 +308,14 @@ def test_heating_slope_constant_sequence():
 def test_heating_slope_needs_five_points():
     with pytest.raises(InsufficientDataError):
         heating_slope(np.ones(4), 1e-18)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_heating_slope_rejects_a_trace_that_is_not_finite(bad):
+    trace = np.full(10, 4.2e-30)
+    trace[6] = bad
+    with pytest.raises(ParameterError, match="must be finite"):
+        heating_slope(trace, 1e-18)
 
 
 def test_heating_slope_simulated_schedule(rng):
