@@ -22,10 +22,7 @@ _EXPORTS = {
     "config": ("RunConfig", "default_config", "format_config", "load_config", "parse_config"),
     "constants": ("HBAR", "KB"),
     "dynamics": (
-        "EnergyReport",
         "GaussianQuadState",
-        "energy_of",
-        "free_evolve",
         "stationary_variance",
         "thermal_step",
         "zero_point_variance",
@@ -54,11 +51,8 @@ _EXPORTS = {
         "QndVerdict",
         "commutator_symplectic",
         "heisenberg_evolve",
-        "is_interaction_qnd",
         "is_qnd_sequence",
-        "phase_point_of",
         "quadrature_observable",
-        "quadratures_of",
         "resolve_observable",
     ),
     "stats": (

@@ -15,14 +15,16 @@ v <- d^2 v + V_inf (1 - d^2).  Starting a trajectory at E = 0, the mean
 energy therefore grows as kB T (1 - exp(-t/tau1)) ~ kB T t / tau1, which is
 the Brownian-drift noise figure eta1 per interval when divided by hbar w1.
 
-``free_evolve`` is trivial by construction: the amplitudes are constants of
-the free motion, so only the clock advances.
+The step has two halves.  ``thermal_relax`` is the covariance half: it needs
+no draw, so ``measurement.plan_schedule`` runs it once per schedule.
+``thermal_kick`` is the means half, for floats or for arrays over a batch of
+trajectories that share one covariance.  ``thermal_step`` composes the two.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -47,15 +49,6 @@ class GaussianQuadState:
     time: float = 0.0
 
 
-@dataclass(frozen=True)
-class EnergyReport:
-    """Energy split between the two amplitudes, in joules."""
-
-    e1: float
-    e2: float
-    total: float
-
-
 def stationary_variance(params: OscillatorParams) -> float:
     """Equilibrium variance of each amplitude under the configured bath."""
     if params.bath_model == "classical":
@@ -74,51 +67,41 @@ def zero_point_variance(params: OscillatorParams) -> float:
 THERMAL_STEP_DRAWS = 2
 
 
+def thermal_relax(
+    state: GaussianQuadState, dt: float, params: OscillatorParams
+) -> tuple[float, float, GaussianQuadState]:
+    """Covariance half of ``thermal_step``: (decay d, kick sd, the state with
+    its covariance relaxed and its clock advanced by dt > 0, means as given).
+
+    The covariances are deterministic, v <- d^2 v + V_inf (1 - d^2): a convex
+    mix with V_inf * I, which preserves positive semidefiniteness for any dt.
+    """
+    if not (dt > 0.0):
+        raise ParameterError(f"thermal step requires dt > 0, got {dt!r}")
+    d = math.exp(-dt / (2.0 * params.tau1))
+    d2 = d * d
+    kick = stationary_variance(params) * (1.0 - d2)
+    v11, v22, v12 = d2 * state.v11 + kick, d2 * state.v22 + kick, d2 * state.v12
+    return d, math.sqrt(kick), GaussianQuadState(state.mean1, state.mean2, v11, v22, v12, state.time + dt)
+
+
+def thermal_kick(mean1, mean2, d: float, sd: float, rng):
+    """Means half of ``thermal_step``: (mean1, mean2) decayed by d, each with a
+    Gaussian kick of sd, mean1 first.  Each draw is centred on the decayed
+    mean, so means that are arrays over a batch get one normal per trajectory
+    from a plain Generator as from the ensemble's draw source."""
+    return rng.normal(d * mean1, sd), rng.normal(d * mean2, sd)
+
+
 def thermal_step(
     state: GaussianQuadState,
     dt: float,
     params: OscillatorParams,
     rng: np.random.Generator,
 ) -> GaussianQuadState:
-    """Exact Ornstein-Uhlenbeck update over dt > 0.
-
-    Means are sampled (mean1 first, then mean2, two rng draws); covariances
-    are deterministic, so the map is a convex mix with V_inf * I and
-    preserves positive semidefiniteness for any dt.  Each draw is centred on
-    the decayed mean, so a batch state (array means) gets one normal per
-    trajectory from a plain Generator as from the ensemble's draw source.
-    """
-    if not (dt > 0.0):
-        raise ParameterError(f"thermal step requires dt > 0, got {dt!r}")
-    d = math.exp(-dt / (2.0 * params.tau1))
-    d2 = d * d
-    vinf = stationary_variance(params)
-    kick = vinf * (1.0 - d2)
-    sd = math.sqrt(kick)
-    return GaussianQuadState(
-        mean1=rng.normal(d * state.mean1, sd),
-        mean2=rng.normal(d * state.mean2, sd),
-        v11=d2 * state.v11 + kick,
-        v22=d2 * state.v22 + kick,
-        v12=d2 * state.v12,
-        time=state.time + dt,
-    )
-
-
-def free_evolve(state: GaussianQuadState, dt: float) -> GaussianQuadState:
-    """Advance the clock by dt >= 0; amplitudes are constants of the motion."""
-    if not (dt >= 0.0):
-        raise ParameterError(f"free evolution requires dt >= 0, got {dt!r}")
-    return replace(state, time=state.time + dt)
-
-
-def energy_of(state: GaussianQuadState, params: OscillatorParams) -> EnergyReport:
-    """Energy (1/2) m w1^2 (mean^2 + v) per amplitude.
-
-    For sampled classical points (v = 0) this is the plain point energy
-    (1/2) m w1^2 X^2 used in ensemble statistics.
-    """
-    half_mw2 = 0.5 * params.mass * params.omega1**2
-    e1 = half_mw2 * (state.mean1 * state.mean1 + state.v11)
-    e2 = half_mw2 * (state.mean2 * state.mean2 + state.v22)
-    return EnergyReport(e1=e1, e2=e2, total=e1 + e2)
+    """Exact Ornstein-Uhlenbeck update over dt > 0: ``thermal_relax`` for the
+    covariance and clock, then ``thermal_kick`` for the sampled means (two
+    rng draws)."""
+    d, sd, relaxed = thermal_relax(state, dt, params)
+    relaxed.mean1, relaxed.mean2 = thermal_kick(state.mean1, state.mean2, d, sd, rng)
+    return relaxed

@@ -9,37 +9,34 @@ into chunks, ``CHUNK_SIZE`` wide without record rows and at most
 record CSV rows are concatenated in trajectory-index order whatever the
 worker count or chunk size.  Identical config implies byte-identical outputs.
 
-A chunk is stepped as one batch through ``measurement.schedule_steps``, the
-one loop that alternates ``thermal_step`` and ``measure``.  Covariance, gain
-and clock do not depend on the outcomes, so they stay scalars shared by the
-chunk, while the sampled means become arrays over its trajectories; the
-scalar step functions then advance the whole chunk with elementwise
-arithmetic.  Their random draws come from ``_ChunkDraws``, which stands in
-for the Generator: its k-th ``normal(loc, scale)`` returns
-``loc + scale * z_k``, where ``z_k`` holds the k-th standard normal of every
-trajectory's own stream.  That is the same arithmetic a Generator does for a
-scalar draw, so each trajectory gets the values it would get if stepped alone
-through ``run_schedule``, bit for bit.  The normals are drawn in blocks of
-at most ``DRAW_BLOCK`` per stream, and no more than the chunk uses
-(``measurement.schedule_draws`` plus the start and the burn-in), by one
-Philox that is given each stream's state in turn (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11: a counter-based stream is its
-key and counter).  The chunk takes the schedule one measurement at a time.
-Each step's record carries the chunk's outcomes, means and variances: its
-v22 goes into the chunk's trace, and the record is kept for the record CSV
-rows only when those are asked for, so that without them a chunk holds one
-step's record and its memory grows with n_meas only by the trace.
+The covariance, gains, read directions and clock need no outcome (the
+Riccati recursion of Kalman 1960 is data-free), so every trajectory of a run
+shares them.  The parent makes each config's ``measurement.SchedulePlan``
+once, with ``plan_schedule``, when the config's chunks are queued, so a
+covariance that fails raises before any of its chunks runs.  The plan goes
+with each of the config's chunk jobs and is dropped after its summary, which
+reports the plan's v22 trace; ``analyze`` reads the same trace from the
+record CSV, so both report the same slope.
+
+A chunk steps only means: the plan's ``means``, the one step loop, applies
+the plan to arrays over the chunk's trajectories.  Its random draws come
+from ``_ChunkDraws``, which stands in for the Generator: its k-th
+``normal(loc, scale)`` returns ``loc + scale * z_k``, where ``z_k`` holds the
+k-th standard normal of every trajectory's own stream.  That is the same
+arithmetic a Generator does for a scalar draw, so each trajectory gets the
+values it would get if stepped alone through ``run_schedule``, bit for bit.
+The normals are drawn in blocks of at most ``DRAW_BLOCK`` per stream, and no
+more than the chunk uses (``measurement.schedule_draws`` plus the start and
+the burn-in), by one Philox that is given each stream's state in turn
+(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11: a
+counter-based stream is its key and counter).  The chunk keeps each step's
+outcomes and means only when record rows are asked for, so that without
+them its memory does not grow with n_meas.
 
 ``run_ensembles`` runs a list of configs, as ``sweep`` does, through one
 process pool at most: every config's chunks go to the same pool in order,
 and each config's summary is yielded as soon as its last chunk is in.
 ``run_ensemble`` is the one-config case.
-
-The v22 trace needs no outcomes (the Riccati recursion of Kalman 1960 is
-data-free), so every trajectory of a run has the same one, and it is its own
-ensemble mean.  Each chunk returns it once, the parent requires every chunk's
-to be byte-equal to the first and reports that trace as is; ``analyze`` reads
-the same trace from the record CSV, so both report the same slope.
 
 Trajectories start at thermal stationarity in realization form: the thermal
 spread of the ensemble is carried by the sampled means, N(0, V_inf - V_floor)
@@ -64,18 +61,18 @@ import stat
 import time as _time
 from collections import deque
 from collections.abc import Iterator, Sequence
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from itertools import starmap
+from itertools import islice, starmap
 
 import numpy as np
 
 from .budget import eta1 as _eta1, eta2 as _eta2, operating_point
 from .config import CONFIG_KEYS, RunConfig
-from .dynamics import THERMAL_STEP_DRAWS, GaussianQuadState, stationary_variance, thermal_step, zero_point_variance
-from .errors import DegenerateSeriesError, InsufficientDataError, NumericalFailureError, ParameterError
-from .measurement import backaction_sigma, schedule_draws, schedule_steps
+from .dynamics import THERMAL_STEP_DRAWS, GaussianQuadState, stationary_variance, zero_point_variance
+from .errors import DegenerateSeriesError, InsufficientDataError, ParameterError
+from .measurement import SchedulePlan, backaction_sigma, plan_schedule, schedule_draws
 from .records import RECORD_CSV_HEADER, format_rows
 from .stats import SampleSeries, estimate_t1, gof_boltzmann, heating_slope
 
@@ -173,43 +170,37 @@ class _ChunkDraws:
 @dataclass
 class _ChunkResult:
     x1: np.ndarray
-    post_v22: np.ndarray
     rows: list[str] | None
 
 
-def _run_chunk(config: RunConfig, start: int, stop: int, collect_rows: bool) -> _ChunkResult:
-    """Simulate trajectories [start, stop) as one batch; called in-process or
-    in a worker."""
+def _start(config: RunConfig) -> tuple[float, float]:
+    """(sd of each sampled mean, covariance floor) of a trajectory at the
+    start, in realization form (see the module docstring)."""
     params = config.oscillator()
-    meter = config.meter()
-    policy = config.policy()
-    vinf = stationary_variance(params)
     floor = 0.0 if config.bath_model == "classical" else zero_point_variance(params)
-    mean_sd = float(np.sqrt(max(vinf - floor, 0.0)))
+    return float(np.sqrt(max(stationary_variance(params) - floor, 0.0))), floor
 
+
+def _plan(config: RunConfig) -> SchedulePlan:
+    """The config's covariance plan: from the floor, through the burn-in,
+    then the schedule."""
+    _, floor = _start(config)
+    start = GaussianQuadState(mean1=0.0, mean2=0.0, v11=floor, v22=floor)
+    params, meter, policy = config.oscillator(), config.meter(), config.policy()
+    return plan_schedule(start, meter, policy, params, config.dt_s, config.n_meas, config.burn_in_s)
+
+
+def _run_chunk(config: RunConfig, plan: SchedulePlan, start: int, stop: int, collect_rows: bool) -> _ChunkResult:
+    """Step the means of trajectories [start, stop) through the config's plan
+    as one batch; called in-process or in a worker."""
     # the two start means, the burn-in's step, then the schedule
-    n_draws = 2 + THERMAL_STEP_DRAWS * (config.burn_in_s > 0.0) + schedule_draws(policy, config.n_meas)
+    n_draws = 2 + THERMAL_STEP_DRAWS * (config.burn_in_s > 0.0) + schedule_draws(config.policy(), config.n_meas)
     draws = _ChunkDraws(config.seed, start, stop, n_draws)
-    state = GaussianQuadState(
-        mean1=draws.normal(0.0, mean_sd),
-        mean2=draws.normal(0.0, mean_sd),
-        v11=floor,
-        v22=floor,
-        v12=0.0,
-        time=0.0,
-    )
-    if config.burn_in_s > 0.0:
-        state = thermal_step(state, config.burn_in_s, params, draws)
-
-    post_v22 = np.empty(config.n_meas)
-    kept = []
-    steps = schedule_steps(state, meter, policy, params, config.dt_s, config.n_meas, draws)
-    for step, (record, state) in enumerate(steps):
-        post_v22[step] = record.post_v22
-        if collect_rows:
-            kept.append(record)
-    rows = format_rows(start, kept) if collect_rows else None
-    return _ChunkResult(x1=state.mean1, post_v22=post_v22, rows=rows)
+    mean_sd, _ = _start(config)
+    steps = plan.means(draws.normal(0.0, mean_sd), draws.normal(0.0, mean_sd), draws)
+    kept = list(steps) if collect_rows else deque(steps, maxlen=1)
+    rows = format_rows(start, plan, kept) if collect_rows else None
+    return _ChunkResult(x1=kept[-1][1], rows=rows)
 
 
 def _pool_size(workers: int, n_chunks: int) -> int:
@@ -275,15 +266,27 @@ def ensemble_stats(x1_values, v22_trace, config: RunConfig):
     return t1_hat, t1_stderr, gof_p, slope
 
 
+def _then_failure(jobs) -> Iterator:
+    """The jobs, then, if making one failed (its config's plan raised), a
+    future that raises that error."""
+    try:
+        yield from jobs
+    except (ValueError, ArithmeticError) as error:
+        failed = Future()
+        failed.set_exception(error)
+        yield failed
+
+
 def _in_order(pool: ProcessPoolExecutor, jobs, ahead: int) -> Iterator[_ChunkResult]:
     """``_run_chunk`` over ``jobs`` in ``pool``, yielded in job order, with at
-    most ``ahead`` chunks submitted and not yet yielded."""
+    most ``ahead`` chunks submitted and not yet yielded.  A job that cannot be
+    made raises in its place, after the chunks before it, as in process."""
     pending: deque = deque()
     try:
-        for job in jobs:
+        for job in _then_failure(jobs):
             if len(pending) == ahead:
                 yield pending.popleft().result()
-            pending.append(pool.submit(_run_chunk, *job))
+            pending.append(job if isinstance(job, Future) else pool.submit(_run_chunk, *job))
         while pending:
             yield pending.popleft().result()
     finally:
@@ -301,9 +304,11 @@ def run_ensembles(
     ``CHUNK_SIZE``; with ``record_path``, which takes one config, in chunks
     of ``ROWS_CHUNK_SIZE``, or fewer when n_meas is large, so that a chunk
     holds at most ``ROWS_STEP_BUDGET`` rows; the rows are written chunk by
-    chunk as they arrive.  Every config's chunks go through one pool, started
-    only when more than one process would run, which keeps at most two chunks per
-    process in flight; so memory holds one config's series and those chunks.
+    chunk as they arrive.  A config's plan is made when its first chunk is
+    queued and dropped after its summary.  Every config's chunks go through
+    one pool, started only when more than one process would run, which keeps
+    at most two chunks per process in flight; so memory holds one config's
+    series, those chunks and their configs' plans.
     A run that fails anywhere, statistics included, removes the record file
     if it is a regular file: a streamed file cut short would otherwise be
     well-formed.  ``wall_time_s`` is the time since the call or the previous
@@ -317,40 +322,35 @@ def run_ensembles(
     collect_rows = record_path is not None
     size = min(ROWS_CHUNK_SIZE, max(1, ROWS_STEP_BUDGET // configs[0].n_meas)) if collect_rows else CHUNK_SIZE
     starts = [range(0, config.n_traj, size) for config in configs]
-    jobs = [
-        (config, lo, min(lo + size, config.n_traj), collect_rows)
-        for config, point_starts in zip(configs, starts)
-        for lo in point_starts
-    ]
+    plans: deque = deque()  # of the configs whose chunks are queued, until their summaries
+
+    def jobs():
+        for config, point_starts in zip(configs, starts):
+            plans.append(plan := _plan(config))
+            for lo in point_starts:
+                yield config, plan, lo, min(lo + size, config.n_traj), collect_rows
+
     handle = None
     try:
         with ExitStack() as stack:
             if collect_rows:
                 handle = stack.enter_context(open(record_path, "w", encoding="utf-8"))
                 handle.write(RECORD_CSV_HEADER + "\n")
-            n_procs = _pool_size(workers, len(jobs))
+            n_procs = _pool_size(workers, sum(map(len, starts)))
             if n_procs > 1:
                 pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_procs))
-                parts = _in_order(pool, jobs, 2 * n_procs)
+                parts = _in_order(pool, jobs(), 2 * n_procs)
                 stack.callback(parts.close)  # cancel what is queued before the pool waits for it
             else:
-                parts = starmap(_run_chunk, jobs)
-            for point, (config, point_starts) in enumerate(zip(configs, starts)):
-                where = f"grid point {point}: " if len(configs) > 1 else ""
+                parts = starmap(_run_chunk, jobs())
+            for config, point_starts in zip(configs, starts):
                 x1_parts: list[np.ndarray] = []
-                v22_trace = None
                 # parts yields in job order, so each point's chunks arrive in trajectory order
-                for start, part in zip(point_starts, parts):
-                    if v22_trace is None:
-                        v22_trace = part.post_v22
-                    elif part.post_v22.tobytes() != v22_trace.tobytes():
-                        raise NumericalFailureError(
-                            f"{where}the chunk from trajectory {start} returned a v22 trace"
-                            " that differs from chunk 0's"
-                        )
+                for part in islice(parts, len(point_starts)):
                     x1_parts.append(part.x1)
                     if handle is not None:
                         handle.writelines(part.rows)
+                v22_trace = plans.popleft().steps["post_v22"].copy()
                 x1s = np.concatenate(x1_parts)
                 t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1s, v22_trace, config)
                 budget_point = operating_point(config)

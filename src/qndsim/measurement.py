@@ -22,6 +22,15 @@ state never conditions on them, and the meter disturbance lands unsteered, as
 an isotropic Gaussian kick of scale sigma_ba on both sampled means (on top of
 the u_perp covariance term).  This is an anomaly injector, not a model of any
 particular alternative theory.
+
+Covariance, gains, read direction and the outcome's spread depend on no
+outcome: the recursion is data-free (Kalman 1960).  So a step has two halves.
+``plan_schedule`` runs the covariance half of a whole schedule once, with
+every check, and stores it as a ``SchedulePlan``; the plan's ``means`` is the
+one step loop, and it applies the plan to means that are floats or arrays
+over a batch of trajectories.  ``measure`` and ``run_schedule`` are built
+from the same halves, and the ensemble makes one plan per config, so its
+chunks step only means.
 """
 
 from __future__ import annotations
@@ -35,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .dynamics import THERMAL_STEP_DRAWS, GaussianQuadState, thermal_step
+from .dynamics import THERMAL_STEP_DRAWS, GaussianQuadState, thermal_kick, thermal_relax
 from .errors import NumericalFailureError, ParameterError, StateDomainError, require_positive
 from .observables import OscillatorParams
 
@@ -67,10 +76,12 @@ class MeterSpec:
 
 @dataclass(slots=True)
 class MeasurementRecord:
-    """One measurement: time, outcome, v11 before and after, and the
-    post-measurement v22 and means, which with post_v11 make a record CSV
-    row.  For a batch state the outcome and means are arrays over its
-    trajectories."""
+    """One measurement, as ``measure`` and ``run_schedule`` return it: time,
+    outcome, v11 before and after, and the post-measurement v22 and means.
+    For a batch state the outcome and means are arrays over its
+    trajectories.  An ensemble chunk keeps no records: its record CSV rows
+    take time and variances from the config's plan, and outcomes and means
+    from the chunk."""
 
     time: float
     outcome: float
@@ -122,42 +133,33 @@ def _require_psd(v11: float, v22: float, v12: float, state: GaussianQuadState) -
         )
 
 
-def measure(
-    state: GaussianQuadState,
-    meter: MeterSpec,
-    policy: CollapsePolicy | str,
-    params: OscillatorParams,
-    rng: np.random.Generator,
-) -> tuple[float, GaussianQuadState, MeasurementRecord]:
-    """Draw one outcome and return (outcome, updated state, record).
+def _conditioned(
+    state: GaussianQuadState, meter: MeterSpec, policy: CollapsePolicy, params: OscillatorParams
+) -> tuple[tuple[float, float, float, float, float], GaussianQuadState]:
+    """Covariance half of ``measure``: the read (u1, u2, outcome sd, k1, k2)
+    and the state with the posterior covariance, its means and clock as given.
 
-    The clock does not advance: measurements are instantaneous events between
-    thermal steps.  For a batch state (array means) the outcome is an array
-    too: each draw (the outcome, and under no_conditioning the kicks of both
-    means) is centred on the array, so any generator gives one normal per
-    trajectory.  Covariance and record bookkeeping stay scalars.  The covariance
-    arithmetic runs on the covariance and sigma_m^2 scaled by 4**j (see
-    ``_scale_exponent``), and the results are scaled back; the gain and the
-    outcome's spread are ratios and square roots, from which the scale
-    divides out exactly.  Where the scaled sigma_m^2, or its product with
-    v11 or v22, still falls below the normal range, an orthodox update raises
-    NumericalFailureError rather than return a variance that lost its digits.
+    It needs no outcome.  The arithmetic runs on the covariance and sigma_m^2
+    scaled by 4**j (see ``_scale_exponent``), and the results are scaled
+    back; the gains and the outcome's spread are ratios and square roots, from
+    which the scale divides out exactly.  Where the scaled sigma_m^2, or its
+    product with v11 or v22, still falls below the normal range, an orthodox
+    update raises NumericalFailureError rather than return a variance that
+    lost its digits.  Under no_conditioning the gains are 0 and unused.
     """
-    policy = CollapsePolicy(policy)
     j = _scale_exponent(state, meter.sigma_m)
     half, scale = 2.0**j, 4.0**j
     v11, v22, v12 = state.v11 * scale, state.v22 * scale, state.v12 * scale
     _require_psd(v11, v22, v12, state)
 
     u1, u2 = measurement_direction(meter.kind, state.time, params)
-    mu = u1 * state.mean1 + u2 * state.mean2
     vu1 = v11 * u1 + v12 * u2
     vu2 = v12 * u1 + v22 * u2
     var_pred = u1 * vu1 + u2 * vu2
     sm = meter.sigma_m * half
     s2 = sm * sm
     sigma_y2 = var_pred + s2
-    outcome = rng.normal(mu, math.sqrt(sigma_y2) / half)
+    outcome_sd = math.sqrt(sigma_y2) / half
 
     sba = backaction_sigma(meter, params)
     sba2 = sba * sba
@@ -166,6 +168,7 @@ def measure(
 
     # conjugate direction receives the covariance back-action term
     p1, p2 = -u2, u1
+    k1 = k2 = 0.0
     if policy is CollapsePolicy.ORTHODOX:
         # s2 * v11 and s2 * v22 enter the posterior variances: below the
         # normal range they lose digits or vanish, even below the floor
@@ -176,9 +179,6 @@ def measure(
             )
         k1 = vu1 / sigma_y2
         k2 = vu2 / sigma_y2
-        innov = outcome - mu
-        mean1 = state.mean1 + k1 * innov
-        mean2 = state.mean2 + k2 * innov
         # cancellation-free form of V - (Vu)(Vu)^T / sigma_y2: the posterior is
         # (sigma_m^2 V + det(V) u_perp u_perp^T) / sigma_y2, manifestly PSD
         det = v11 * v22 - v12 * v12
@@ -186,30 +186,134 @@ def measure(
         v22 = (s2 * v22 + det * u1 * u1) / sigma_y2 / scale + sba2 * p2 * p2
         v12 = (s2 * v12 - det * u1 * u2) / sigma_y2 / scale + sba2 * p1 * p2
     else:
-        # no collapse: unsteered meter disturbance kicks the sampled means
-        mean1 = rng.normal(state.mean1, sba)
-        mean2 = rng.normal(state.mean2, sba)
         v11 = state.v11 + sba2 * p1 * p1
         v22 = state.v22 + sba2 * p2 * p2
         v12 = state.v12 + sba2 * p1 * p2
-
-    # outcome and means are floats, or arrays when an ensemble chunk is
-    # stepped as a batch; np.isfinite takes both
-    sampled_finite = np.isfinite(outcome).all() and np.isfinite(mean1).all() and np.isfinite(mean2).all()
-    if not (sampled_finite and math.isfinite(v11) and math.isfinite(v22) and math.isfinite(v12)):
+    if not (math.isfinite(v11) and math.isfinite(v22) and math.isfinite(v12)):
         raise NumericalFailureError("measurement produced a non-finite outcome or state")
+    posterior = GaussianQuadState(mean1=state.mean1, mean2=state.mean2, v11=v11, v22=v22, v12=v12, time=state.time)
+    return (u1, u2, outcome_sd, k1, k2), posterior
 
-    new_state = GaussianQuadState(mean1=mean1, mean2=mean2, v11=v11, v22=v22, v12=v12, time=state.time)
-    record = MeasurementRecord(
-        time=state.time,
-        outcome=outcome,
-        pre_v11=state.v11,
-        post_v11=v11,
-        post_v22=v22,
-        post_mean1=mean1,
-        post_mean2=mean2,
-    )
-    return outcome, new_state, record
+
+def _read_means(mean1, mean2, read, sigma_ba: float, orthodox: bool, rng):
+    """Means half of ``measure``: (outcome, mean1, mean2) after one read.
+
+    ``read`` is the (u1, u2, outcome sd, k1, k2) of ``_conditioned``.  The
+    outcome is drawn from N(u . mean, outcome sd^2).  An orthodox update then
+    moves each mean by its gain times the innovation; under no_conditioning
+    each mean takes an unsteered kick of sigma_ba instead.  The means may be
+    floats or arrays over a batch: each draw is centred on them, so any
+    generator gives one normal per trajectory.
+    """
+    u1, u2, outcome_sd, k1, k2 = read
+    mu = u1 * mean1 + u2 * mean2
+    outcome = rng.normal(mu, outcome_sd)
+    if orthodox:
+        innov = outcome - mu
+        mean1 = mean1 + k1 * innov
+        mean2 = mean2 + k2 * innov
+    else:
+        mean1 = rng.normal(mean1, sigma_ba)
+        mean2 = rng.normal(mean2, sigma_ba)
+    if not (np.isfinite(outcome).all() and np.isfinite(mean1).all() and np.isfinite(mean2).all()):
+        raise NumericalFailureError("measurement produced a non-finite outcome or state")
+    return outcome, mean1, mean2
+
+
+def measure(
+    state: GaussianQuadState,
+    meter: MeterSpec,
+    policy: CollapsePolicy | str,
+    params: OscillatorParams,
+    rng: np.random.Generator,
+) -> tuple[float, GaussianQuadState, MeasurementRecord]:
+    """Draw one outcome and return (outcome, updated state, record):
+    ``_conditioned`` updates the covariance, then ``_read_means`` the means.
+
+    The clock does not advance: measurements are instantaneous events between
+    thermal steps.  For a batch state (array means) the outcome is an array
+    too, with one normal per trajectory from any generator; covariance and
+    clock stay scalars.
+    """
+    policy = CollapsePolicy(policy)
+    read, post = _conditioned(state, meter, policy, params)
+    orthodox, sba = policy is CollapsePolicy.ORTHODOX, backaction_sigma(meter, params)
+    outcome, post.mean1, post.mean2 = _read_means(state.mean1, state.mean2, read, sba, orthodox, rng)
+    record = MeasurementRecord(state.time, outcome, state.v11, post.v11, post.v22, post.mean1, post.mean2)
+    return outcome, post, record
+
+
+#: One step of a ``SchedulePlan``, 80 bytes: the clock and the variances its
+#: record reports (pre_v11 before the measurement, the rest after it), the
+#: covariance after it, and the read of ``_conditioned``.
+_PLAN_COLUMNS = ("time", "pre_v11", "post_v11", "post_v22", "post_v12", "u1", "u2", "outcome_sd", "k1", "k2")
+PLAN_STEP = np.dtype([(name, np.float64) for name in _PLAN_COLUMNS])
+
+
+@dataclass(frozen=True, eq=False)
+class SchedulePlan:
+    """The data-free half of a schedule, as ``plan_schedule`` computes it
+    once: the thermal step's decay and kick sd, an optional burn-in step's,
+    and one ``PLAN_STEP`` record per measurement.  ``means`` applies it."""
+
+    orthodox: bool
+    sigma_ba: float
+    burn_in: tuple[float, float] | None  # (decay, kick sd) of a thermal step before the schedule
+    decay: float
+    kick_sd: float
+    steps: np.ndarray
+
+    def means(self, mean1, mean2, rng) -> Iterator[tuple]:
+        """Step means (floats, or arrays over a batch of trajectories) through
+        the plan, and yield (outcome, mean1, mean2) after each measurement.
+
+        This is the one step loop: per step ``thermal_kick`` then
+        ``_read_means``, with the plan's coefficients.  ``rng`` may be any
+        source with the Generator's ``normal(loc, scale)``; for arrays, the
+        ensemble passes one that draws each trajectory's normals from that
+        trajectory's own stream.
+        """
+        if self.burn_in is not None:
+            mean1, mean2 = thermal_kick(mean1, mean2, *self.burn_in, rng)
+        for step in self.steps:
+            mean1, mean2 = thermal_kick(mean1, mean2, self.decay, self.kick_sd, rng)
+            outcome, mean1, mean2 = _read_means(mean1, mean2, step.item()[5:], self.sigma_ba, self.orthodox, rng)
+            yield outcome, mean1, mean2
+
+
+def plan_schedule(
+    state: GaussianQuadState,
+    meter: MeterSpec,
+    policy: CollapsePolicy | str,
+    params: OscillatorParams,
+    dt: float,
+    n_meas: int,
+    burn_in_s: float = 0.0,
+) -> SchedulePlan:
+    """Plan n_meas alternations of a thermal step of dt and a measurement,
+    from the covariance and clock of ``state`` (its means are not read),
+    after a thermal step of burn_in_s when that is > 0.
+
+    This is the one covariance recursion: ``thermal_relax`` and
+    ``_conditioned`` once per step, with every check they make (dt > 0
+    among them), so a covariance that fails raises here, before any mean is
+    stepped.
+    """
+    if n_meas < 1:
+        raise ParameterError(f"schedule requires n_meas >= 1, got {n_meas!r}")
+    policy = CollapsePolicy(policy)
+    burn_in = None
+    if burn_in_s > 0.0:
+        decay, kick_sd, state = thermal_relax(state, burn_in_s, params)
+        burn_in = (decay, kick_sd)
+    steps = np.empty(n_meas, dtype=PLAN_STEP)
+    for step in range(n_meas):
+        decay, kick_sd, state = thermal_relax(state, dt, params)
+        pre_v11 = state.v11
+        read, state = _conditioned(state, meter, policy, params)
+        steps[step] = (state.time, pre_v11, state.v11, state.v22, state.v12, *read)
+    orthodox = policy is CollapsePolicy.ORTHODOX
+    return SchedulePlan(orthodox, backaction_sigma(meter, params), burn_in, decay, kick_sd, steps)
 
 
 def schedule_steps(
@@ -224,23 +328,15 @@ def schedule_steps(
     """Alternate thermal_step(dt) and measure, n_meas times, and yield each
     measurement's (record, state after it).
 
-    This is the one step loop: ``run_schedule`` collects it, and the
-    ensemble takes one step at a time, so that it holds one step's record
-    when it keeps no rows.  The arguments are checked once, when the first
-    step is asked for.  ``rng`` may be any source with the Generator's
-    ``normal(loc, scale)``.  For a batch state every draw takes the means'
-    shape, so a plain Generator gives each trajectory its own normals; the
-    ensemble passes a source that draws each trajectory's from that
-    trajectory's own stream.
+    The covariance is planned by ``plan_schedule`` when the first step is
+    asked for, and the means are stepped through the plan; every value equals
+    that of ``thermal_step`` and ``measure`` composed by hand, bit for bit.
     """
-    if n_meas < 1:
-        raise ParameterError(f"schedule requires n_meas >= 1, got {n_meas!r}")
-    if not (dt > 0.0):
-        raise ParameterError(f"schedule requires dt > 0, got {dt!r}")
-    for _ in range(n_meas):
-        state = thermal_step(state, dt, params, rng)
-        _, state, record = measure(state, meter, policy, params, rng)
-        yield record, state
+    plan = plan_schedule(state, meter, policy, params, dt, n_meas)
+    for step, (outcome, mean1, mean2) in zip(plan.steps, plan.means(state.mean1, state.mean2, rng)):
+        time, pre_v11, v11, v22, v12 = step.item()[:5]
+        record = MeasurementRecord(time, outcome, pre_v11, v11, v22, mean1, mean2)
+        yield record, GaussianQuadState(mean1, mean2, v11, v22, v12, time)
 
 
 def run_schedule(
@@ -259,8 +355,8 @@ def run_schedule(
 
 
 def schedule_draws(policy: CollapsePolicy | str, n_meas: int) -> int:
-    """Normals ``schedule_steps`` draws over n_meas steps: per step those of
-    ``thermal_step``, then the outcome, and under no_conditioning the kicks
-    of both means."""
+    """Normals a plan's ``means`` draws over n_meas steps, without a burn-in:
+    per step those of ``thermal_step``, then the outcome, and under
+    no_conditioning the kicks of both means."""
     measure_draws = 1 if CollapsePolicy(policy) is CollapsePolicy.ORTHODOX else 3
     return n_meas * (THERMAL_STEP_DRAWS + measure_draws)

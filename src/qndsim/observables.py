@@ -82,25 +82,6 @@ class LinearObservable:
             raise ParameterError("observable coefficients must not both vanish")
 
 
-def quadratures_of(x: float, p: float, t: float, params: OscillatorParams) -> tuple[float, float]:
-    """Rotating-frame amplitudes (X1, X2) of the phase point (x, p) at time t."""
-    w = params.omega1
-    c = math.cos(w * t)
-    s = math.sin(w * t)
-    pm = p / (params.mass * w)
-    return x * c - pm * s, x * s + pm * c
-
-
-def phase_point_of(x1: float, x2: float, t: float, params: OscillatorParams) -> tuple[float, float]:
-    """Phase point (x, p) at time t with amplitudes (X1, X2); inverse of quadratures_of."""
-    w = params.omega1
-    c = math.cos(w * t)
-    s = math.sin(w * t)
-    x = x1 * c + x2 * s
-    p = params.mass * w * (x2 * c - x1 * s)
-    return x, p
-
-
 def quadrature_observable(kind: str, t: float, params: OscillatorParams) -> LinearObservable:
     """Time-t representation of the co-rotating amplitude X1 or X2."""
     w = params.omega1
@@ -186,21 +167,3 @@ def is_qnd_sequence(
         for j in range(i + 1, len(evolved)):
             worst = max(worst, abs(commutator_symplectic(evolved[i], evolved[j])))
     return QndVerdict(worst <= tol / (params.mass * params.omega1), worst)
-
-
-def is_interaction_qnd(
-    system_coupling: LinearObservable | str,
-    monitored: LinearObservable | str,
-    t: float,
-    params: OscillatorParams,
-    tol: float = QND_TOL,
-) -> bool:
-    """Check the coupling condition for a bilinear meter interaction.
-
-    For H_i = g * O_sys (x) Q_meter only the system part matters: the
-    measurement at time t is QND-compatible when O_sys commutes with the
-    monitored observable's representation at that same instant.
-    """
-    a = resolve_observable(system_coupling, t, params)
-    b = resolve_observable(monitored, t, params)
-    return abs(commutator_symplectic(a, b)) <= tol / (params.mass * params.omega1)

@@ -6,15 +6,17 @@ every value reads back bit for bit:
 
     traj_id,step,time_s,outcome_m,mean_x1_m,mean_x2_m,var_x1_m2,var_x2_m2
 
-``format_rows`` renders one chunk of trajectories at a time from the
-``MeasurementRecord`` of each of its steps; a run writes the chunks in
-trajectory order, whatever their size.  ``read_records`` streams a file
-and keeps only what ``analyze`` needs: the final mean_x1 of every
-trajectory and the var_x2 trace of trajectory 0.  Every trajectory of
-a run has the same var_x2 trace, since the covariance recursion needs no
-outcomes, so the reader requires each row's var_x2 to equal trajectory 0's
-at that step; that trace is the one ``simulate`` reports.  The reader
-rejects any file that a run could not have written, naming the path and line.
+``format_rows`` renders one chunk of trajectories at a time: time_s,
+var_x1_m2 and var_x2_m2 come from the run's ``SchedulePlan``, which the
+ensemble makes once per config, and the outcomes and means from the chunk.
+A run writes the chunks in trajectory order, whatever their size.
+``read_records`` streams a file and keeps only what ``analyze`` needs: the
+final mean_x1 of every trajectory and the var_x2 trace of trajectory 0.
+Every trajectory of a run has the plan's var_x2 trace, since the covariance
+recursion needs no outcomes, so the reader requires each row's var_x2 to
+equal trajectory 0's at that step; that trace is the one ``simulate``
+reports.  The reader rejects any file that a run could not have written,
+naming the path and line.
 
 The reader has one per-line loop, ``_scan_lines``, which is the only code
 that accepts a row numpy did not vouch for and the only code that raises.
@@ -50,27 +52,26 @@ _FIELDS = tuple(RECORD_CSV_HEADER.split(","))
 READ_BLOCK = 1 << 20
 
 
-def format_rows(first_id: int, records) -> list[str]:
+def format_rows(first_id: int, plan, steps) -> list[str]:
     """Rows of one chunk of trajectories, one string per trajectory, in
     trajectory order.
 
-    ``records`` holds the chunk's ``MeasurementRecord`` of each step, as
-    ``measurement.schedule_steps`` yields them for a batch state: outcome
-    and means are arrays over trajectories first_id, first_id + 1, ...; time
-    and variances are scalars shared by the chunk, so they are rendered once
-    per step, not once per row.  Formatting one trajectory at a time keeps
-    only its own values boxed as Python floats, not the whole chunk's.
+    ``plan`` is the run's ``SchedulePlan``: time and variances are shared by
+    every trajectory, so they are rendered once per step, not once per row.
+    ``steps`` holds the chunk's (outcome, mean1, mean2) of each step, as the
+    plan's ``means`` yields them: arrays over trajectories first_id,
+    first_id + 1, ...  Formatting one trajectory at a time keeps only its own
+    values boxed as Python floats, not the whole chunk's.
     """
+    shared = plan.steps[["time", "post_v11", "post_v22"]].tolist()
     trajectory_format = "".join(
-        f"%d,{step},{r.time:.17g},%.17g,%.17g,%.17g,{r.post_v11:.17g},{r.post_v22:.17g}\n"
-        for step, r in enumerate(records, start=1)
+        f"%d,{step},{time:.17g},%.17g,%.17g,%.17g,{v11:.17g},{v22:.17g}\n"
+        for step, (time, v11, v22) in enumerate(shared, start=1)
     )
-    n_traj = len(records[0].outcome)
-    table = np.empty((n_traj, len(records), 4))
+    n_traj = len(steps[0][0])
+    table = np.empty((n_traj, len(steps), 4))
     table[:, :, 0] = np.arange(first_id, first_id + n_traj)[:, None]  # exact; rendered by %d
-    table[:, :, 1] = np.transpose([r.outcome for r in records])
-    table[:, :, 2] = np.transpose([r.post_mean1 for r in records])
-    table[:, :, 3] = np.transpose([r.post_mean2 for r in records])
+    table[:, :, 1:] = np.transpose(steps, (2, 0, 1))
     return [trajectory_format % tuple(row.ravel().tolist()) for row in table]
 
 

@@ -297,26 +297,6 @@ def test_sweep_starts_one_pool(tmp_path, monkeypatch):
     assert started == [2]
 
 
-def test_sweep_trace_mismatch_in_a_middle_point_exits_two(tmp_path, capsys, monkeypatch):
-    from qndsim.ensemble import _run_chunk
-
-    def perturbed(config, start, stop, collect_rows):
-        part = _run_chunk(config, start, stop, collect_rows)
-        if (config.collapse_policy, config.n_traj, start) == ("orthodox", 40, 7):
-            part.post_v22[1] = np.nextafter(part.post_v22[1], -np.inf)
-        return part
-
-    monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 7)
-    monkeypatch.setattr("qndsim.ensemble._run_chunk", perturbed)
-    cfg_path, _ = write_config(tmp_path, n_meas=3, seed=11)
-    out_path = tmp_path / "sweep.csv"
-    assert main(["sweep", "--config", str(cfg_path), *SWEEP_VARY, "--out", str(out_path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err.startswith("numerical failure: grid point 1: the chunk from trajectory 7 ")
-    assert not out_path.exists()
-
-
 def test_sweep_rejects_unknown_key(tmp_path, capsys):
     assert main(["sweep", "--vary", "voltage=1,2"]) == 1
     assert "error:" in capsys.readouterr().err

@@ -10,10 +10,6 @@ from qndsim import (
     GaussianQuadState,
     OscillatorParams,
     ParameterError,
-    energy_of,
-    free_evolve,
-    phase_point_of,
-    quadratures_of,
     stationary_variance,
     thermal_step,
 )
@@ -144,63 +140,3 @@ def test_energy_drift_matches_brownian_rate(params, rng):
     t_grid = dt * np.arange(steps + 1)
     slope = np.polyfit(t_grid, mean_energy, 1)[0]
     assert math.isclose(slope, KB * params.temperature / params.tau1, rel_tol=0.05)
-
-
-# --- free evolution -----------------------------------------------------------
-
-
-def test_free_evolve_moves_only_the_clock(params):
-    state = GaussianQuadState(1e-15, -2e-15, 3e-30, 4e-30, 1e-31, time=0.5)
-    out = free_evolve(state, 3.7)
-    assert (out.mean1, out.mean2, out.v11, out.v22, out.v12) == (
-        state.mean1, state.mean2, state.v11, state.v22, state.v12,
-    )
-    assert out.time == 0.5 + 3.7
-
-
-def test_free_evolve_composition(params):
-    state = GaussianQuadState(1e-15, 0.0, 0.0, 0.0)
-    assert free_evolve(free_evolve(state, 1.25), 2.5).time == free_evolve(state, 3.75).time
-
-
-def test_free_evolve_rejects_negative(params):
-    with pytest.raises(ParameterError):
-        free_evolve(GaussianQuadState(0.0, 0.0, 0.0, 0.0), -1e-9)
-
-
-def test_free_evolve_consistent_with_classical_flow(params, rng):
-    # rotating-frame stasis == full harmonic rotation in the lab frame
-    for _ in range(50):
-        x1, x2 = rng.normal(0.0, 1e-15, size=2)
-        t0, dt = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
-        x, p = phase_point_of(x1, x2, t0, params)
-        c, s = math.cos(W1 * dt), math.sin(W1 * dt)
-        x_new = x * c + p / (M * W1) * s
-        p_new = p * c - M * W1 * x * s
-        back1, back2 = quadratures_of(x_new, p_new, t0 + dt, params)
-        scale = math.hypot(x1, x2)
-        assert abs(back1 - x1) <= 1e-11 * scale
-        assert abs(back2 - x2) <= 1e-11 * scale
-
-
-# --- energy bookkeeping -------------------------------------------------------
-
-
-def test_energy_of_zero_state(params):
-    report = energy_of(GaussianQuadState(0.0, 0.0, 0.0, 0.0), params)
-    assert report.e1 == report.e2 == report.total == 0.0
-
-
-def test_energy_of_sampled_point(params):
-    x1 = 3e-15
-    report = energy_of(GaussianQuadState(x1, 0.0, 0.0, 0.0), params)
-    assert math.isclose(report.e1, 0.5 * M * W1**2 * x1**2, rel_tol=1e-15)
-    assert report.e2 == 0.0
-    assert report.total == report.e1 + report.e2
-
-
-def test_energy_of_thermal_state_equipartition(params):
-    state = GaussianQuadState(0.0, 0.0, VINF, VINF, 0.0)
-    report = energy_of(state, params)
-    assert math.isclose(report.e1, 0.5 * KB * params.temperature, rel_tol=1e-12)
-    assert math.isclose(report.total, KB * params.temperature, rel_tol=1e-12)

@@ -18,9 +18,7 @@ from qndsim import (
     trajectory_rng,
 )
 from qndsim.dynamics import stationary_variance, zero_point_variance
-from qndsim.cli import main
-from qndsim.config import format_config
-from qndsim.ensemble import CHUNK_SIZE, DRAW_BLOCK, _ChunkDraws, _pool_size, _run_chunk, run_ensembles
+from qndsim.ensemble import CHUNK_SIZE, DRAW_BLOCK, _ChunkDraws, _plan, _pool_size, _run_chunk, run_ensembles
 from qndsim.records import RECORD_CSV_HEADER
 
 
@@ -165,7 +163,7 @@ def test_chunk_declares_the_draws_it_uses(policy, meter_kind, burn_in_s, monkeyp
 
     monkeypatch.setattr("qndsim.ensemble._ChunkDraws", CountingDraws)
     config = small_config(collapse_policy=policy, meter_kind=meter_kind, burn_in_s=burn_in_s, n_meas=7)
-    _run_chunk(config, 0, 3, False)
+    _run_chunk(config, _plan(config), 0, 3, False)
     [draws] = made
     assert draws.used == draws.declared
 
@@ -200,15 +198,17 @@ def test_rekeyed_chunk_draws_equal_each_trajectory_rng(seed, start, n_draws):
 
 def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
     def peak_bytes(n_meas):
+        config = small_config(n_meas=n_meas)
+        plan = _plan(config)  # made once per config, in the parent
         tracemalloc.start()
         try:
-            _run_chunk(small_config(n_meas=n_meas), 0, 16, False)
+            _run_chunk(config, plan, 0, 16, False)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    # one step's record is alive at a time, and the v22 trace adds 8 bytes a
-    # step; keeping every step's record would add about 0.6 MB here
+    # one step's outcomes and means are alive at a time; keeping every
+    # step's would add about 0.6 MB here
     assert peak_bytes(8 * DRAW_BLOCK) - peak_bytes(2 * DRAW_BLOCK) < 50_000
 
 
@@ -217,9 +217,10 @@ def test_rows_chunk_memory_stays_under_twice_its_text():
     # Python floats at a time; boxing the whole chunk's peaked at 3.3 times
     # the text
     config = small_config(n_traj=128, n_meas=200)
+    plan = _plan(config)
     tracemalloc.start()
     try:
-        part = _run_chunk(config, 0, 128, True)
+        part = _run_chunk(config, plan, 0, 128, True)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -231,9 +232,9 @@ def test_rows_chunk_width_is_bounded_by_the_step_budget(tmp_path, monkeypatch):
     # at least one trajectory; the width changes no output byte
     widths = []
 
-    def spy(config, start, stop, collect_rows):
+    def spy(config, plan, start, stop, collect_rows):
         widths.append(stop - start)
-        return _run_chunk(config, start, stop, collect_rows)
+        return _run_chunk(config, plan, start, stop, collect_rows)
 
     monkeypatch.setattr("qndsim.ensemble._run_chunk", spy)
     config = small_config(n_traj=11, n_meas=40)
@@ -249,44 +250,6 @@ def test_rows_chunk_width_is_bounded_by_the_step_budget(tmp_path, monkeypatch):
     widths.clear()
     run_ensemble(config)  # without rows, the budget does not apply
     assert widths == [11]
-
-
-def test_chunk_trace_mismatch_is_a_numerical_failure(tmp_path, monkeypatch, capsys):
-    # every chunk of a run shares one v22 trace; a chunk that returns another
-    # one is an engine fault, not something to average away
-    def perturbed(config, start, stop, collect_rows):
-        part = _run_chunk(config, start, stop, collect_rows)
-        if start == CHUNK_SIZE:
-            part.post_v22[2] = np.nextafter(part.post_v22[2], np.inf)
-        return part
-
-    monkeypatch.setattr("qndsim.ensemble._run_chunk", perturbed)
-    config = small_config(n_traj=3 * CHUNK_SIZE, n_meas=5)
-    path = tmp_path / "records.csv"
-    with pytest.raises(NumericalFailureError, match=f"trajectory {CHUNK_SIZE}"):
-        run_ensemble(config, record_path=str(path))
-    assert not path.exists()
-    cfg_path = tmp_path / "run.cfg"
-    cfg_path.write_text(format_config(config))
-    assert main(["simulate", "--config", str(cfg_path)]) == 2
-    out, err = capsys.readouterr()
-    assert out == "" and "numerical failure" in err
-
-
-def test_chunk_trace_mismatch_names_the_grid_point(monkeypatch):
-    def perturbed(config, start, stop, collect_rows):
-        part = _run_chunk(config, start, stop, collect_rows)
-        if config.seed == 2 and start > 0:
-            part.post_v22[0] = np.nextafter(part.post_v22[0], np.inf)
-        return part
-
-    monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 7)
-    monkeypatch.setattr("qndsim.ensemble._run_chunk", perturbed)
-    configs = [small_config(n_traj=20, n_meas=3, seed=seed) for seed in (1, 2, 3)]
-    summaries = run_ensembles(configs)
-    assert next(summaries).config.seed == 1
-    with pytest.raises(NumericalFailureError, match="grid point 1: the chunk from trajectory 7 "):
-        next(summaries)
 
 
 def test_record_file_takes_one_config(tmp_path):
@@ -327,6 +290,40 @@ def test_failed_run_leaves_no_record_file(tmp_path, monkeypatch):
             assert not path.exists()
             messages.setdefault(workers, []).append(str(failure.value))
     assert messages[2] == messages[1]
+
+
+def test_covariance_failure_is_raised_by_the_plan_before_any_chunk(tmp_path, monkeypatch):
+    # the config's plan is made once, in the parent, so a covariance that
+    # fails stops the run before any chunk is stepped, in process or pooled
+    def spy(*args):
+        raise AssertionError("a chunk ran although the config's plan failed")
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("qndsim.ensemble._run_chunk", spy)
+    # v22 grows by sigma_ba**2 per step, so sigma_m**2 * v11 underflows
+    config = small_config(n_traj=CHUNK_SIZE + 100, n_meas=6, bath_model="quantum", sigma_m_m=1e-150)
+    path = tmp_path / "records.csv"
+    for workers in (1, 2):
+        with pytest.raises(NumericalFailureError) as failure:
+            run_ensemble(config, workers=workers, record_path=str(path))
+        assert str(failure.value).startswith("covariance product underflow")
+        assert not path.exists()
+
+
+def test_sweep_raises_a_failed_plan_after_the_summaries_before_it(monkeypatch):
+    # a later config's plan is made while earlier chunks are queued; its
+    # error comes after the summaries before it, at any worker count
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 7)
+    failing = dict(n_meas=6, bath_model="quantum", sigma_m_m=1e-150)
+    configs = [small_config(n_traj=20, n_meas=3), small_config(n_traj=20, **failing)]
+    for workers in (1, 2):
+        summaries = run_ensembles(configs, workers=workers)
+        assert next(summaries).config == configs[0]
+        with pytest.raises(NumericalFailureError, match="covariance product underflow"):
+            next(summaries)
 
 
 def test_workers_must_be_positive():

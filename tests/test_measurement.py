@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -21,7 +22,7 @@ from qndsim import (
     run_schedule,
     thermal_step,
 )
-from qndsim.measurement import METER_KINDS, schedule_steps
+from qndsim.measurement import METER_KINDS, PLAN_STEP, plan_schedule, schedule_steps
 
 M = 1e-3
 W1 = 1e4
@@ -45,6 +46,19 @@ def test_direction_cases(params):
     u = measurement_direction("position", math.pi / (4 * W1), params)
     assert math.isclose(u[0], math.sqrt(2) / 2, rel_tol=1e-12)
     assert math.isclose(u[1], math.sqrt(2) / 2, rel_tol=1e-12)
+
+
+def test_position_direction_follows_the_free_flow(params, rng):
+    # the amplitudes are constants of the free motion, so the position
+    # meter's u . (X1, X2) at time t is the lab-frame x(t) of the free flow
+    # from (x, p) = (X1, m w1 X2) at time 0
+    for _ in range(50):
+        x1, x2 = rng.normal(0.0, 1e-15, size=2)
+        t = rng.uniform(0.0, 1.0)
+        x, p = x1, M * W1 * x2
+        x_t = ((x - 1j * p / (M * W1)) * np.exp(1j * W1 * t)).real
+        u1, u2 = measurement_direction("position", t, params)
+        assert abs(u1 * x1 + u2 * x2 - x_t) <= 1e-11 * math.hypot(x1, x2)
 
 
 def test_backaction_sigma_frozen(params):
@@ -332,6 +346,46 @@ def test_schedule_steps_yield_each_step_of_the_schedule(params):
         assert record.outcome.tobytes() == manual_record.outcome.tobytes()
         for name in ("mean1", "mean2", "v11", "v22", "v12", "time"):
             assert np.array_equal(getattr(stepped, name), getattr(manual, name))
+
+
+@pytest.mark.parametrize("kind", METER_KINDS)
+@pytest.mark.parametrize("policy", ["orthodox", "no_conditioning"])
+def test_plan_equals_the_steps_composed_by_hand(kind, policy, params):
+    # the plan's clock and covariance, and its means loop, step by step
+    # against thermal_step and measure, burn-in included; the position
+    # meter's read direction turns with time
+    meter = MeterSpec(kind, 1e-18)
+    state = GaussianQuadState(1e-15, -2e-15, VINF, 0.5 * VINF, 1e-31, 0.25)
+    plan = plan_schedule(state, meter, policy, params, 1e-3, 9, burn_in_s=0.5)
+    stepped = list(plan.means(state.mean1, state.mean2, np.random.default_rng(3)))
+    assert len(stepped) == 9
+    rng = np.random.default_rng(3)
+    manual = thermal_step(state, 0.5, params, rng)
+    for row, (outcome, mean1, mean2) in zip(plan.steps.tolist(), stepped):
+        manual = thermal_step(manual, 1e-3, params, rng)
+        pre_v11 = manual.v11
+        manual_outcome, manual, _ = measure(manual, meter, policy, params, rng)
+        assert row[:5] == (manual.time, pre_v11, manual.v11, manual.v22, manual.v12)
+        assert (outcome, mean1, mean2) == (manual_outcome, manual.mean1, manual.mean2)
+
+
+def test_plan_holds_at_most_80_bytes_a_step(params):
+    def traced_bytes(n_meas):
+        start = GaussianQuadState(0.0, 0.0, VINF, VINF)
+        tracemalloc.start()
+        try:
+            plan = plan_schedule(start, MeterSpec("position", 1e-18), "orthodox", params, 1e-3, n_meas)
+            assert plan.steps.shape == (n_meas,)
+            return tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+    # Python's free lists move the traced total by a few hundred bytes from
+    # call to call; 1 KB of slack is far below the 18 KB that one more 8-byte
+    # value per step would add
+    assert PLAN_STEP.itemsize == 80
+    small = traced_bytes(768)
+    assert traced_bytes(3072) - small <= 80 * (3072 - 768) + 1024
 
 
 def test_schedule_kalman_contraction_law(rng):
