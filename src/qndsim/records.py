@@ -10,6 +10,34 @@ every value reads back bit for bit:
 var_x1_m2 and var_x2_m2 come from the run's ``SchedulePlan``, which the
 ensemble makes once per config, and the outcomes and means from the chunk.
 A run writes the chunks in trajectory order, whatever their size.
+
+Every float is written as CPython writes ``b"%.17g" % v``.  The shared
+fields are rendered so, once per step.  The outcomes and means, three per
+row, go through ``_render17``, which writes the same bytes with numpy for
+the values that ``%.17g`` puts in e-notation with an exponent from -5 to
+-292, and asks CPython for every other value.  With q = -floor(log10|x|),
+the 17 significant digits are |x| 10**(16 + q) rounded to a whole number,
+half to even.  That product is formed as a double-double, p + c: p is the
+rounded product of |x| and hi, the double nearest 10**(16 + q), and c is
+its exact rounding error (Dekker 1971: both factors split into 26-bit
+halves by Veltkamp's method) plus |x| times lo, the double nearest
+10**(16 + q) - hi; hi and lo are computed from Python ints.  For a value
+whose product is below 10**17 < 2**57, each of the three roundings in c
+(lo itself, |x| lo, and the sum) is below 2**-49, so the fraction of
+p + c is within 2**-47 of the exact one.  A value takes the fast path only
+when that fraction is more than ``_MARGIN`` = 2**-30 from 0, 1/2 and 1, so
+its whole part and its rounding are both certain and it is never a tie.
+CPython writes the value instead when
+- its fraction is within the margin (1 value in about 2**28 of random ones);
+- the log10 estimate missed the decade (the digits are not 17);
+- the rounding carries into the next decade, 1e-4 and fixed notation
+  among them (np.log10 already puts the doubles where this happens in the
+  next decade, but a log10 one ulp lower would not);
+- it is zero, subnormal, non-finite, or outside the table: |x| >= 1e-4
+  or below 1e-292.
+At the default operating point, quantum bath or classical, every outcome
+and mean takes the fast path.
+
 ``read_records`` streams a file and keeps only what ``analyze`` needs: the
 final mean_x1 of every trajectory and the var_x2 trace of trajectory 0.
 Every trajectory of a run has the plan's var_x2 trace, since the covariance
@@ -34,6 +62,7 @@ spelling that a run never writes.
 
 from __future__ import annotations
 
+import functools
 import io
 import math
 
@@ -52,27 +81,177 @@ _FIELDS = tuple(RECORD_CSV_HEADER.split(","))
 READ_BLOCK = 1 << 20
 
 
-def format_rows(first_id: int, plan, steps) -> list[str]:
-    """Rows of one chunk of trajectories, one string per trajectory, in
-    trajectory order.
+#: Rows ``format_rows`` renders as one block.  While a block is rendered,
+#: its words, their bytes and the renderer's temporaries take about 900
+#: bytes a row beside the chunk's text, so 512 rows take under 0.5 MB.  On
+#: 1 000 x 500 with rows, 2 048-row blocks made format_rows about 15 %
+#: faster but raised the peak RSS of ``simulate`` by 1.7 MB (59.5 -> 61.2).
+#: An execution choice only: no byte depends on it.
+FORMAT_BLOCK_ROWS = 512
+
+
+def format_rows(first_id: int, plan, values: np.ndarray) -> list[bytes]:
+    """Rows of one chunk of trajectories, in trajectory order, as the text
+    of consecutive blocks of at most ``FORMAT_BLOCK_ROWS`` rows.
 
     ``plan`` is the run's ``SchedulePlan``: time and variances are shared by
     every trajectory, so they are rendered once per step, not once per row.
-    ``steps`` holds the chunk's (outcome, mean1, mean2) of each step, as the
-    plan's ``means`` yields them: arrays over trajectories first_id,
-    first_id + 1, ...  Formatting one trajectory at a time keeps only its own
-    values boxed as Python floats, not the whole chunk's.
+    ``values[step]`` holds the chunk's (outcome, mean1, mean2) at that step,
+    as the plan's ``means`` yields them: shape (n_meas, 3, n_traj), over
+    trajectories first_id, first_id + 1, ...
+
+    A block is a few whole trajectories, or a run of steps of one trajectory
+    when n_meas exceeds the block.  It is laid out as a matrix of NUL-padded
+    uint32 words, one row per record row: id | ``,step,time`` | ``,outcome``
+    | ``,mean1`` | ``,mean2`` | ``,v11,v22\\n``, with the outcomes and means
+    from ``_render17``.  Deleting the NULs from its bytes leaves the text.
     """
     shared = plan.steps[["time", "post_v11", "post_v22"]].tolist()
-    trajectory_format = "".join(
-        f"%d,{step},{time:.17g},%.17g,%.17g,%.17g,{v11:.17g},{v22:.17g}\n"
-        for step, (time, v11, v22) in enumerate(shared, start=1)
-    )
-    n_traj = len(steps[0][0])
-    table = np.empty((n_traj, len(steps), 4))
-    table[:, :, 0] = np.arange(first_id, first_id + n_traj)[:, None]  # exact; rendered by %d
-    table[:, :, 1:] = np.transpose(steps, (2, 0, 1))
-    return [trajectory_format % tuple(row.ravel().tolist()) for row in table]
+    heads = _words([b",%d,%.17g" % (step, time) for step, (time, _, _) in enumerate(shared, start=1)])
+    tails = _words([b",%.17g,%.17g\n" % (v11, v22) for _, v11, v22 in shared])
+    n_meas, _, n_traj = values.shape
+    ids = _words([b"%d" % index for index in range(first_id, first_id + n_traj)])
+    head_at = ids.shape[1]
+    values_at = head_at + heads.shape[1]
+    tail_at = values_at + 3 * _SLOT_WORDS
+    width = tail_at + tails.shape[1]
+    per_block = max(1, FORMAT_BLOCK_ROWS // n_meas)  # trajectories
+    span = min(n_meas, FORMAT_BLOCK_ROWS)  # steps
+    rows = []
+    for lo in range(0, n_traj, per_block):
+        hi = min(lo + per_block, n_traj)
+        for first in range(0, n_meas, span):
+            last = min(first + span, n_meas)
+            block = np.empty((hi - lo, last - first, width), dtype=np.uint32)
+            block[:, :, :head_at] = ids[lo:hi, None]
+            block[:, :, head_at:values_at] = heads[first:last]
+            rendered = _render17(values[first:last, :, lo:hi].transpose(2, 0, 1))
+            block[:, :, values_at:tail_at] = rendered.reshape(hi - lo, last - first, -1)
+            block[:, :, tail_at:] = tails[first:last]
+            rows.append(block.tobytes().translate(None, b"\0"))
+    return rows
+
+
+def _words(texts: list[bytes], width: int = 0) -> np.ndarray:
+    """The texts as rows of uint32 words, NUL-padded to ``width`` bytes or
+    to the widest text, whichever is more, rounded up to whole words."""
+    width = -(-max(width, *map(len, texts)) // 4) * 4
+    return np.frombuffer(b"".join(text.ljust(width, b"\0") for text in texts), dtype=np.uint32).reshape(len(texts), -1)
+
+
+# _render17 writes each value as "," and its %.17g text in _SLOT_WORDS words:
+# comma, sign, leading digit and point | four groups of four digits | "e-"
+# and the exponent, with NULs for an absent sign, point, trailing zeros and
+# the third exponent digit.  The fast path takes the decades 10**-_Q_MAX
+# to 10**-_Q_MIN of e-notation, q = -floor(log10|x|) in [_Q_MIN, _Q_MAX].
+_SLOT_WORDS = 7
+_Q_MIN, _Q_MAX = 5, 292
+#: Least distance of a fast value's fraction from 0, 1/2 and 1, far above
+#: the error bound 2**-47 of the double-double product (module docstring).
+_MARGIN = 2.0**-30
+#: Veltkamp's constant 2**27 + 1: splits a double into two 26-bit halves.
+_SPLIT = 134217729.0
+
+
+def _power_table() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(hi, head, tail, lo) at each q of the fast path: hi is the double
+    nearest 10**(16 + q), head + tail == hi with 26 significant bits each,
+    and lo is the double nearest 10**(16 + q) - hi."""
+    hi, lo = [1.0] * _Q_MIN, [0.0] * _Q_MIN
+    power = 10 ** (16 + _Q_MIN)
+    for _ in range(_Q_MIN, _Q_MAX + 1):
+        hi.append(float(power))
+        lo.append(float(power - int(hi[-1])))  # exact ints, then one rounding
+        power *= 10
+    hi = np.array(hi)
+    fraction, exponent = np.frexp(hi)
+    mantissa = fraction * 2.0**53  # a whole number: every step below is exact
+    upper = np.floor((mantissa + 2.0**26) / 2.0**27) * 2.0**27
+    return hi, np.ldexp(upper, exponent - 53), np.ldexp(mantissa - upper, exponent - 53), np.array(lo)
+
+
+def _group_table() -> np.ndarray:
+    """The word of each four digits 0000..9999, then the same with trailing
+    zeros as NULs."""
+    digits = np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T.copy()
+    trailing = np.logical_and.accumulate(digits[:, ::-1] == 0, axis=1)[:, ::-1]
+    text = digits + np.uint8(ord("0"))
+    return np.concatenate([text, np.where(trailing, np.uint8(0), text)]).view(np.uint32)[:, 0]
+
+
+@functools.cache
+def _tables() -> tuple[np.ndarray, ...]:
+    """``_render17``'s tables, built on its first call, since every command
+    imports this module and most write no rows: the four of
+    ``_power_table``, ``_group_table``'s, the words of ",", sign, leading
+    digit and point at lead + 10 * point + 20 * negative, and the two words
+    of "e-" and the exponent at each q."""
+    leads = _words([b"," + sign + b"%d" % lead + point for sign in (b"\0", b"-") for point in (b"\0", b".")
+                    for lead in range(10)])[:, 0]
+    exponents = _words([b"e-%02d" % q for q in range(_Q_MAX + 1)], 8)
+    return (*_power_table(), _group_table(), leads, exponents)
+
+
+def _render17(values: np.ndarray) -> np.ndarray:
+    """The bytes of ``b",%.17g" % v`` for each value, in order, as rows of
+    ``_SLOT_WORDS`` NUL-padded uint32 words; see the module docstring."""
+    power_hi, power_head, power_tail, power_lo, groups, leads, exponents = _tables()
+    x = np.ravel(values)
+    slots = np.empty((x.size, _SLOT_WORDS), dtype=np.uint32)
+    with np.errstate(all="ignore"):  # zero, subnormal and non-finite values go to CPython
+        a = np.abs(x)
+        q = np.log10(a)
+        np.floor(q, out=q)
+        np.negative(q, out=q)
+        fast = (q >= _Q_MIN) & (q <= _Q_MAX)
+        q = q.astype(np.intp)
+        q[~fast] = _Q_MIN
+        # a * 10**(16 + q) as p + c: p = fl(a * hi) and c the rest, exact up to 2**-47
+        p = a * power_hi[q]
+        split = a * _SPLIT
+        a_head = split - (split - a)
+        a_tail = a - a_head
+        head, tail = power_head[q], power_tail[q]
+        c = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail
+        c += a * power_lo[q]
+        whole = np.floor(c)
+        c -= whole  # the fraction, exactly
+        fast &= (c > _MARGIN) & (c < 1.0 - _MARGIN) & (np.abs(c - 0.5) > _MARGIN) & (p >= 1e16) & (p <= 1e17)
+        # p >= 1e16 > 2**53 is a whole number, so digits = p + whole exactly
+        digits = np.where(fast, p, 1e16).astype(np.int64)
+        digits += np.where(fast, whole, 0.0).astype(np.int64)
+    fast &= (digits >= 10**16) & (digits < 10**17)  # log10 found the decade
+    digits += c > 0.5  # never a tie: c is at least _MARGIN from 1/2
+    fast &= digits < 10**17  # a carry into the next decade goes to CPython
+    digits[~fast] = 10**16  # in range for the tables; CPython writes these slots
+    lead = digits // 10**16  # floor division by a constant is much faster than divmod
+    rest = digits - lead * 10**16
+    upper = rest // 10**8
+    lower = rest - upper * 10**8
+    group0 = upper // 10**4
+    group1 = upper - group0 * 10**4
+    group2 = lower // 10**4
+    group3 = lower - group2 * 10**4
+    # a group's trailing zeros are NULs when every later group is zero
+    zero3 = group3 == 0
+    zero2 = zero3 & (group2 == 0)
+    zero1 = zero2 & (group1 == 0)
+    slots[:, 0] = leads.take(lead + 10 * ~(zero1 & (group0 == 0)) + 20 * (x < 0.0))
+    slots[:, 1] = groups.take(group0 + 10000 * zero1)
+    slots[:, 2] = groups.take(group1 + 10000 * zero2)
+    slots[:, 3] = groups.take(group2 + 10000 * zero3)
+    slots[:, 4] = groups.take(group3 + 10000)
+    slots[:, 5] = exponents[:, 0].take(q)
+    slots[:, 6] = exponents[:, 1].take(q)
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        slots[slow] = _fallback(x[slow])
+    return slots
+
+
+def _fallback(values: np.ndarray) -> np.ndarray:
+    """CPython's ``b",%.17g" % v`` for each value, as ``_render17``'s slots."""
+    return _words([b",%.17g" % value for value in values.tolist()], 4 * _SLOT_WORDS)
 
 
 def read_records(path: str) -> tuple[np.ndarray, np.ndarray]:

@@ -212,11 +212,13 @@ def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
     assert peak_bytes(8 * DRAW_BLOCK) - peak_bytes(2 * DRAW_BLOCK) < 50_000
 
 
-def test_rows_chunk_memory_stays_under_twice_its_text():
-    # one string per trajectory: only a trajectory's values are boxed as
-    # Python floats at a time; boxing the whole chunk's peaked at 3.3 times
-    # the text
-    config = small_config(n_traj=128, n_meas=200)
+@pytest.mark.parametrize("overrides", [{}, {"mass_kg": 1e-24}], ids=["default", "fixed_notation"])
+def test_rows_chunk_memory_stays_under_twice_its_text(overrides):
+    # rows are rendered a block at a time, and only values that CPython
+    # writes (about a quarter of the means when mass_kg = 1e-24, in fixed
+    # notation) are boxed as Python floats; boxing the whole chunk's values
+    # peaked at 3.3 times the text
+    config = small_config(n_traj=128, n_meas=200, **overrides)
     plan = _plan(config)
     tracemalloc.start()
     try:
