@@ -31,7 +31,11 @@ the burn-in), by one Philox that is given each stream's state in turn
 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11: a
 counter-based stream is its key and counter).  The chunk keeps each step's
 outcomes and means only when record rows are asked for, so that without
-them its memory does not grow with n_meas.
+them its memory does not grow with n_meas.  With them, a chunk run in
+process hands back its rows unrendered, as ``format_rows``' blocks, which
+are rendered as they are written; so the run holds one chunk's values and
+one block's text, never a chunk's text.  A pool worker renders its chunk's
+blocks before it sends them, so that rendering stays parallel.
 
 ``run_ensembles`` runs a list of configs, as ``sweep`` does, through one
 process pool at most: every config's chunks go to the same pool in order,
@@ -60,7 +64,7 @@ import os
 import stat
 import time as _time
 from collections import deque
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -85,10 +89,11 @@ CHUNK_SIZE = 512
 #: output depends on it either.
 ROWS_CHUNK_SIZE = 128
 
-#: Most rows a chunk holds until they are written, at about 166 bytes each
-#: (142 of text and 24 of values): past n_meas = 500 chunks narrow, and a
-#: step of a narrow chunk costs as many calls of the step functions as one
-#: of a wide chunk.
+#: Most rows a chunk holds until they are written: 24 bytes each of values
+#: in process, where each block is rendered as it is written, and about 166
+#: in a pool worker, which sends its rows as text (142 bytes of it a row).
+#: Past n_meas = 500 chunks narrow, and a step of a narrow chunk costs as
+#: many calls of the step functions as one of a wide chunk.
 ROWS_STEP_BUDGET = 64000
 
 #: Most standard normals drawn per stream at a time.  A chunk's block is no
@@ -171,7 +176,9 @@ class _ChunkDraws:
 @dataclass
 class _ChunkResult:
     x1: np.ndarray
-    rows: list[bytes] | None
+    # the text of the chunk's blocks: rendered as they are taken in process,
+    # a list once a pool worker has rendered them; None without rows
+    rows: Iterable[bytes] | None
 
 
 def _start(config: RunConfig) -> tuple[float, float]:
@@ -193,7 +200,8 @@ def _plan(config: RunConfig) -> SchedulePlan:
 
 def _run_chunk(config: RunConfig, plan: SchedulePlan, start: int, stop: int, collect_rows: bool) -> _ChunkResult:
     """Step the means of trajectories [start, stop) through the config's plan
-    as one batch; called in-process or in a worker."""
+    as one batch.  The rows, if collected, are left unrendered: each block
+    of ``format_rows`` is rendered when it is taken."""
     # the two start means, the burn-in's step, then the schedule
     n_draws = 2 + THERMAL_STEP_DRAWS * (config.burn_in_s > 0.0) + schedule_draws(config.policy(), config.n_meas)
     draws = _ChunkDraws(config.seed, start, stop, n_draws)
@@ -205,6 +213,15 @@ def _run_chunk(config: RunConfig, plan: SchedulePlan, start: int, stop: int, col
     values = np.fromiter(steps, dtype=np.dtype((np.float64, (3, stop - start))), count=config.n_meas)
     # x1 is a copy, so that the summary keeps no chunk's values alive
     return _ChunkResult(x1=values[-1, 1].copy(), rows=format_rows(start, plan, values))
+
+
+def _run_pooled_chunk(*job) -> _ChunkResult:
+    """``_run_chunk`` in a pool worker, with its rows rendered to a list,
+    since a generator cannot be sent back to the parent."""
+    part = _run_chunk(*job)
+    if part.rows is not None:
+        part.rows = list(part.rows)
+    return part
 
 
 def _pool_size(workers: int, n_chunks: int) -> int:
@@ -282,15 +299,16 @@ def _then_failure(jobs) -> Iterator:
 
 
 def _in_order(pool: ProcessPoolExecutor, jobs, ahead: int) -> Iterator[_ChunkResult]:
-    """``_run_chunk`` over ``jobs`` in ``pool``, yielded in job order, with at
-    most ``ahead`` chunks submitted and not yet yielded.  A job that cannot be
-    made raises in its place, after the chunks before it, as in process."""
+    """``_run_pooled_chunk`` over ``jobs`` in ``pool``, yielded in job order,
+    with at most ``ahead`` chunks submitted and not yet yielded.  A job that
+    cannot be made raises in its place, after the chunks before it, as in
+    process."""
     pending: deque = deque()
     try:
         for job in _then_failure(jobs):
             if len(pending) == ahead:
                 yield pending.popleft().result()
-            pending.append(job if isinstance(job, Future) else pool.submit(_run_chunk, *job))
+            pending.append(job if isinstance(job, Future) else pool.submit(_run_pooled_chunk, *job))
         while pending:
             yield pending.popleft().result()
     finally:
@@ -308,11 +326,13 @@ def run_ensembles(
     ``CHUNK_SIZE``; with ``record_path``, which takes one config, in chunks
     of ``ROWS_CHUNK_SIZE``, or fewer when n_meas is large, so that a chunk
     holds at most ``ROWS_STEP_BUDGET`` rows; the rows are written chunk by
-    chunk as they arrive.  A config's plan is made when its first chunk is
-    queued and dropped after its summary.  Every config's chunks go through
-    one pool, started only when more than one process would run, which keeps
-    at most two chunks per process in flight; so memory holds one config's
-    series, those chunks and their configs' plans.
+    chunk as they arrive, and in process block by block as they are
+    rendered.  A config's plan is made when its first chunk is queued and
+    dropped after its summary.  Every config's chunks go through one pool,
+    started only when more than one process would run, which keeps at most
+    two chunks per process in flight; so memory holds one config's series,
+    the chunks in flight (one chunk's values in process) and their configs'
+    plans.
     A run that fails anywhere, statistics included, removes the record file
     if it is a regular file: a streamed file cut short would otherwise be
     well-formed.  ``wall_time_s`` is the time since the call or the previous
@@ -354,6 +374,7 @@ def run_ensembles(
                     x1_parts.append(part.x1)
                     if handle is not None:
                         handle.writelines(part.rows)
+                    del part  # not alive while the next chunk runs or arrives
                 v22_trace = plans.popleft().steps["post_v22"].copy()
                 x1s = np.concatenate(x1_parts)
                 t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1s, v22_trace, config)

@@ -9,6 +9,8 @@ every value reads back bit for bit:
 ``format_rows`` renders one chunk of trajectories at a time: time_s,
 var_x1_m2 and var_x2_m2 come from the run's ``SchedulePlan``, which the
 ensemble makes once per config, and the outcomes and means from the chunk.
+It yields the chunk's text one block at a time, as it is asked for, so a
+writer that takes each block as it comes never holds the chunk's text.
 A run writes the chunks in trajectory order, whatever their size.
 
 Every float is written as CPython writes ``b"%.17g" % v``.  The shared
@@ -65,6 +67,7 @@ from __future__ import annotations
 import functools
 import io
 import math
+from collections.abc import Iterator
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -83,16 +86,17 @@ READ_BLOCK = 1 << 20
 
 #: Rows ``format_rows`` renders as one block.  While a block is rendered,
 #: its words, their bytes and the renderer's temporaries take about 900
-#: bytes a row beside the chunk's text, so 512 rows take under 0.5 MB.  On
+#: bytes a row beside the chunk's values, so 512 rows take under 0.5 MB.  On
 #: 1 000 x 500 with rows, 2 048-row blocks made format_rows about 15 %
 #: faster but raised the peak RSS of ``simulate`` by 1.7 MB (59.5 -> 61.2).
 #: An execution choice only: no byte depends on it.
 FORMAT_BLOCK_ROWS = 512
 
 
-def format_rows(first_id: int, plan, values: np.ndarray) -> list[bytes]:
+def format_rows(first_id: int, plan, values: np.ndarray) -> Iterator[bytes]:
     """Rows of one chunk of trajectories, in trajectory order, as the text
-    of consecutive blocks of at most ``FORMAT_BLOCK_ROWS`` rows.
+    of consecutive blocks of at most ``FORMAT_BLOCK_ROWS`` rows, each
+    rendered when it is asked for.
 
     ``plan`` is the run's ``SchedulePlan``: time and variances are shared by
     every trajectory, so they are rendered once per step, not once per row.
@@ -117,7 +121,6 @@ def format_rows(first_id: int, plan, values: np.ndarray) -> list[bytes]:
     width = tail_at + tails.shape[1]
     per_block = max(1, FORMAT_BLOCK_ROWS // n_meas)  # trajectories
     span = min(n_meas, FORMAT_BLOCK_ROWS)  # steps
-    rows = []
     for lo in range(0, n_traj, per_block):
         hi = min(lo + per_block, n_traj)
         for first in range(0, n_meas, span):
@@ -128,8 +131,7 @@ def format_rows(first_id: int, plan, values: np.ndarray) -> list[bytes]:
             rendered = _render17(values[first:last, :, lo:hi].transpose(2, 0, 1))
             block[:, :, values_at:tail_at] = rendered.reshape(hi - lo, last - first, -1)
             block[:, :, tail_at:] = tails[first:last]
-            rows.append(block.tobytes().translate(None, b"\0"))
-    return rows
+            yield block.tobytes().translate(None, b"\0")
 
 
 def _words(texts: list[bytes], width: int = 0) -> np.ndarray:

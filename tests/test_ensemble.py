@@ -18,8 +18,17 @@ from qndsim import (
     trajectory_rng,
 )
 from qndsim.dynamics import stationary_variance, zero_point_variance
-from qndsim.ensemble import CHUNK_SIZE, DRAW_BLOCK, _ChunkDraws, _plan, _pool_size, _run_chunk, run_ensembles
-from qndsim.records import RECORD_CSV_HEADER
+from qndsim.ensemble import (
+    CHUNK_SIZE,
+    DRAW_BLOCK,
+    ROWS_CHUNK_SIZE,
+    _ChunkDraws,
+    _plan,
+    _pool_size,
+    _run_chunk,
+    run_ensembles,
+)
+from qndsim.records import FORMAT_BLOCK_ROWS, RECORD_CSV_HEADER
 
 
 def small_config(**overrides):
@@ -200,6 +209,9 @@ def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
     def peak_bytes(n_meas):
         config = small_config(n_meas=n_meas)
         plan = _plan(config)  # made once per config, in the parent
+        # untraced, so that what a first chunk allocates once in a process
+        # (numpy.random's import, on the first Philox) is not counted
+        _run_chunk(config, plan, 0, 1, False)
         tracemalloc.start()
         try:
             _run_chunk(config, plan, 0, 16, False)
@@ -213,20 +225,45 @@ def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
 
 
 @pytest.mark.parametrize("overrides", [{}, {"mass_kg": 1e-24}], ids=["default", "fixed_notation"])
-def test_rows_chunk_memory_stays_under_twice_its_text(overrides):
-    # rows are rendered a block at a time, and only values that CPython
+def test_rows_chunk_memory_stays_under_its_values_and_a_few_blocks(overrides):
+    # a chunk keeps its outcomes and means, 24 bytes a row, and its rows are
+    # rendered a block at a time as they are taken; only values that CPython
     # writes (about a quarter of the means when mass_kg = 1e-24, in fixed
-    # notation) are boxed as Python floats; boxing the whole chunk's values
-    # peaked at 3.3 times the text
+    # notation) are boxed as Python floats, and boxing the whole chunk's
+    # values would add about 2.4 MB here, the chunk's text 3.6 MB
     config = small_config(n_traj=128, n_meas=200, **overrides)
     plan = _plan(config)
+    b"".join(_run_chunk(config, plan, 0, 1, True).rows)  # one-time allocations, untraced
     tracemalloc.start()
     try:
         part = _run_chunk(config, plan, 0, 128, True)
+        text = 0
+        for block in part.rows:
+            text += len(block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * sum(map(len, part.rows))
+    values = 24 * 128 * 200
+    block = 1000 * FORMAT_BLOCK_ROWS  # a block being rendered takes about 900 bytes a row
+    assert text > 3 * 1024 * 1024 and peak < values + 3 * block
+
+
+def test_in_process_rows_run_memory_stays_under_half_a_chunks_text(tmp_path):
+    # each block is written as it is rendered, so no chunk's text is ever
+    # held whole; rendering each chunk whole before writing it, which held
+    # two chunks' text at once, peaked at 4.8 times this bound
+    config = small_config(n_traj=3 * ROWS_CHUNK_SIZE, n_meas=200)
+    path = tmp_path / "records.csv"
+    run_ensemble(config, record_path=str(path))  # one-time allocations, untraced
+    tracemalloc.start()
+    try:
+        run_ensemble(config, record_path=str(path))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = path.read_bytes().splitlines(keepends=True)[1:]
+    assert len(rows) == 3 * ROWS_CHUNK_SIZE * config.n_meas
+    assert peak < sum(map(len, rows[: ROWS_CHUNK_SIZE * config.n_meas])) / 2
 
 
 def test_rows_chunk_width_is_bounded_by_the_step_budget(tmp_path, monkeypatch):
