@@ -63,10 +63,6 @@ def zero_point_variance(params: OscillatorParams) -> float:
     return HBAR / (2.0 * params.mass * params.omega1)
 
 
-#: Normals one ``thermal_step`` draws: the kicks of mean1 and mean2.
-THERMAL_STEP_DRAWS = 2
-
-
 def thermal_relax(
     state: GaussianQuadState, dt: float, params: OscillatorParams
 ) -> tuple[float, float, GaussianQuadState]:

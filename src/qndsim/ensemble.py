@@ -26,10 +26,10 @@ k-th standard normal of every trajectory's own stream.  That is the same
 arithmetic a Generator does for a scalar draw, so each trajectory gets the
 values it would get if stepped alone through ``run_schedule``, bit for bit.
 The normals are drawn in blocks of at most ``DRAW_BLOCK`` per stream, and no
-more than the chunk uses (``measurement.schedule_draws`` plus the start and
-the burn-in), by one Philox that is given each stream's state in turn
-(Salmon et al., "Parallel random numbers: as easy as 1, 2, 3", SC'11: a
-counter-based stream is its key and counter).  The chunk keeps each step's
+more than the chunk uses (the plan's ``draws`` plus the two start means), by
+one Philox that is given each stream's state in turn (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11: a counter-based stream
+is its key and counter).  The chunk keeps each step's
 outcomes and means only when record rows are asked for, so that without
 them its memory does not grow with n_meas.  With them, a chunk run in
 process hands back its rows unrendered, as ``format_rows``' blocks, which
@@ -66,7 +66,7 @@ import time as _time
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from concurrent.futures import Future, ProcessPoolExecutor
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from itertools import islice, starmap
 
@@ -74,9 +74,9 @@ import numpy as np
 
 from .budget import eta1 as _eta1, eta2 as _eta2, operating_point
 from .config import CONFIG_KEYS, RunConfig
-from .dynamics import THERMAL_STEP_DRAWS, GaussianQuadState, stationary_variance, zero_point_variance
+from .dynamics import GaussianQuadState, stationary_variance, zero_point_variance
 from .errors import DegenerateSeriesError, InsufficientDataError, ParameterError
-from .measurement import SchedulePlan, backaction_sigma, plan_schedule, schedule_draws
+from .measurement import SchedulePlan, backaction_sigma, plan_schedule
 from .records import RECORD_CSV_HEADER, format_rows
 from .stats import SampleSeries, estimate_t1, gof_boltzmann, heating_slope
 
@@ -202,9 +202,7 @@ def _run_chunk(config: RunConfig, plan: SchedulePlan, start: int, stop: int, col
     """Step the means of trajectories [start, stop) through the config's plan
     as one batch.  The rows, if collected, are left unrendered: each block
     of ``format_rows`` is rendered when it is taken."""
-    # the two start means, the burn-in's step, then the schedule
-    n_draws = 2 + THERMAL_STEP_DRAWS * (config.burn_in_s > 0.0) + schedule_draws(config.policy(), config.n_meas)
-    draws = _ChunkDraws(config.seed, start, stop, n_draws)
+    draws = _ChunkDraws(config.seed, start, stop, 2 + plan.draws)  # the two start means, then the plan's
     mean_sd, _ = _start(config)
     steps = plan.means(draws.normal(0.0, mean_sd), draws.normal(0.0, mean_sd), draws)
     if not collect_rows:
@@ -398,8 +396,9 @@ def run_ensembles(
     except BaseException:
         # a failed run leaves no record file; a path that names no regular
         # file (a device such as /dev/null, a symlink) is left alone
-        if handle is not None and stat.S_ISREG(os.lstat(record_path).st_mode):
-            os.remove(record_path)
+        with suppress(FileNotFoundError):  # e.g. removed meanwhile by another process
+            if handle is not None and stat.S_ISREG(os.lstat(record_path).st_mode):
+                os.remove(record_path)
         raise
 
 

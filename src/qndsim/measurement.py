@@ -28,9 +28,10 @@ outcome: the recursion is data-free (Kalman 1960).  So a step has two halves.
 ``plan_schedule`` runs the covariance half of a whole schedule once, with
 every check, and stores it as a ``SchedulePlan``; the plan's ``means`` is the
 one step loop, and it applies the plan to means that are floats or arrays
-over a batch of trajectories.  ``measure`` and ``run_schedule`` are built
-from the same halves, and the ensemble makes one plan per config, so its
-chunks step only means.
+over a batch of trajectories; the plan's ``draws`` counts the normals that
+loop takes, so the draw order is declared here alone.  ``measure`` is built
+from the same halves, ``run_schedule`` is a plan and its means, and the
+ensemble makes one plan per config, so its chunks step only means.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .dynamics import THERMAL_STEP_DRAWS, GaussianQuadState, thermal_kick, thermal_relax
+from .dynamics import GaussianQuadState, thermal_kick, thermal_relax
 from .errors import NumericalFailureError, ParameterError, StateDomainError, require_positive
 from .observables import OscillatorParams
 
@@ -77,19 +78,17 @@ class MeterSpec:
 @dataclass(slots=True)
 class MeasurementRecord:
     """One measurement, as ``measure`` and ``run_schedule`` return it: time,
-    outcome, v11 before and after, and the post-measurement v22 and means.
-    For a batch state the outcome and means are arrays over its
-    trajectories.  An ensemble chunk keeps no records: its record CSV rows
-    take time and variances from the config's plan, and outcomes and means
-    from the chunk."""
+    outcome, v11 before and after, and the post-measurement v22; the means
+    after it are in the returned state.  For a batch state the outcome is an
+    array over its trajectories.  An ensemble chunk keeps no records: its
+    record CSV rows take time and variances from the config's plan, and
+    outcomes and means from the chunk."""
 
     time: float
     outcome: float
     pre_v11: float
     post_v11: float
     post_v22: float
-    post_mean1: float
-    post_mean2: float
 
 
 def measurement_direction(kind: str, t: float, params: OscillatorParams) -> tuple[float, float]:
@@ -239,7 +238,7 @@ def measure(
     read, post = _conditioned(state, meter, policy, params)
     orthodox, sba = policy is CollapsePolicy.ORTHODOX, backaction_sigma(meter, params)
     outcome, post.mean1, post.mean2 = _read_means(state.mean1, state.mean2, read, sba, orthodox, rng)
-    record = MeasurementRecord(state.time, outcome, state.v11, post.v11, post.v22, post.mean1, post.mean2)
+    record = MeasurementRecord(state.time, outcome, state.v11, post.v11, post.v22)
     return outcome, post, record
 
 
@@ -262,6 +261,13 @@ class SchedulePlan:
     decay: float
     kick_sd: float
     steps: np.ndarray
+
+    @property
+    def draws(self) -> int:
+        """Normals ``means`` draws, in the order it draws them: the two kicks
+        of a burn-in step, then per step the two thermal kicks, the outcome
+        and, under no_conditioning, the kicks of both means."""
+        return 2 * (self.burn_in is not None) + len(self.steps) * (3 if self.orthodox else 5)
 
     def means(self, mean1, mean2, rng) -> Iterator[tuple]:
         """Step means (floats, or arrays over a batch of trajectories) through
@@ -316,29 +322,6 @@ def plan_schedule(
     return SchedulePlan(orthodox, backaction_sigma(meter, params), burn_in, decay, kick_sd, steps)
 
 
-def schedule_steps(
-    state: GaussianQuadState,
-    meter: MeterSpec,
-    policy: CollapsePolicy | str,
-    params: OscillatorParams,
-    dt: float,
-    n_meas: int,
-    rng: np.random.Generator,
-) -> Iterator[tuple[MeasurementRecord, GaussianQuadState]]:
-    """Alternate thermal_step(dt) and measure, n_meas times, and yield each
-    measurement's (record, state after it).
-
-    The covariance is planned by ``plan_schedule`` when the first step is
-    asked for, and the means are stepped through the plan; every value equals
-    that of ``thermal_step`` and ``measure`` composed by hand, bit for bit.
-    """
-    plan = plan_schedule(state, meter, policy, params, dt, n_meas)
-    for step, (outcome, mean1, mean2) in zip(plan.steps, plan.means(state.mean1, state.mean2, rng)):
-        time, pre_v11, v11, v22, v12 = step.item()[:5]
-        record = MeasurementRecord(time, outcome, pre_v11, v11, v22, mean1, mean2)
-        yield record, GaussianQuadState(mean1, mean2, v11, v22, v12, time)
-
-
 def run_schedule(
     initial: GaussianQuadState,
     meter: MeterSpec,
@@ -349,14 +332,16 @@ def run_schedule(
     rng: np.random.Generator,
 ) -> tuple[list[MeasurementRecord], GaussianQuadState]:
     """Alternate thermal_step(dt) and measure, n_meas times, and return
-    (every step's record, final state), as ``schedule_steps`` yields them."""
-    steps = list(schedule_steps(initial, meter, policy, params, dt, n_meas, rng))
-    return [record for record, _ in steps], steps[-1][1]
+    (every step's record, final state).
 
-
-def schedule_draws(policy: CollapsePolicy | str, n_meas: int) -> int:
-    """Normals a plan's ``means`` draws over n_meas steps, without a burn-in:
-    per step those of ``thermal_step``, then the outcome, and under
-    no_conditioning the kicks of both means."""
-    measure_draws = 1 if CollapsePolicy(policy) is CollapsePolicy.ORTHODOX else 3
-    return n_meas * (THERMAL_STEP_DRAWS + measure_draws)
+    The covariance is planned by ``plan_schedule`` and the means are stepped
+    through the plan; every value equals that of ``thermal_step`` and
+    ``measure`` composed by hand, bit for bit.
+    """
+    plan = plan_schedule(initial, meter, policy, params, dt, n_meas)
+    rows = plan.steps[["time", "pre_v11", "post_v11", "post_v22", "post_v12"]].tolist()
+    means = plan.means(initial.mean1, initial.mean2, rng)
+    records = []
+    for (time, pre_v11, v11, v22, v12), (outcome, mean1, mean2) in zip(rows, means):
+        records.append(MeasurementRecord(time, outcome, pre_v11, v11, v22))
+    return records, GaussianQuadState(mean1, mean2, v11, v22, v12, time)

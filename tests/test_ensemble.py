@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import tracemalloc
 from dataclasses import replace
 
@@ -331,6 +332,25 @@ def test_failed_run_leaves_no_record_file(tmp_path, monkeypatch):
     assert messages[2] == messages[1]
 
 
+def test_failed_run_whose_record_file_vanished_raises_its_own_error(tmp_path, monkeypatch):
+    # the record file is gone when the failed run cleans up: the run's own
+    # error surfaces, not the cleanup's, in process and pooled
+    path = tmp_path / "records.csv"
+
+    def spy(*args):
+        path.unlink(missing_ok=True)
+        raise NumericalFailureError("the chunk failed")
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("qndsim.ensemble.ROWS_CHUNK_SIZE", 1)
+    monkeypatch.setattr("qndsim.ensemble._run_chunk", spy)
+    for workers in (1, 2):
+        with pytest.raises(NumericalFailureError, match="the chunk failed"):
+            run_ensemble(small_config(n_traj=4, n_meas=3), workers=workers, record_path=str(path))
+        assert not path.exists()
+
+
 def test_covariance_failure_is_raised_by_the_plan_before_any_chunk(tmp_path, monkeypatch):
     # the config's plan is made once, in the parent, so a covariance that
     # fails stops the run before any chunk is stepped, in process or pooled
@@ -363,6 +383,20 @@ def test_sweep_raises_a_failed_plan_after_the_summaries_before_it(monkeypatch):
         assert next(summaries).config == configs[0]
         with pytest.raises(NumericalFailureError, match="covariance product underflow"):
             next(summaries)
+
+
+def test_pooled_sweep_closed_after_its_first_summary_leaves_no_process(monkeypatch):
+    # later configs' chunks are queued in the pool when the caller stops;
+    # closing the sweep cancels them and shuts the pool down
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 7)
+    configs = [small_config(n_traj=20, seed=seed) for seed in range(4)]
+    summaries = run_ensembles(configs, workers=2)
+    assert next(summaries).config == configs[0]
+    assert multiprocessing.active_children()
+    summaries.close()
+    assert multiprocessing.active_children() == []
 
 
 def test_workers_must_be_positive():

@@ -22,7 +22,7 @@ from qndsim import (
     run_schedule,
     thermal_step,
 )
-from qndsim.measurement import METER_KINDS, PLAN_STEP, plan_schedule, schedule_steps
+from qndsim.measurement import METER_KINDS, PLAN_STEP, plan_schedule
 
 M = 1e-3
 W1 = 1e4
@@ -330,22 +330,25 @@ def test_schedule_base_case_matches_manual_composition(params):
     assert records[0] == manual_record
 
 
-def test_schedule_steps_yield_each_step_of_the_schedule(params):
-    # one (record, state after it) per measurement, as composed by hand
+def test_schedule_on_batch_means_matches_manual_composition(params):
+    # every record and the final state of a batch, as composed by hand
     meter = MeterSpec("qnd_x1", 1e-18)
     state = GaussianQuadState(np.array([1e-15, -2e-15]), np.zeros(2), VINF, VINF, 0.0)
     key = np.array([5, 6], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    steps = list(schedule_steps(state, meter, "no_conditioning", params, 1e-2, 4, rng))
-    assert len(steps) == 4
+    records, final = run_schedule(state, meter, "no_conditioning", params, 1e-2, 4, rng)
+    assert len(records) == 4
     rng = np.random.Generator(np.random.Philox(key=key))
     manual = state
-    for record, stepped in steps:
+    for record in records:
         manual = thermal_step(manual, 1e-2, params, rng)
         _, manual, manual_record = measure(manual, meter, "no_conditioning", params, rng)
         assert record.outcome.tobytes() == manual_record.outcome.tobytes()
-        for name in ("mean1", "mean2", "v11", "v22", "v12", "time"):
-            assert np.array_equal(getattr(stepped, name), getattr(manual, name))
+        assert (record.time, record.pre_v11, record.post_v11, record.post_v22) == (
+            manual_record.time, manual_record.pre_v11, manual_record.post_v11, manual_record.post_v22
+        )
+    assert (final.v11, final.v22, final.v12, final.time) == (manual.v11, manual.v22, manual.v12, manual.time)
+    assert final.mean1.tobytes() == manual.mean1.tobytes() and final.mean2.tobytes() == manual.mean2.tobytes()
 
 
 @pytest.mark.parametrize("kind", METER_KINDS)
@@ -428,7 +431,3 @@ def test_schedule_argument_validation(params, rng):
         run_schedule(state, meter, "orthodox", params, 1e-2, 0, rng)
     with pytest.raises(ParameterError):
         run_schedule(state, meter, "orthodox", params, 0.0, 5, rng)
-    # the step generator checks them when its first step is asked for
-    steps = schedule_steps(state, meter, "orthodox", params, 1e-2, 0, rng)
-    with pytest.raises(ParameterError):
-        next(steps)
