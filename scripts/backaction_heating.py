@@ -3,24 +3,17 @@
 
 With the thermal coupling negligible, repeated X1 measurements contract
 v11 along the Kalman recursion while v22 climbs by sigma_ba^2 per
-measurement.  The covariance recursion needs no outcomes, so one trajectory
-gives the variance traces of every trajectory.  Prints the fitted slope
-against the ideal injection and, optionally, the full variance traces as CSV.
+measurement.  The covariance recursion needs no outcomes, so its plan gives
+the variance traces of every trajectory without stepping one.  Prints the
+fitted slope against the ideal injection and, optionally, the full variance
+traces as CSV.
 """
 
 import argparse
 import sys
 
-import numpy as np
-
-from qndsim import (
-    GaussianQuadState,
-    MeterSpec,
-    OscillatorParams,
-    backaction_sigma,
-    heating_slope,
-    run_schedule,
-)
+from qndsim import GaussianQuadState, MeterSpec, OscillatorParams, backaction_sigma, heating_slope
+from qndsim.measurement import plan_schedule
 
 
 def main() -> int:
@@ -34,21 +27,20 @@ def main() -> int:
     params = OscillatorParams(mass=1e-3, omega1=1e4, tau1=1e12, temperature=1e-12)
     meter = MeterSpec("qnd_x1", args.sigma_m)
     sba = backaction_sigma(meter, params)
-    # run_schedule draws outcomes, but no printed or written value depends on them
-    rng = np.random.default_rng(7)
 
     state = GaussianQuadState(0.0, 0.0, args.v0, args.v0, 0.0)
-    records, _ = run_schedule(state, meter, "orthodox", params, 1e-2, args.n_meas, rng)
-    slope, rel_err = heating_slope([r.post_v22 for r in records], sba)
+    plan = plan_schedule(state, meter, "orthodox", params, 1e-2, args.n_meas)
+    v11s, v22s = plan.steps["post_v11"].tolist(), plan.steps["post_v22"].tolist()
+    slope, rel_err = heating_slope(v22s, sba)
     print(f"sigma_ba^2 = {sba**2:.6e} m^2 per measurement")
     print(f"fitted v22 slope = {slope:.6e} m^2 per measurement (rel err {rel_err:.2e})")
-    print(f"v11: {args.v0:.3e} -> {records[-1].post_v11:.3e} m^2 after {args.n_meas} measurements")
+    print(f"v11: {args.v0:.3e} -> {v11s[-1]:.3e} m^2 after {args.n_meas} measurements")
 
     if args.trace_out:
         with open(args.trace_out, "w", encoding="utf-8") as handle:
             handle.write("step,v11_m2,v22_m2\n")
-            for step, r in enumerate(records, start=1):
-                handle.write(f"{step},{r.post_v11:.17g},{r.post_v22:.17g}\n")
+            for step, (v11, v22) in enumerate(zip(v11s, v22s), start=1):
+                handle.write(f"{step},{v11:.17g},{v22:.17g}\n")
     return 0
 
 

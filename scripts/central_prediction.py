@@ -8,6 +8,7 @@ generic stroboscopic phase (both should be flagged by the detector).
 """
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 
@@ -39,10 +40,16 @@ def main() -> int:
     # their generator runs to its end
     summaries = run_ensembles([config for _, config in runs], workers=args.workers)
     for summary, (name, _) in zip(summaries, runs):
-        flagged, pull = boltzmann_verdict(summary.gof_p_value, summary.t1_hat_K, summary.t1_stderr_K,
-                                          bath_t, args.alpha)
-        verdict = "DEVIATION" if flagged else "boltzmann-consistent"
-        print(f"{name:<18} {summary.t1_hat_K:>12.5g} {pull:>10.1f} {summary.gof_p_value:>10.3g} {verdict}")
+        # a run too small for a statistic reports None: it is shown as nan,
+        # and without the fit test's p the verdict is undetermined
+        t1_hat, t1_stderr, gof_p = (math.nan if value is None else value
+                                    for value in (summary.t1_hat_K, summary.t1_stderr_K, summary.gof_p_value))
+        flagged, pull = boltzmann_verdict(gof_p, t1_hat, t1_stderr, bath_t, args.alpha)
+        if summary.gof_p_value is None:
+            verdict = "undetermined"
+        else:
+            verdict = "DEVIATION" if flagged else "boltzmann-consistent"
+        print(f"{name:<18} {t1_hat:>12.5g} {pull:>10.1f} {gof_p:>10.3g} {verdict}")
     return 0
 
 

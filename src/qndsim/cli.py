@@ -266,9 +266,7 @@ def _cmd_analyze(args) -> int:
     config = load_config(args.config) if args.config is not None else default_config()
     with _outputs(args.out, args.histogram):
         x1, v22_trace = read_records(args.records)
-        values = ensemble_stats(x1, v22_trace, config)
-        t1_hat, t1_stderr, gof_p, _ = values
-        stats = dict(zip(SUMMARY_STATS, values))
+        stats = ensemble_stats(x1, v22_trace, config)
         text = json.dumps({"n_traj": len(x1), "n_meas": len(v22_trace), **stats, "alpha": args.alpha})
         if args.histogram is not None:
             hist = energy_histogram(SampleSeries(x1), config.oscillator(), args.bins)
@@ -279,10 +277,12 @@ def _cmd_analyze(args) -> int:
         if args.out is not None:
             _write(args.out, [text])
     print(text)
+    gof_p = stats["gof_p_value"]
     if gof_p is None:
         print("boltzmann: undetermined (too few trajectories)")
     else:
-        deviation, pull = boltzmann_verdict(gof_p, t1_hat, t1_stderr, config.temperature_K, args.alpha)
+        deviation, pull = boltzmann_verdict(gof_p, stats["t1_hat_K"], stats["t1_stderr_K"], config.temperature_K,
+                                            args.alpha)
         verdict = "deviation detected" if deviation else "consistent"
         print(f"boltzmann: {verdict} (p={gof_p:.6g}, alpha={args.alpha:g}, T1 pull={pull:.3g} se)")
     return 0

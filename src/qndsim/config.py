@@ -67,9 +67,6 @@ class RunConfig:
     def meter(self) -> MeterSpec:
         return MeterSpec(kind=self.meter_kind, sigma_m=self.sigma_m_m)
 
-    def policy(self) -> CollapsePolicy:
-        return CollapsePolicy(self.collapse_policy)
-
 
 # key -> type, in field order: the class float, int or str, since this module
 # does not postpone the evaluation of annotations

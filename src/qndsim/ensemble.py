@@ -11,12 +11,14 @@ worker count or chunk size.  Identical config implies byte-identical outputs.
 
 The covariance, gains, read directions and clock need no outcome (the
 Riccati recursion of Kalman 1960 is data-free), so every trajectory of a run
-shares them.  The parent makes each config's ``measurement.SchedulePlan``
-once, with ``plan_schedule``, when the config's chunks are queued, so a
-covariance that fails raises before any of its chunks runs.  The plan goes
-with each of the config's chunk jobs and is dropped after its summary, which
-reports the plan's v22 trace; ``analyze`` reads the same trace from the
-record CSV, so both report the same slope.
+shares them.  The parent sets each config up once, when the config's chunks
+are queued: it takes the sd of the start means and makes the
+``measurement.SchedulePlan`` with ``plan_schedule``, so a covariance that
+fails raises before any of its chunks runs.  A chunk job carries only the
+master seed, that sd, the plan, its trajectory range and whether to keep
+rows; it reads no config.  The plan is dropped after the config's summary,
+which reports the plan's v22 trace; ``analyze`` reads the same trace from
+the record CSV, so both report the same slope.
 
 A chunk steps only means: the plan's ``means``, the one step loop, applies
 the plan to arrays over the chunk's trajectories.  Its random draws come
@@ -173,53 +175,41 @@ class _ChunkDraws:
         self._next, self._filled = 0, width
 
 
-@dataclass
-class _ChunkResult:
-    x1: np.ndarray
-    # the text of the chunk's blocks: rendered as they are taken in process,
-    # a list once a pool worker has rendered them; None without rows
-    rows: Iterable[bytes] | None
-
-
-def _start(config: RunConfig) -> tuple[float, float]:
-    """(sd of each sampled mean, covariance floor) of a trajectory at the
-    start, in realization form (see the module docstring)."""
+def _setup(config: RunConfig) -> tuple[float, SchedulePlan]:
+    """(sd of each sampled mean at the start, covariance plan) of a config,
+    in realization form (see the module docstring): the plan runs from the
+    bath floor, through the burn-in, then the schedule."""
     params = config.oscillator()
     floor = 0.0 if config.bath_model == "classical" else zero_point_variance(params)
-    return float(np.sqrt(max(stationary_variance(params) - floor, 0.0))), floor
-
-
-def _plan(config: RunConfig) -> SchedulePlan:
-    """The config's covariance plan: from the floor, through the burn-in,
-    then the schedule."""
-    _, floor = _start(config)
+    mean_sd = float(np.sqrt(max(stationary_variance(params) - floor, 0.0)))
     start = GaussianQuadState(mean1=0.0, mean2=0.0, v11=floor, v22=floor)
-    params, meter, policy = config.oscillator(), config.meter(), config.policy()
-    return plan_schedule(start, meter, policy, params, config.dt_s, config.n_meas, config.burn_in_s)
+    return mean_sd, plan_schedule(start, config.meter(), config.collapse_policy, params, config.dt_s, config.n_meas,
+                                  config.burn_in_s)
 
 
-def _run_chunk(config: RunConfig, plan: SchedulePlan, start: int, stop: int, collect_rows: bool) -> _ChunkResult:
-    """Step the means of trajectories [start, stop) through the config's plan
-    as one batch.  The rows, if collected, are left unrendered: each block
-    of ``format_rows`` is rendered when it is taken."""
-    draws = _ChunkDraws(config.seed, start, stop, 2 + plan.draws)  # the two start means, then the plan's
-    mean_sd, _ = _start(config)
+def _run_chunk(
+    seed: int, mean_sd: float, plan: SchedulePlan, start: int, stop: int, collect_rows: bool
+) -> tuple[np.ndarray, Iterable[bytes] | None]:
+    """Step the means of trajectories [start, stop) of the run with master
+    seed ``seed`` as one batch, from start means of sd ``mean_sd``, through
+    ``plan``.  Return (final X1 means, rows): the rows, if collected, are
+    left unrendered, each block of ``format_rows`` rendered when it is
+    taken; None without them."""
+    draws = _ChunkDraws(seed, start, stop, 2 + plan.draws)  # the two start means, then the plan's
     steps = plan.means(draws.normal(0.0, mean_sd), draws.normal(0.0, mean_sd), draws)
     if not collect_rows:
-        return _ChunkResult(x1=deque(steps, maxlen=1)[0][1], rows=None)
+        return deque(steps, maxlen=1)[0][1], None
     # every step's (outcome, mean1, mean2), filled in place as the steps are made
-    values = np.fromiter(steps, dtype=np.dtype((np.float64, (3, stop - start))), count=config.n_meas)
+    values = np.fromiter(steps, dtype=np.dtype((np.float64, (3, stop - start))), count=len(plan.steps))
     # x1 is a copy, so that the summary keeps no chunk's values alive
-    return _ChunkResult(x1=values[-1, 1].copy(), rows=format_rows(start, plan, values))
+    return values[-1, 1].copy(), format_rows(start, plan, values)
 
 
-def _run_pooled_chunk(*job) -> _ChunkResult:
+def _run_pooled_chunk(*job) -> tuple[np.ndarray, list[bytes] | None]:
     """``_run_chunk`` in a pool worker, with its rows rendered to a list,
     since a generator cannot be sent back to the parent."""
-    part = _run_chunk(*job)
-    if part.rows is not None:
-        part.rows = list(part.rows)
-    return part
+    x1, rows = _run_chunk(*job)
+    return x1, None if rows is None else list(rows)
 
 
 def _pool_size(workers: int, n_chunks: int) -> int:
@@ -261,28 +251,28 @@ class RunSummary:
         return json.dumps(self.to_dict())
 
 
-def ensemble_stats(x1_values, v22_trace, config: RunConfig):
-    """(t1_hat, t1_stderr, gof_p, v22_slope), the first four of
-    ``SUMMARY_STATS``, for an ensemble; None where the run is too small for
-    the corresponding inference."""
-    t1_hat = t1_stderr = gof_p = slope = None
+def ensemble_stats(x1_values, v22_trace, config: RunConfig) -> dict:
+    """The first four of ``SUMMARY_STATS`` for an ensemble, by name and in
+    that order; None where the run is too small for the corresponding
+    inference."""
+    stats = dict.fromkeys(SUMMARY_STATS[:4])
     series = SampleSeries(np.asarray(x1_values, dtype=np.float64))
     params = config.oscillator()
     try:
         fit = estimate_t1(series, params)
-        t1_hat, t1_stderr = fit.t1_hat, fit.stderr
+        stats["t1_hat_K"], stats["t1_stderr_K"] = fit.t1_hat, fit.stderr
     except (InsufficientDataError, DegenerateSeriesError):
         pass
     try:
-        gof_p = gof_boltzmann(series)
+        stats["gof_p_value"] = gof_boltzmann(series)
     except (InsufficientDataError, DegenerateSeriesError):
         pass
     try:
         sba = backaction_sigma(config.meter(), params)
-        slope = heating_slope(v22_trace, sba)[0]
+        stats["v22_slope_m2"] = heating_slope(v22_trace, sba)[0]
     except InsufficientDataError:
         pass
-    return t1_hat, t1_stderr, gof_p, slope
+    return stats
 
 
 def _then_failure(jobs) -> Iterator:
@@ -296,7 +286,7 @@ def _then_failure(jobs) -> Iterator:
         yield failed
 
 
-def _in_order(pool: ProcessPoolExecutor, jobs, ahead: int) -> Iterator[_ChunkResult]:
+def _in_order(pool: ProcessPoolExecutor, jobs, ahead: int) -> Iterator[tuple[np.ndarray, list[bytes] | None]]:
     """``_run_pooled_chunk`` over ``jobs`` in ``pool``, yielded in job order,
     with at most ``ahead`` chunks submitted and not yet yielded.  A job that
     cannot be made raises in its place, after the chunks before it, as in
@@ -325,12 +315,12 @@ def run_ensembles(
     of ``ROWS_CHUNK_SIZE``, or fewer when n_meas is large, so that a chunk
     holds at most ``ROWS_STEP_BUDGET`` rows; the rows are written chunk by
     chunk as they arrive, and in process block by block as they are
-    rendered.  A config's plan is made when its first chunk is queued and
-    dropped after its summary.  Every config's chunks go through one pool,
-    started only when more than one process would run, which keeps at most
-    two chunks per process in flight; so memory holds one config's series,
-    the chunks in flight (one chunk's values in process) and their configs'
-    plans.
+    rendered.  A config is set up when its first chunk is queued, and its
+    plan is dropped after its summary.  Every config's chunks go through one
+    pool, started only when more than one process would run, which keeps at
+    most two chunks per process in flight; so memory holds one config's
+    series, the chunks in flight (one chunk's values in process) and their
+    configs' plans.
     A run that fails anywhere, statistics included, removes the record file
     if it is a regular file: a streamed file cut short would otherwise be
     well-formed.  ``wall_time_s`` is the time since the call or the previous
@@ -348,9 +338,10 @@ def run_ensembles(
 
     def jobs():
         for config, point_starts in zip(configs, starts):
-            plans.append(plan := _plan(config))
+            mean_sd, plan = _setup(config)
+            plans.append(plan)
             for lo in point_starts:
-                yield config, plan, lo, min(lo + size, config.n_traj), collect_rows
+                yield config.seed, mean_sd, plan, lo, min(lo + size, config.n_traj), collect_rows
 
     handle = None
     try:
@@ -368,21 +359,18 @@ def run_ensembles(
             for config, point_starts in zip(configs, starts):
                 x1_parts: list[np.ndarray] = []
                 # parts yields in job order, so each point's chunks arrive in trajectory order
-                for part in islice(parts, len(point_starts)):
-                    x1_parts.append(part.x1)
+                for x1, rows in islice(parts, len(point_starts)):
+                    x1_parts.append(x1)
                     if handle is not None:
-                        handle.writelines(part.rows)
-                    del part  # not alive while the next chunk runs or arrives
+                        handle.writelines(rows)
+                    del rows  # not alive while the next chunk runs or arrives
                 v22_trace = plans.popleft().steps["post_v22"].copy()
                 x1s = np.concatenate(x1_parts)
-                t1_hat, t1_stderr, gof_p, slope = ensemble_stats(x1s, v22_trace, config)
+                stats = ensemble_stats(x1s, v22_trace, config)
                 budget_point = operating_point(config)
                 yield RunSummary(
                     config=config,
-                    t1_hat_K=t1_hat,
-                    t1_stderr_K=t1_stderr,
-                    gof_p_value=gof_p,
-                    v22_slope_m2=slope,
+                    **stats,
                     eta1=_eta1(budget_point),
                     eta2=_eta2(budget_point),
                     wall_time_s=_time.perf_counter() - started,

@@ -89,6 +89,15 @@ def test_no_command_loads_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_package_runs_as_a_module():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "qndsim", "budget"], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "eta1=" in done.stdout
+
+
 def test_every_public_name_imports():
     import qndsim
 
@@ -325,6 +334,9 @@ def test_analyze_matches_simulate(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out.splitlines()
     analyzed = json.loads(out[0])
+    assert list(analyzed) == [
+        "n_traj", "n_meas", "t1_hat_K", "t1_stderr_K", "gof_p_value", "v22_slope_m2", "alpha",
+    ]
     # .17g serialization round-trips the series, so the refit is bit-identical
     assert analyzed["t1_hat_K"] == simulated["t1_hat_K"]
     assert analyzed["gof_p_value"] == simulated["gof_p_value"]

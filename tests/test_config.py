@@ -94,7 +94,6 @@ def test_derived_views():
     assert params.bath_model == config.bath_model
     meter = config.meter()
     assert meter.kind == config.meter_kind
-    assert config.policy().value == config.collapse_policy
 
 
 def test_readme_config_block_shows_every_key_and_default():

@@ -24,9 +24,9 @@ from qndsim.ensemble import (
     DRAW_BLOCK,
     ROWS_CHUNK_SIZE,
     _ChunkDraws,
-    _plan,
     _pool_size,
     _run_chunk,
+    _setup,
     run_ensembles,
 )
 from qndsim.records import FORMAT_BLOCK_ROWS, RECORD_CSV_HEADER
@@ -118,7 +118,7 @@ def test_trajectory_replays_through_public_schedule(branch, tmp_path):
     path = tmp_path / "records.csv"
     summary = run_ensemble(config, record_path=str(path))
     rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
-    params, meter, policy = config.oscillator(), config.meter(), config.policy()
+    params, meter, policy = config.oscillator(), config.meter(), config.collapse_policy
     for index in range(config.n_traj):
         rng, start = replay_start(config, index)
         schedule_draws = rng.bit_generator.state
@@ -147,7 +147,7 @@ def test_trajectory_replays_without_rows(branch, monkeypatch):
     monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 2)
     config = small_config(**{"n_traj": 3, "n_meas": 5, **REPLAY_BRANCHES[branch]})
     summary = run_ensemble(config)
-    params, meter, policy = config.oscillator(), config.meter(), config.policy()
+    params, meter, policy = config.oscillator(), config.meter(), config.collapse_policy
     for index in range(config.n_traj):
         rng, start = replay_start(config, index)
         scheduled, final = run_schedule(start, meter, policy, params, config.dt_s, config.n_meas, rng)
@@ -173,7 +173,7 @@ def test_chunk_declares_the_draws_it_uses(policy, meter_kind, burn_in_s, monkeyp
 
     monkeypatch.setattr("qndsim.ensemble._ChunkDraws", CountingDraws)
     config = small_config(collapse_policy=policy, meter_kind=meter_kind, burn_in_s=burn_in_s, n_meas=7)
-    _run_chunk(config, _plan(config), 0, 3, False)
+    _run_chunk(config.seed, *_setup(config), 0, 3, False)
     [draws] = made
     assert draws.used == draws.declared
 
@@ -209,13 +209,13 @@ def test_rekeyed_chunk_draws_equal_each_trajectory_rng(seed, start, n_draws):
 def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
     def peak_bytes(n_meas):
         config = small_config(n_meas=n_meas)
-        plan = _plan(config)  # made once per config, in the parent
+        mean_sd, plan = _setup(config)  # once per config, in the parent
         # untraced, so that what a first chunk allocates once in a process
         # (numpy.random's import, on the first Philox) is not counted
-        _run_chunk(config, plan, 0, 1, False)
+        _run_chunk(config.seed, mean_sd, plan, 0, 1, False)
         tracemalloc.start()
         try:
-            _run_chunk(config, plan, 0, 16, False)
+            _run_chunk(config.seed, mean_sd, plan, 0, 16, False)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -233,13 +233,13 @@ def test_rows_chunk_memory_stays_under_its_values_and_a_few_blocks(overrides):
     # notation) are boxed as Python floats, and boxing the whole chunk's
     # values would add about 2.4 MB here, the chunk's text 3.6 MB
     config = small_config(n_traj=128, n_meas=200, **overrides)
-    plan = _plan(config)
-    b"".join(_run_chunk(config, plan, 0, 1, True).rows)  # one-time allocations, untraced
+    mean_sd, plan = _setup(config)
+    b"".join(_run_chunk(config.seed, mean_sd, plan, 0, 1, True)[1])  # one-time allocations, untraced
     tracemalloc.start()
     try:
-        part = _run_chunk(config, plan, 0, 128, True)
+        _, rows = _run_chunk(config.seed, mean_sd, plan, 0, 128, True)
         text = 0
-        for block in part.rows:
+        for block in rows:
             text += len(block)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -272,9 +272,9 @@ def test_rows_chunk_width_is_bounded_by_the_step_budget(tmp_path, monkeypatch):
     # at least one trajectory; the width changes no output byte
     widths = []
 
-    def spy(config, plan, start, stop, collect_rows):
+    def spy(seed, mean_sd, plan, start, stop, collect_rows):
         widths.append(stop - start)
-        return _run_chunk(config, plan, start, stop, collect_rows)
+        return _run_chunk(seed, mean_sd, plan, start, stop, collect_rows)
 
     monkeypatch.setattr("qndsim.ensemble._run_chunk", spy)
     config = small_config(n_traj=11, n_meas=40)

@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qndsim import default_config, records, run_ensemble
-from qndsim.ensemble import _plan, _run_chunk
+from qndsim.ensemble import _run_chunk, _setup
 from qndsim.records import RECORD_CSV_HEADER
 
 #: A config whose means straddle 1e-4, so that about a quarter of them are
@@ -199,9 +199,9 @@ def chunk_rows(config, start, stop, monkeypatch) -> tuple[bytes, bytes]:
         return records.format_rows(first_id, plan, values)
 
     monkeypatch.setattr("qndsim.ensemble.format_rows", spy)
-    part = _run_chunk(config, _plan(config), start, stop, True)
+    _, rows = _run_chunk(config.seed, *_setup(config), start, stop, True)
     (call,) = calls
-    return b"".join(part.rows), reference_rows(*call)
+    return b"".join(rows), reference_rows(*call)
 
 
 METERS_AND_POLICIES = [

@@ -12,6 +12,8 @@ ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = {
     "backaction_heating": ["scripts/backaction_heating.py", "--n-meas", "10"],
     "central_prediction": ["scripts/central_prediction.py", "--n-traj", "300", "--n-meas", "5"],
+    # too few trajectories for the fit test: every verdict is undetermined
+    "central_prediction_undetermined": ["scripts/central_prediction.py", "--n-traj", "50", "--n-meas", "3"],
 }
 
 
