@@ -37,9 +37,7 @@ _EXPORTS = {
         "StateDomainError",
     ),
     "measurement": (
-        "CollapsePolicy",
         "MeasurementRecord",
-        "MeterSpec",
         "backaction_sigma",
         "measure",
         "measurement_direction",
@@ -47,6 +45,7 @@ _EXPORTS = {
     ),
     "observables": (
         "LinearObservable",
+        "MeterSpec",
         "OscillatorParams",
         "QndVerdict",
         "commutator_symplectic",

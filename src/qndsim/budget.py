@@ -3,7 +3,8 @@
 eta1 = (kB T / hbar w1)(dt / tau1) counts the mean thermal energy exchanged
 with the mechanical mode per measurement interval in units of hbar w1; eta2
 is the same figure for the electrical readout mode.  Both near unity mark
-the regime where quantum measurement noise competes with thermal drift.
+the regime where quantum measurement noise competes with thermal drift.  An
+eta that overflows raises NumericalFailureError rather than report inf.
 The amplifier figure eta_a is a pass-through input (no formula exists for
 it here), and the zero-point displacement sqrt(hbar / m w) shows why small
 test masses enlarge the quantum floor.
@@ -18,7 +19,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .config import RunConfig
 from .constants import HBAR, KB
-from .errors import ParameterError, require_positive
+from .errors import ParameterError, require_finite, require_positive
 
 
 @dataclass(frozen=True)
@@ -70,12 +71,12 @@ class BudgetReport:
 
 def eta1(inputs: BudgetInputs) -> float:
     """Brownian-drift quanta of the mechanical mode per interval."""
-    return (KB * inputs.temperature / (HBAR * inputs.omega1)) * (inputs.dt / inputs.tau1)
+    return require_finite("eta1", (KB * inputs.temperature / (HBAR * inputs.omega1)) * (inputs.dt / inputs.tau1))
 
 
 def eta2(inputs: BudgetInputs) -> float:
     """Dissipation quanta of the electrical readout mode per interval."""
-    return (KB * inputs.temperature / (HBAR * inputs.omega2)) * (inputs.dt / inputs.tau2)
+    return require_finite("eta2", (KB * inputs.temperature / (HBAR * inputs.omega2)) * (inputs.dt / inputs.tau2))
 
 
 def zero_point_displacement(mass: float, omega: float) -> float:

@@ -4,16 +4,16 @@ Exact keys, one per line, ``#`` comments; values round-trip bit-exactly
 through repr, so an echoed config reproduces its run.  ``RunConfig`` is the
 schema: each of its fields declares one key's name, type and default, in
 the canonical order, and ``CONFIG_KEYS`` and the parser read them from there.
+Its names are checked against the vocabularies of ``observables``; the
+module imports nothing else of the package but ``errors``, so loading a
+config loads neither numpy nor the engine.
 """
 
 import math
 from dataclasses import dataclass, fields
 
 from .errors import ConfigError, require_positive
-from .measurement import METER_KINDS, CollapsePolicy, MeterSpec
-from .observables import BATH_MODELS, OscillatorParams
-
-_POLICIES = tuple(p.value for p in CollapsePolicy)
+from .observables import BATH_MODELS, COLLAPSE_POLICIES, METER_KINDS, MeterSpec, OscillatorParams
 
 
 @dataclass(frozen=True)
@@ -52,8 +52,8 @@ class RunConfig:
             raise ConfigError(f"bath_model must be classical or quantum, got {self.bath_model!r}")
         if self.meter_kind not in METER_KINDS:
             raise ConfigError(f"meter_kind must be one of {METER_KINDS}, got {self.meter_kind!r}")
-        if self.collapse_policy not in _POLICIES:
-            raise ConfigError(f"collapse_policy must be one of {_POLICIES}, got {self.collapse_policy!r}")
+        if self.collapse_policy not in COLLAPSE_POLICIES:
+            raise ConfigError(f"collapse_policy must be one of {COLLAPSE_POLICIES}, got {self.collapse_policy!r}")
 
     def oscillator(self) -> OscillatorParams:
         return OscillatorParams(

@@ -1,5 +1,6 @@
 """Exception types: parameter domain, state domain, data sufficiency, numerics;
-and the one finite-and-positive check that the parameter records share."""
+the one finite-and-positive check that the parameter records share, and the
+one finite check of a reported figure."""
 
 import math
 
@@ -32,3 +33,11 @@ def require_positive(name: str, value, error: type[ValueError] = ParameterError)
     """Raise ``error`` naming ``name`` unless value is a finite real number > 0."""
     if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0.0):
         raise error(f"{name} must be finite and > 0, got {value!r}")
+
+
+def require_finite(name: str, value: float) -> float:
+    """Return value, or raise NumericalFailureError naming ``name`` if it is
+    not finite: a reported figure that overflows is a failed computation."""
+    if not math.isfinite(value):
+        raise NumericalFailureError(f"{name} is not finite: {value!r}")
+    return value

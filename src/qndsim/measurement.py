@@ -23,6 +23,11 @@ an isotropic Gaussian kick of scale sigma_ba on both sampled means (on top of
 the u_perp covariance term).  This is an anomaly injector, not a model of any
 particular alternative theory.
 
+Meter kinds, ``MeterSpec`` and the collapse policies' names are declared in
+``observables``, beside ``OscillatorParams``.  ``measure``, ``plan_schedule``
+and ``run_schedule`` take a policy by its name and check it once, raising
+ParameterError for an unknown one; below them it is the ``orthodox`` bool.
+
 Covariance, gains, read direction and the outcome's spread depend on no
 outcome: the recursion is data-free (Kalman 1960).  So a step has two halves.
 ``plan_schedule`` runs the covariance half of a whole schedule once, with
@@ -36,7 +41,6 @@ ensemble makes one plan per config, so its chunks step only means.
 
 from __future__ import annotations
 
-import enum
 import math
 import sys
 from collections.abc import Iterator
@@ -46,33 +50,11 @@ import numpy as np
 
 from .constants import HBAR
 from .dynamics import GaussianQuadState, thermal_kick, thermal_relax
-from .errors import NumericalFailureError, ParameterError, StateDomainError, require_positive
-from .observables import OscillatorParams
-
-METER_KINDS = ("qnd_x1", "qnd_x2", "position")
+from .errors import NumericalFailureError, ParameterError, StateDomainError
+from .observables import COLLAPSE_POLICIES, MeterSpec, OscillatorParams
 
 # Relative slack for the PSD test on input covariances.
 _PSD_SLACK = 1e-12
-
-
-class CollapsePolicy(str, enum.Enum):
-    """How the state responds to a measurement outcome."""
-
-    ORTHODOX = "orthodox"
-    NO_CONDITIONING = "no_conditioning"
-
-
-@dataclass(frozen=True)
-class MeterSpec:
-    """What is measured and how well: meter kind and readout noise sigma_m [m]."""
-
-    kind: str
-    sigma_m: float
-
-    def __post_init__(self) -> None:
-        if self.kind not in METER_KINDS:
-            raise ParameterError(f"unknown meter kind {self.kind!r}; expected one of {METER_KINDS}")
-        require_positive("sigma_m", self.sigma_m)
 
 
 @dataclass(slots=True)
@@ -108,6 +90,14 @@ def backaction_sigma(meter: MeterSpec, params: OscillatorParams) -> float:
     return HBAR / (2.0 * params.mass * params.omega1 * meter.sigma_m)
 
 
+def _orthodox(policy: str) -> bool:
+    """Whether the collapse policy named ``policy`` conditions the state on
+    the outcome; a name not in ``COLLAPSE_POLICIES`` raises ParameterError."""
+    if policy not in COLLAPSE_POLICIES:
+        raise ParameterError(f"unknown collapse policy {policy!r}; expected one of {COLLAPSE_POLICIES}")
+    return policy == "orthodox"
+
+
 def _scale_exponent(state: GaussianQuadState, sigma_m: float) -> int:
     """The j >= 0 for which measure scales the covariance and sigma_m^2 by
     4**j: the largest of them then lies near 2**509, so that products of
@@ -133,7 +123,7 @@ def _require_psd(v11: float, v22: float, v12: float, state: GaussianQuadState) -
 
 
 def _conditioned(
-    state: GaussianQuadState, meter: MeterSpec, policy: CollapsePolicy, params: OscillatorParams
+    state: GaussianQuadState, meter: MeterSpec, orthodox: bool, params: OscillatorParams
 ) -> tuple[tuple[float, float, float, float, float], GaussianQuadState]:
     """Covariance half of ``measure``: the read (u1, u2, outcome sd, k1, k2)
     and the state with the posterior covariance, its means and clock as given.
@@ -144,7 +134,8 @@ def _conditioned(
     which the scale divides out exactly.  Where the scaled sigma_m^2, or its
     product with v11 or v22, still falls below the normal range, an orthodox
     update raises NumericalFailureError rather than return a variance that
-    lost its digits.  Under no_conditioning the gains are 0 and unused.
+    lost its digits, and so does a read or covariance that is not finite.
+    Under no_conditioning the gains are 0 and unused.
     """
     j = _scale_exponent(state, meter.sigma_m)
     half, scale = 2.0**j, 4.0**j
@@ -168,7 +159,7 @@ def _conditioned(
     # conjugate direction receives the covariance back-action term
     p1, p2 = -u2, u1
     k1 = k2 = 0.0
-    if policy is CollapsePolicy.ORTHODOX:
+    if orthodox:
         # s2 * v11 and s2 * v22 enter the posterior variances: below the
         # normal range they lose digits or vanish, even below the floor
         tiny = sys.float_info.min
@@ -188,7 +179,7 @@ def _conditioned(
         v11 = state.v11 + sba2 * p1 * p1
         v22 = state.v22 + sba2 * p2 * p2
         v12 = state.v12 + sba2 * p1 * p2
-    if not (math.isfinite(v11) and math.isfinite(v22) and math.isfinite(v12)):
+    if not all(map(math.isfinite, (v11, v22, v12, outcome_sd, k1, k2))):
         raise NumericalFailureError("measurement produced a non-finite outcome or state")
     posterior = GaussianQuadState(mean1=state.mean1, mean2=state.mean2, v11=v11, v22=v22, v12=v12, time=state.time)
     return (u1, u2, outcome_sd, k1, k2), posterior
@@ -222,7 +213,7 @@ def _read_means(mean1, mean2, read, sigma_ba: float, orthodox: bool, rng):
 def measure(
     state: GaussianQuadState,
     meter: MeterSpec,
-    policy: CollapsePolicy | str,
+    policy: str,
     params: OscillatorParams,
     rng: np.random.Generator,
 ) -> tuple[float, GaussianQuadState, MeasurementRecord]:
@@ -234,9 +225,8 @@ def measure(
     too, with one normal per trajectory from any generator; covariance and
     clock stay scalars.
     """
-    policy = CollapsePolicy(policy)
-    read, post = _conditioned(state, meter, policy, params)
-    orthodox, sba = policy is CollapsePolicy.ORTHODOX, backaction_sigma(meter, params)
+    orthodox, sba = _orthodox(policy), backaction_sigma(meter, params)
+    read, post = _conditioned(state, meter, orthodox, params)
     outcome, post.mean1, post.mean2 = _read_means(state.mean1, state.mean2, read, sba, orthodox, rng)
     record = MeasurementRecord(state.time, outcome, state.v11, post.v11, post.v22)
     return outcome, post, record
@@ -290,7 +280,7 @@ class SchedulePlan:
 def plan_schedule(
     state: GaussianQuadState,
     meter: MeterSpec,
-    policy: CollapsePolicy | str,
+    policy: str,
     params: OscillatorParams,
     dt: float,
     n_meas: int,
@@ -307,7 +297,7 @@ def plan_schedule(
     """
     if n_meas < 1:
         raise ParameterError(f"schedule requires n_meas >= 1, got {n_meas!r}")
-    policy = CollapsePolicy(policy)
+    orthodox = _orthodox(policy)
     burn_in = None
     if burn_in_s > 0.0:
         decay, kick_sd, state = thermal_relax(state, burn_in_s, params)
@@ -316,16 +306,15 @@ def plan_schedule(
     for step in range(n_meas):
         decay, kick_sd, state = thermal_relax(state, dt, params)
         pre_v11 = state.v11
-        read, state = _conditioned(state, meter, policy, params)
+        read, state = _conditioned(state, meter, orthodox, params)
         steps[step] = (state.time, pre_v11, state.v11, state.v22, state.v12, *read)
-    orthodox = policy is CollapsePolicy.ORTHODOX
     return SchedulePlan(orthodox, backaction_sigma(meter, params), burn_in, decay, kick_sd, steps)
 
 
 def run_schedule(
     initial: GaussianQuadState,
     meter: MeterSpec,
-    policy: CollapsePolicy | str,
+    policy: str,
     params: OscillatorParams,
     dt: float,
     n_meas: int,

@@ -24,6 +24,11 @@ at lab time t means measuring the time-t member of this co-rotating family;
 evolving that member back with the free motion always lands on the fixed pair
 (1, 0), which is why the amplitudes commute with themselves across arbitrary
 measurement times while plain position does not.
+
+The module also declares the run's vocabularies, the bath models, meter
+kinds and collapse policies, and its parameter records, ``OscillatorParams``
+and ``MeterSpec``.  It imports no numpy, so the run config, which is checked
+against them, loads without the engine.
 """
 
 from __future__ import annotations
@@ -35,6 +40,14 @@ from .errors import ParameterError, require_positive
 
 #: Bath models of OscillatorParams and the run config.
 BATH_MODELS = ("classical", "quantum")
+
+#: Meter kinds of MeterSpec and the run config; ``measurement`` gives each
+#: its read direction.
+METER_KINDS = ("qnd_x1", "qnd_x2", "position")
+
+#: Collapse policies of ``measurement`` and the run config: the orthodox
+#: Kalman update, and the no-collapse foil.
+COLLAPSE_POLICIES = ("orthodox", "no_conditioning")
 
 #: Default QND tolerance, relative to the natural commutator scale 1/(m w1).
 QND_TOL = 1e-9
@@ -63,6 +76,19 @@ class OscillatorParams:
             require_positive(name, getattr(self, name))
         if self.bath_model not in BATH_MODELS:
             raise ParameterError(f"unknown bath_model {self.bath_model!r}")
+
+
+@dataclass(frozen=True)
+class MeterSpec:
+    """What is measured and how well: meter kind and readout noise sigma_m [m]."""
+
+    kind: str
+    sigma_m: float
+
+    def __post_init__(self) -> None:
+        if self.kind not in METER_KINDS:
+            raise ParameterError(f"unknown meter kind {self.kind!r}; expected one of {METER_KINDS}")
+        require_positive("sigma_m", self.sigma_m)
 
 
 @dataclass(frozen=True)

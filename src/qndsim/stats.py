@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import KB
-from .errors import DegenerateSeriesError, InsufficientDataError, ParameterError
+from .errors import DegenerateSeriesError, InsufficientDataError, ParameterError, require_finite
 from .observables import OscillatorParams
 
 #: Replicas in a KS null table.
@@ -112,12 +112,13 @@ def _usable_variance(values: np.ndarray) -> float:
 
 
 def estimate_t1(series: SampleSeries, params: OscillatorParams) -> BoltzmannFit:
-    """Effective temperature from equipartition of a zero-mean ensemble."""
+    """Effective temperature from equipartition of a zero-mean ensemble; one
+    that overflows raises NumericalFailureError."""
     n = len(series)
     if n < 30:
         raise InsufficientDataError(f"need >= 30 samples to estimate T1, got {n}")
     variance = _usable_variance(series.values)
-    t1 = params.mass * params.omega1**2 * variance / KB
+    t1 = require_finite("the T1 estimate", params.mass * params.omega1**2 * variance / KB)
     return BoltzmannFit(t1_hat=t1, stderr=t1 * math.sqrt(2.0 / (n - 1)))
 
 

@@ -56,6 +56,14 @@ def test_budget_defaults_match_the_run_summary(tmp_path, capsys):
     assert (summary.eta1, summary.eta2) == (point["eta1"], point["eta2"])
 
 
+def test_budget_eta_overflow_is_a_numerical_failure(tmp_path, capsys):
+    out_path = tmp_path / "budget.csv"
+    assert main(["budget", "--dt", "1e308", "--tau1", "1e-308", "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure: eta1 is not finite")
+    assert not out_path.exists()
+
+
 def test_budget_grid_stdout(capsys):
     assert main(["budget", "--T", "0.05,0.1"]) == 0
     out = capsys.readouterr().out.splitlines()
@@ -236,6 +244,13 @@ def test_simulate_numerical_failure_exit_code(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical failure: covariance product underflow")
     assert not records_path.exists()
+    # the run itself is finite; its budget figure eta1 = (kB T / hbar w1)(dt / tau1) is not
+    cfg_path, _ = write_config(tmp_path, n_traj=40, n_meas=2, tau1_s=1e-300, dt_s=1e10)
+    assert main(["simulate", "--config", str(cfg_path), "--out", str(summary_path),
+                 "--records", str(records_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure: eta1 is not finite")
+    assert not summary_path.exists() and not records_path.exists()
 
 
 def test_sweep_rows_in_flag_order(tmp_path):
@@ -417,6 +432,21 @@ def test_analyze_rejects_alpha_outside_unit_interval(alpha, tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "--alpha" in err
+
+
+def test_analyze_overflowing_t1_is_a_numerical_failure(tmp_path, capsys):
+    # a well-formed file whose final means are about 1e150: their variance is
+    # finite, the temperature it implies is not, and inf is not JSON
+    path = tmp_path / "records.csv"
+    run_ensemble(replace(default_config(), n_traj=120, n_meas=5), record_path=str(path))
+    header, *rows = path.read_text().splitlines()
+    rows = [_with_field(row, 4, repr(float(row.split(",")[4]) * 1e165)) for row in rows]
+    path.write_text("\n".join([header] + rows) + "\n")
+    out_path = tmp_path / "analysis.json"
+    assert main(["analyze", "--records", str(path), "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure: the T1 estimate is not finite")
+    assert not out_path.exists()
 
 
 def test_analyze_rejects_overflowing_v22_trace(tmp_path, capsys):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -5,6 +8,24 @@ import pytest
 
 from qndsim import ConfigError, default_config, format_config, load_config, parse_config
 from qndsim.config import CONFIG_KEYS, convert_config_value
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def test_loading_a_config_imports_neither_numpy_nor_the_engine(tmp_path):
+    # the schema checks names against the vocabularies in observables, which
+    # a fresh interpreter loads without numpy, measurement or dynamics
+    path = tmp_path / "run.cfg"
+    path.write_text("n_traj = 200\nn_meas = 6\nmeter_kind = position\ncollapse_policy = no_conditioning\n")
+    code = "import sys, qndsim; qndsim.load_config(sys.argv[1]); print(*sys.modules)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, str(path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.split())
+    assert "qndsim.config" in loaded
+    assert not loaded & {"numpy", "qndsim.measurement", "qndsim.dynamics"}
 
 
 def test_round_trip_is_identity():

@@ -360,14 +360,20 @@ def test_covariance_failure_is_raised_by_the_plan_before_any_chunk(tmp_path, mon
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr("qndsim.ensemble._run_chunk", spy)
-    # v22 grows by sigma_ba**2 per step, so sigma_m**2 * v11 underflows
-    config = small_config(n_traj=CHUNK_SIZE + 100, n_meas=6, bath_model="quantum", sigma_m_m=1e-150)
+    failing = [
+        # v22 grows by sigma_ba**2 per step, so sigma_m**2 * v11 underflows
+        (dict(bath_model="quantum", sigma_m_m=1e-150), "covariance product underflow"),
+        # sigma_m**2 overflows: the covariance stays finite, the outcome's sd does not
+        (dict(sigma_m_m=1e160, collapse_policy="no_conditioning"), "measurement produced a non-finite outcome"),
+    ]
     path = tmp_path / "records.csv"
-    for workers in (1, 2):
-        with pytest.raises(NumericalFailureError) as failure:
-            run_ensemble(config, workers=workers, record_path=str(path))
-        assert str(failure.value).startswith("covariance product underflow")
-        assert not path.exists()
+    for overrides, message in failing:
+        config = small_config(n_traj=CHUNK_SIZE + 100, n_meas=6, **overrides)
+        for workers in (1, 2):
+            with pytest.raises(NumericalFailureError) as failure:
+                run_ensemble(config, workers=workers, record_path=str(path))
+            assert str(failure.value).startswith(message)
+            assert not path.exists()
 
 
 def test_sweep_raises_a_failed_plan_after_the_summaries_before_it(monkeypatch):

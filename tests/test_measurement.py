@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from qndsim import (
     HBAR,
-    CollapsePolicy,
     GaussianQuadState,
     MeterSpec,
     NumericalFailureError,
@@ -22,7 +21,8 @@ from qndsim import (
     run_schedule,
     thermal_step,
 )
-from qndsim.measurement import METER_KINDS, PLAN_STEP, plan_schedule
+from qndsim.measurement import PLAN_STEP, plan_schedule
+from qndsim.observables import COLLAPSE_POLICIES, METER_KINDS
 
 M = 1e-3
 W1 = 1e4
@@ -81,7 +81,7 @@ def test_meter_spec_validation():
 def test_infinitely_weak_meter_leaves_state(params, rng):
     state = GaussianQuadState(2e-15, -1e-15, VINF, VINF, 1e-31)
     meter = MeterSpec("qnd_x1", 1.0)  # resolution 15 orders above the thermal spread
-    for policy in CollapsePolicy:
+    for policy in COLLAPSE_POLICIES:
         _, out, _ = measure(state, meter, policy, params, rng)
         assert math.isclose(out.mean1, state.mean1, rel_tol=1e-9)
         assert math.isclose(out.mean2, state.mean2, rel_tol=1e-9)
@@ -95,7 +95,7 @@ def test_sharp_value_measurement(params, rng):
     state = GaussianQuadState(2e-15, 0.0, 0.0, VINF, 0.0)
     outcomes = []
     for _ in range(30000):
-        y, out, _ = measure(state, meter, CollapsePolicy.ORTHODOX, params, rng)
+        y, out, _ = measure(state, meter, "orthodox", params, rng)
         outcomes.append(y)
     # nothing to learn about a sharp value; back-action still applies
     assert out.mean1 == state.mean1
@@ -208,6 +208,17 @@ def test_tiny_meter_resolution_overflows_cleanly(params, rng):
     # sigma_m**2 overflows: the no-collapse state stays finite, the outcome does not
     with pytest.raises(NumericalFailureError):
         measure(state, MeterSpec("qnd_x1", 1e160), "no_conditioning", params, rng)
+
+
+def test_unknown_collapse_policy_is_a_parameter_error(params, rng):
+    state = GaussianQuadState(0.0, 0.0, VINF, VINF, 0.0)
+    meter = MeterSpec("qnd_x1", 1e-18)
+    with pytest.raises(ParameterError, match="unknown collapse policy 'bogus'"):
+        measure(state, meter, "bogus", params, rng)
+    with pytest.raises(ParameterError, match="unknown collapse policy 'bogus'"):
+        plan_schedule(state, meter, "bogus", params, 1e-2, 3)
+    with pytest.raises(ParameterError, match="unknown collapse policy 'bogus'"):
+        run_schedule(state, meter, "bogus", params, 1e-2, 3, rng)
 
 
 # --- invariants ----------------------------------------------------------------
