@@ -31,7 +31,8 @@ def main() -> int:
     state = GaussianQuadState(0.0, 0.0, args.v0, args.v0, 0.0)
     plan = plan_schedule(state, meter, "orthodox", params, 1e-2, args.n_meas)
     v11s, v22s = plan.steps["post_v11"].tolist(), plan.steps["post_v22"].tolist()
-    slope, rel_err = heating_slope(v22s, sba)
+    slope = heating_slope(v22s)
+    rel_err = abs(slope - sba**2) / sba**2
     print(f"sigma_ba^2 = {sba**2:.6e} m^2 per measurement")
     print(f"fitted v22 slope = {slope:.6e} m^2 per measurement (rel err {rel_err:.2e})")
     print(f"v11: {args.v0:.3e} -> {v11s[-1]:.3e} m^2 after {args.n_meas} measurements")

@@ -266,7 +266,7 @@ def _cmd_analyze(args) -> int:
     config = load_config(args.config) if args.config is not None else default_config()
     with _outputs(args.out, args.histogram):
         x1, v22_trace = read_records(args.records)
-        stats = ensemble_stats(x1, v22_trace, config)
+        stats = ensemble_stats(x1, v22_trace, config.oscillator())
         text = json.dumps({"n_traj": len(x1), "n_meas": len(v22_trace), **stats, "alpha": args.alpha})
         if args.histogram is not None:
             hist = energy_histogram(SampleSeries(x1), config.oscillator(), args.bins)

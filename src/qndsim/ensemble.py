@@ -12,13 +12,14 @@ worker count or chunk size.  Identical config implies byte-identical outputs.
 The covariance, gains, read directions and clock need no outcome (the
 Riccati recursion of Kalman 1960 is data-free), so every trajectory of a run
 shares them.  The parent sets each config up once, when the config's chunks
-are queued: it takes the sd of the start means and makes the
-``measurement.SchedulePlan`` with ``plan_schedule``, so a covariance that
-fails raises before any of its chunks runs.  A chunk job carries only the
-master seed, that sd, the plan, its trajectory range and whether to keep
-rows; it reads no config.  The plan is dropped after the config's summary,
-which reports the plan's v22 trace; ``analyze`` reads the same trace from
-the record CSV, so both report the same slope.
+are queued: it takes the sd of the start means, makes the
+``measurement.SchedulePlan`` with ``plan_schedule`` and the summary's
+budget figures eta1 and eta2, so a covariance or figure that fails raises
+before any of its chunks runs.  A chunk job carries only the master seed,
+that sd, the plan, its trajectory range and whether to keep rows; it reads
+no config.  The plan is dropped after the config's summary, which reports
+the plan's v22 trace; ``analyze`` reads the same trace from the record CSV,
+so both report the same slope.
 
 A chunk steps only means: the plan's ``means``, the one step loop, applies
 the plan to arrays over the chunk's trajectories.  Its random draws come
@@ -78,7 +79,8 @@ from .budget import eta1 as _eta1, eta2 as _eta2, operating_point
 from .config import CONFIG_KEYS, RunConfig
 from .dynamics import GaussianQuadState, stationary_variance, zero_point_variance
 from .errors import DegenerateSeriesError, InsufficientDataError, ParameterError
-from .measurement import SchedulePlan, backaction_sigma, plan_schedule
+from .measurement import SchedulePlan, plan_schedule
+from .observables import OscillatorParams
 from .records import RECORD_CSV_HEADER, format_rows
 from .stats import SampleSeries, estimate_t1, gof_boltzmann, heating_slope
 
@@ -251,13 +253,12 @@ class RunSummary:
         return json.dumps(self.to_dict())
 
 
-def ensemble_stats(x1_values, v22_trace, config: RunConfig) -> dict:
-    """The first four of ``SUMMARY_STATS`` for an ensemble, by name and in
-    that order; None where the run is too small for the corresponding
-    inference."""
+def ensemble_stats(x1_values, v22_trace, params: OscillatorParams) -> dict:
+    """The first four of ``SUMMARY_STATS`` for an ensemble of the oscillator
+    ``params``, by name and in that order; None where the run is too small
+    for the corresponding inference."""
     stats = dict.fromkeys(SUMMARY_STATS[:4])
     series = SampleSeries(np.asarray(x1_values, dtype=np.float64))
-    params = config.oscillator()
     try:
         fit = estimate_t1(series, params)
         stats["t1_hat_K"], stats["t1_stderr_K"] = fit.t1_hat, fit.stderr
@@ -268,15 +269,14 @@ def ensemble_stats(x1_values, v22_trace, config: RunConfig) -> dict:
     except (InsufficientDataError, DegenerateSeriesError):
         pass
     try:
-        sba = backaction_sigma(config.meter(), params)
-        stats["v22_slope_m2"] = heating_slope(v22_trace, sba)[0]
+        stats["v22_slope_m2"] = heating_slope(v22_trace)
     except InsufficientDataError:
         pass
     return stats
 
 
 def _then_failure(jobs) -> Iterator:
-    """The jobs, then, if making one failed (its config's plan raised), a
+    """The jobs, then, if making one failed (its config's set-up raised), a
     future that raises that error."""
     try:
         yield from jobs
@@ -334,12 +334,14 @@ def run_ensembles(
     collect_rows = record_path is not None
     size = min(ROWS_CHUNK_SIZE, max(1, ROWS_STEP_BUDGET // configs[0].n_meas)) if collect_rows else CHUNK_SIZE
     starts = [range(0, config.n_traj, size) for config in configs]
-    plans: deque = deque()  # of the configs whose chunks are queued, until their summaries
+    # (plan, eta1, eta2) of the configs whose chunks are queued, until their summaries
+    plans: deque = deque()
 
     def jobs():
         for config, point_starts in zip(configs, starts):
             mean_sd, plan = _setup(config)
-            plans.append(plan)
+            budget_point = operating_point(config)
+            plans.append((plan, _eta1(budget_point), _eta2(budget_point)))
             for lo in point_starts:
                 yield config.seed, mean_sd, plan, lo, min(lo + size, config.n_traj), collect_rows
 
@@ -364,15 +366,14 @@ def run_ensembles(
                     if handle is not None:
                         handle.writelines(rows)
                     del rows  # not alive while the next chunk runs or arrives
-                v22_trace = plans.popleft().steps["post_v22"].copy()
+                plan, eta1, eta2 = plans.popleft()
+                v22_trace = plan.steps["post_v22"].copy()
                 x1s = np.concatenate(x1_parts)
-                stats = ensemble_stats(x1s, v22_trace, config)
-                budget_point = operating_point(config)
                 yield RunSummary(
                     config=config,
-                    **stats,
-                    eta1=_eta1(budget_point),
-                    eta2=_eta2(budget_point),
+                    **ensemble_stats(x1s, v22_trace, config.oscillator()),
+                    eta1=eta1,
+                    eta2=eta2,
                     wall_time_s=_time.perf_counter() - started,
                     records_csv=record_path or "",
                     series_x1=x1s,

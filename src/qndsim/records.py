@@ -396,12 +396,8 @@ _ROW_SEPARATORS = np.frombuffer(b",,,,,,,\n", dtype=np.uint8)
 def _spelled(fields: list[bytes]) -> tuple[np.ndarray, np.ndarray]:
     """(fields, masks of their bytes), each row zero-padded to whole uint64s."""
     width = -(-max(map(len, fields)) // 8) * 8
-    spelt = np.zeros((len(fields), width), dtype=np.uint8)
-    mask = np.zeros_like(spelt)
-    for row, field in enumerate(fields):
-        spelt[row, : len(field)] = np.frombuffer(field, dtype=np.uint8)
-        mask[row, : len(field)] = 0xFF
-    return spelt.view(np.uint64), mask.view(np.uint64)
+    masks = [b"\xff" * len(field) for field in fields]
+    return _words(fields, width).view(np.uint64), _words(masks, width).view(np.uint64)
 
 
 def _all_spelt(

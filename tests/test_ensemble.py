@@ -310,22 +310,27 @@ def test_record_file_outlives_a_caller_that_stops_at_the_summary(tmp_path):
 def test_failed_run_leaves_no_record_file(tmp_path, monkeypatch):
     # each way a run fails after its record file is open: a non-finite
     # covariance, a non-finite outcome, and statistics that fail after every
-    # chunk was written (sigma_ba**2 underflows to 0); in-process, and in a
-    # pool of two (whatever the machine has) that still holds queued chunks,
-    # one trajectory wide, when the first one fails
+    # chunk was written; in-process, and in a pool of two (whatever the
+    # machine has) that still holds queued chunks, one trajectory wide, when
+    # the first one fails
+    def failing_stats(*args):
+        raise ParameterError("the statistics failed")
+
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr("qndsim.ensemble.ROWS_CHUNK_SIZE", 1)
     failed_runs = [
-        (dict(n_traj=8, n_meas=1, sigma_m_m=1e-300), NumericalFailureError),
-        (dict(n_traj=8, n_meas=1, sigma_m_m=1e160, collapse_policy="no_conditioning"), NumericalFailureError),
-        (dict(n_traj=20, n_meas=5, sigma_m_m=1e130), ParameterError),
+        (dict(n_traj=8, n_meas=1, sigma_m_m=1e-300), None, NumericalFailureError),
+        (dict(n_traj=8, n_meas=1, sigma_m_m=1e160, collapse_policy="no_conditioning"), None, NumericalFailureError),
+        (dict(n_traj=20, n_meas=5), failing_stats, ParameterError),
     ]
     path = tmp_path / "records.csv"
     messages = {}
     for workers in (1, 2):
-        for overrides, error in failed_runs:
-            with pytest.raises(error) as failure:
+        for overrides, stats, error in failed_runs:
+            with monkeypatch.context() as patch, pytest.raises(error) as failure:
+                if stats is not None:
+                    patch.setattr("qndsim.ensemble.ensemble_stats", stats)
                 run_ensemble(small_config(**overrides), workers=workers, record_path=str(path))
             assert not path.exists()
             messages.setdefault(workers, []).append(str(failure.value))
@@ -365,6 +370,8 @@ def test_covariance_failure_is_raised_by_the_plan_before_any_chunk(tmp_path, mon
         (dict(bath_model="quantum", sigma_m_m=1e-150), "covariance product underflow"),
         # sigma_m**2 overflows: the covariance stays finite, the outcome's sd does not
         (dict(sigma_m_m=1e160, collapse_policy="no_conditioning"), "measurement produced a non-finite outcome"),
+        # the summary's budget figure overflows; it is made with the plan
+        (dict(tau1_s=1e-300, dt_s=1e10), "eta1 is not finite"),
     ]
     path = tmp_path / "records.csv"
     for overrides, message in failing:

@@ -13,6 +13,7 @@ from qndsim import (
     GaussianQuadState,
     InsufficientDataError,
     MeterSpec,
+    NumericalFailureError,
     OscillatorParams,
     ParameterError,
     SampleSeries,
@@ -295,19 +296,16 @@ def test_calibration_table_unwritable_cache(blocked, cold_tables, monkeypatch):
 def test_heating_slope_exact_line():
     sba = 5.272859085e-18
     trace = 6.9e-30 + sba**2 * np.arange(1, 26)
-    slope, rel_err = heating_slope(trace, sba)
-    assert math.isclose(slope, sba**2, rel_tol=1e-9)
-    assert rel_err <= 1e-9
+    assert abs(heating_slope(trace) - sba**2) <= 1e-9 * sba**2
 
 
 def test_heating_slope_constant_sequence():
-    slope, _ = heating_slope(np.full(10, 4.2e-30), 1e-18)
-    assert abs(slope) <= 1e-12 * 4.2e-30
+    assert abs(heating_slope(np.full(10, 4.2e-30))) <= 1e-12 * 4.2e-30
 
 
 def test_heating_slope_needs_five_points():
     with pytest.raises(InsufficientDataError):
-        heating_slope(np.ones(4), 1e-18)
+        heating_slope(np.ones(4))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -315,7 +313,15 @@ def test_heating_slope_rejects_a_trace_that_is_not_finite(bad):
     trace = np.full(10, 4.2e-30)
     trace[6] = bad
     with pytest.raises(ParameterError, match="must be finite"):
-        heating_slope(trace, 1e-18)
+        heating_slope(trace)
+
+
+def test_heating_slope_that_overflows_is_a_numerical_failure():
+    # every point is finite, but the fit through 1.7e308 at the last two does not stay so
+    trace = np.full(5, 4.2e-30)
+    trace[3:] = 1.7e308
+    with pytest.raises(NumericalFailureError, match="the v22 heating slope is not finite"):
+        heating_slope(trace)
 
 
 def test_heating_slope_simulated_schedule(rng):
@@ -328,8 +334,7 @@ def test_heating_slope_simulated_schedule(rng):
         state = GaussianQuadState(0.0, 0.0, 6.903245e-30, 6.903245e-30, 0.0)
         records, _ = run_schedule(state, meter, "orthodox", params, 1e-2, n_meas, rng)
         trace += [r.post_v22 for r in records]
-    _, rel_err = heating_slope(trace / n_traj, sba)
-    assert rel_err <= 0.1
+    assert abs(heating_slope(trace / n_traj) - sba**2) <= 0.1 * sba**2
 
 
 # --- energy histogram ---------------------------------------------------------------
