@@ -10,15 +10,7 @@ from importlib import import_module
 
 # module -> the public names it provides
 _EXPORTS = {
-    "budget": (
-        "BudgetInputs",
-        "BudgetReport",
-        "budget_report",
-        "budget_sweep",
-        "eta1",
-        "eta2",
-        "zero_point_displacement",
-    ),
+    "budget": ("BudgetInputs", "budget_figures", "eta1", "eta2"),
     "config": ("RunConfig", "default_config", "format_config", "load_config", "parse_config"),
     "constants": ("HBAR", "KB"),
     "dynamics": (

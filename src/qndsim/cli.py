@@ -17,14 +17,13 @@ from contextlib import contextmanager, suppress
 from dataclasses import replace
 from itertools import product
 
-from .budget import BudgetInputs, budget_csv_rows, budget_sweep, operating_point
+from .budget import budget_csv_rows, budget_figures, operating_point
 from .config import CONFIG_KEYS, convert_config_value, default_config, load_config
 from .ensemble import SUMMARY_STATS, ensemble_stats, run_ensemble, run_ensembles
 from .errors import (
     ConfigError,
     DegenerateSeriesError,
     InsufficientDataError,
-    NumericalFailureError,
     ParameterError,
     StateDomainError,
 )
@@ -165,28 +164,19 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_budget(args) -> int:
+    axes = {fieldname: _float_list(getattr(args, flag)) for flag, fieldname in _BUDGET_FLAGS
+            if getattr(args, flag) is not None}
     base = operating_point(default_config())
-    singles = {}
-    axes = {}
-    for flag, fieldname in _BUDGET_FLAGS:
-        raw = getattr(args, flag)
-        values = [getattr(base, fieldname)] if raw is None else _float_list(raw)
-        singles[fieldname] = values[0]
-        if len(values) > 1:
-            axes[fieldname] = values
     with _outputs(args.out):
-        pairs = budget_sweep(BudgetInputs(**singles), axes)
-        lines = budget_csv_rows(pairs)
+        # _grid is lazy: a point is checked after the figures of the points before it
+        rows = [(point, budget_figures(point)) for point in _grid(base, axes)]
+        lines = budget_csv_rows(rows)
         if args.out is not None:
             _write(args.out, lines)
-    if len(pairs) == 1:
-        report = pairs[0][1]
-        print(f"eta1={report.eta1:.4g}")
-        print(f"eta2={report.eta2:.4g}")
-        print(f"eta_a={report.eta_a:.4g}")
-        print(f"delta_e_br_J={report.delta_e_br:.4g}")
-        print(f"x_zp_m={report.x_zp:.4g}")
-    if args.out is None and len(pairs) > 1:
+    if len(rows) == 1:
+        for name, value in rows[0][1].items():
+            print(f"{name}={value:.4g}")
+    elif args.out is None:
         for line in lines:
             print(line)
     return 0
@@ -220,27 +210,23 @@ def _cmd_sweep(args) -> int:
     base = load_config(args.config) if args.config is not None else default_config()
     if args.seed is not None:
         base = replace(base, seed=args.seed)
-    keys = []
-    value_lists = []
+    axes = {}
     for item in args.vary:
         key, sep, raw = item.partition("=")
         key = key.strip()
         if not sep or key not in CONFIG_KEYS:
             raise ConfigError(f"--vary expects KEY=V1,V2 with a config key, got {item!r}")
-        if key in keys:
+        if key in axes:
             raise ConfigError(f"--vary {key} is given more than once")
         values = [convert_config_value(key, part.strip()) for part in raw.split(",") if part.strip()]
         if not values:
             raise ConfigError(f"--vary {key} needs at least one value")
-        keys.append(key)
-        value_lists.append(values)
-    combos = list(product(*value_lists))  # one empty combo when nothing varies
-    points = [replace(base, **dict(zip(keys, combo))) for combo in combos]
-    lines = [",".join(keys + list(SUMMARY_STATS))]
+        axes[key] = values
+    points = list(_grid(base, axes))  # the base alone when nothing varies
+    lines = [",".join([*axes, *SUMMARY_STATS])]
     with _outputs(args.out):
-        # the summaries come first, so that their generator runs to its end
-        for summary, combo in zip(run_ensembles(points, workers=args.workers), combos):
-            cells = [_format_cell(value) for value in combo]
+        for summary in run_ensembles(points, workers=args.workers):
+            cells = [_format_cell(getattr(summary.config, key)) for key in axes]
             cells += [_format_cell(getattr(summary, name)) for name in SUMMARY_STATS]
             lines.append(",".join(cells))
         if args.out is not None:
@@ -249,6 +235,12 @@ def _cmd_sweep(args) -> int:
         for line in lines:
             print(line)
     return 0
+
+
+def _grid(base, axes: dict):
+    """``base`` with each combination of the values of ``axes`` (field ->
+    values) put in, row-major in axis order, made one point at a time."""
+    return (replace(base, **dict(zip(axes, combo))) for combo in product(*axes.values()))
 
 
 def _format_cell(value) -> str:
@@ -305,7 +297,8 @@ def main(argv=None) -> int:
             DegenerateSeriesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except NumericalFailureError as exc:
+    # ArithmeticError: NumericalFailureError, or e.g. a product of parameters that underflows to a 0 divisor
+    except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 2
 

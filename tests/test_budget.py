@@ -2,17 +2,7 @@ import math
 
 import pytest
 
-from qndsim import (
-    HBAR,
-    KB,
-    BudgetInputs,
-    ParameterError,
-    budget_report,
-    budget_sweep,
-    eta1,
-    eta2,
-    zero_point_displacement,
-)
+from qndsim import HBAR, KB, BudgetInputs, ParameterError, budget_figures, eta1, eta2
 from qndsim.budget import BUDGET_CSV_COLUMNS, budget_csv_rows
 
 
@@ -52,20 +42,17 @@ def test_eta2_lossless_limit():
     assert eta2(paper_point(tau2=1e30)) < 1e-25
 
 
+def x_zp(mass):
+    return budget_figures(paper_point(mass=mass))["x_zp_m"]
+
+
 def test_zero_point_displacement_values():
-    assert math.isclose(zero_point_displacement(1e-3, 1e4), 3.247417153677673e-18, rel_tol=1e-12)
-    assert math.isclose(zero_point_displacement(1e-6, 1e4), 1.026923471832249e-16, rel_tol=1e-12)
+    assert math.isclose(x_zp(1e-3), 3.247417153677673e-18, rel_tol=1e-12)
+    assert math.isclose(x_zp(1e-6), 1.026923471832249e-16, rel_tol=1e-12)
 
 
 def test_zero_point_quadrupled_mass_halves():
-    assert math.isclose(
-        zero_point_displacement(4e-3, 1e4), 0.5 * zero_point_displacement(1e-3, 1e4), rel_tol=1e-15
-    )
-
-
-def test_zero_point_rejects_nonpositive():
-    with pytest.raises(ParameterError):
-        zero_point_displacement(0.0, 1e4)
+    assert math.isclose(x_zp(4e-3), 0.5 * x_zp(1e-3), rel_tol=1e-15)
 
 
 def test_eta1_linear_in_temperature_exactly():
@@ -77,43 +64,17 @@ def test_eta1_inverse_linear_in_tau():
 
 
 def test_report_consistency():
-    report = budget_report(paper_point())
-    assert report.delta_e_br == report.eta1 * HBAR * 1e4
-    assert math.isclose(report.delta_e_br, KB * 0.05 * 1e-2 / 1e4, rel_tol=1e-12)
-    assert report.eta_a == 1.0
-    assert budget_report(paper_point()) == report  # pure function, identical bits
-
-
-def test_sweep_singleton_equals_pointwise():
-    base = paper_point()
-    rows = budget_sweep(base, None)
-    assert rows == [(base, budget_report(base))]
-    rows = budget_sweep(base, {"temperature": [0.05]})
-    assert rows[0][1] == budget_report(base)
-
-
-def test_sweep_paper_corners_row_major():
-    rows = budget_sweep(paper_point(), {"temperature": [0.05, 0.1], "tau1": [1e3, 1e4]})
-    assert [(inp.temperature, inp.tau1) for inp, _ in rows] == [
-        (0.05, 1e3), (0.05, 1e4), (0.1, 1e3), (0.1, 1e4),
-    ]
-    values = [rep.eta1 for _, rep in rows]
-    assert math.isclose(min(values), 0.654601696036032, rel_tol=1e-12)
-    assert math.isclose(max(values), 13.092033920720642, rel_tol=1e-12)
-
-
-def test_sweep_size_and_empty_axis():
-    rows = budget_sweep(paper_point(), {"dt": [1e-3, 1e-2, 1e-1], "mass": [1e-3, 1e-6]})
-    assert len(rows) == 6
-    with pytest.raises(ParameterError):
-        budget_sweep(paper_point(), {"dt": []})
-    with pytest.raises(ParameterError):
-        budget_sweep(paper_point(), {"voltage": [1.0]})
+    figures = budget_figures(paper_point())
+    assert list(figures) == ["eta1", "eta2", "eta_a", "delta_e_br_J", "x_zp_m"]
+    assert figures["delta_e_br_J"] == figures["eta1"] * HBAR * 1e4
+    assert math.isclose(figures["delta_e_br_J"], KB * 0.05 * 1e-2 / 1e4, rel_tol=1e-12)
+    assert figures["eta_a"] == 1.0
+    assert budget_figures(paper_point()) == figures  # pure function, identical bits
 
 
 def test_csv_rows_shape():
-    rows = budget_sweep(paper_point(), {"temperature": [0.05, 0.1]})
-    lines = budget_csv_rows(rows)
+    points = [paper_point(temperature=0.05), paper_point(temperature=0.1)]
+    lines = budget_csv_rows([(point, budget_figures(point)) for point in points])
     assert lines[0] == ",".join(BUDGET_CSV_COLUMNS)
     assert len(lines) == 3
     assert all(len(line.split(",")) == len(BUDGET_CSV_COLUMNS) for line in lines)
@@ -126,3 +87,5 @@ def test_inputs_validation():
         paper_point(tau2=-1.0)
     with pytest.raises(ParameterError):
         paper_point(dt=math.inf)
+    with pytest.raises(ParameterError):
+        paper_point(mass=0.0)

@@ -64,6 +64,44 @@ def test_budget_eta_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert not out_path.exists()
 
 
+def test_budget_figure_that_is_not_finite_is_a_numerical_failure(capsys):
+    # eta1 is about 1.3e301, so delta_e_br_J = eta1 hbar omega1 overflows
+    argv = ["budget", "--T", "1e300", "--omega1", "1e300", "--dt", "1e290", "--tau1", "1", "--omega2", "1e300"]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure: delta_e_br_J is not finite")
+
+
+# a product of parameters that underflows to 0 and then divides
+UNDERFLOWED_DIVISORS = {
+    "budget_eta1": ["budget", "--omega1", "1e-300"],  # hbar * omega1
+    "budget_x_zp": ["budget", "--mass", "1e-300", "--omega1", "1e-30"],  # mass * omega1
+    "qnd_check": ["qnd-check", "--observable", "x1", "--times", "0,1", "--mass", "1e-300", "--omega1", "1e-30"],
+}
+
+
+@pytest.mark.parametrize("case", list(UNDERFLOWED_DIVISORS))
+def test_underflowed_divisor_is_a_numerical_failure(case, capsys):
+    assert main(UNDERFLOWED_DIVISORS[case]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "numerical failure: float division by zero\n"
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_underflowed_divisor_is_a_numerical_failure(workers, tmp_path, capsys, monkeypatch):
+    # two usable cores whatever the machine has, so that two workers start a pool
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    # mass * omega1**2 underflows to 0 in the stationary variance
+    cfg_path, _ = write_config(tmp_path, n_traj=1100, n_meas=3, omega1_rad_s=1e-300)
+    records_path = tmp_path / "records.csv"
+    argv = ["simulate", "--config", str(cfg_path), "--records", str(records_path), "--workers", str(workers)]
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "numerical failure: float division by zero\n"
+    assert not records_path.exists()
+
+
 def test_budget_grid_stdout(capsys):
     assert main(["budget", "--T", "0.05,0.1"]) == 0
     out = capsys.readouterr().out.splitlines()

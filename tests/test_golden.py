@@ -7,7 +7,8 @@ to them is a change of output bytes and must be named in CHANGES.md.  300
 trajectories give three chunks of rows, the last one partial, so chunk
 boundaries and the pool are both exercised.  A run without rows steps wider
 chunks and must write the same summary, and the bytes must not depend on
-the chunk sizes or the draw block either.
+the chunk sizes or the draw block either.  The command digests pin what
+``budget`` prints and writes, and a small pooled ``sweep`` CSV.
 """
 
 import hashlib
@@ -15,7 +16,8 @@ from dataclasses import replace
 
 import pytest
 
-from qndsim import default_config, ensemble, run_ensemble
+from qndsim import default_config, ensemble, format_config, run_ensemble
+from qndsim.cli import main
 
 # variant: (config overrides, sha256 of summary JSON, sha256 of record CSV)
 GOLDEN = {
@@ -106,3 +108,40 @@ def test_outputs_do_not_depend_on_chunk_size(variant, chunk_size, draw_block, tm
     monkeypatch.setattr(ensemble, "DRAW_BLOCK", draw_block)
     assert run_digests(variant, 1, tmp_path) == GOLDEN[variant][1:]
     assert summary_digest(run_ensemble(golden_config(variant))) == GOLDEN[variant][1]
+
+
+# command: (arguments, the file it writes or None for stdout, sha256 of those bytes)
+COMMAND_DIGESTS = {
+    "budget_default": (["budget"], None, "43bad69ad59134db4260bca93e9f45d699f2bdf92c9f457405c00d8c559c65e0"),
+    "budget_corners": (
+        ["budget", "--T", "0.05,0.1", "--tau1", "1e3,1e4", "--omega2", "1e7,1e8"],
+        "budget.csv",
+        "f0a3e3bb9191a5f0c2848f3f88c289f7fab37f92ef4010a6cb677a20bc606704",
+    ),
+    "budget_mass_grid": (
+        ["budget", "--eta-a", "2,3", "--mass", "1e-6"],
+        None,
+        "7ea22dc180cfa3448a73583d5988b7d370ec21d366b93afc23e7967aece55f90",
+    ),
+    "sweep_policy_n_traj": (
+        ["sweep", "--vary", "collapse_policy=orthodox,no_conditioning", "--vary", "n_traj=150,200",
+         "--workers", "2"],
+        "sweep.csv",
+        "d0be7dace3660083c3717c4c14ff0e6fb419d93a4c8645fd548dc824ce99fdda",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_DIGESTS))
+def test_command_outputs_match_digests(command, tmp_path, capsys):
+    argv, out_name, digest = COMMAND_DIGESTS[command]
+    if argv[0] == "sweep":
+        config = replace(default_config(), n_traj=200, n_meas=6, seed=7)
+        (tmp_path / "run.cfg").write_text(format_config(config))
+        argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+    if out_name is not None:
+        argv = [*argv, "--out", str(tmp_path / out_name)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    data = out.encode() if out_name is None else (tmp_path / out_name).read_bytes()
+    assert sha256(data) == digest
