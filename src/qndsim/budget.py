@@ -72,13 +72,17 @@ def budget_figures(inputs: BudgetInputs) -> dict[str, float]:
     """The five figures of one operating point, under the names ``budget``
     prints: the two etas, the amplifier quanta, the thermal energy drift per
     interval eta1 hbar w1 in J, and the zero-point displacement in m."""
-    e1 = eta1(inputs)
+    # mass and omega1 scaled into [1/2, 1) by powers of two, which is exact,
+    # so that their product and hbar over it cannot under- or overflow: the
+    # root gives the plain formula's bits wherever those two are normal
+    (mass, mass_exponent), (omega1, omega1_exponent) = math.frexp(inputs.mass), math.frexp(inputs.omega1)
+    half, odd = divmod(mass_exponent + omega1_exponent, 2)
     figures = {
-        "eta1": e1,
+        "eta1": eta1(inputs),
         "eta2": eta2(inputs),
         "eta_a": inputs.amplifier_quanta,
-        "delta_e_br_J": e1 * HBAR * inputs.omega1,
-        "x_zp_m": math.sqrt(HBAR / (inputs.mass * inputs.omega1)),
+        "delta_e_br_J": KB * inputs.temperature * (inputs.dt / inputs.tau1),  # eta1 hbar w1, with no hbar w1 to underflow
+        "x_zp_m": math.ldexp(math.sqrt(math.ldexp(HBAR / (mass * omega1), -odd)), -half),
     }
     return {name: require_finite(name, value) for name, value in figures.items()}
 

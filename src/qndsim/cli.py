@@ -297,6 +297,10 @@ def main(argv=None) -> int:
             DegenerateSeriesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    # MemoryError: e.g. a schedule too long for its plan's arrays
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 1
     # ArithmeticError: NumericalFailureError, or e.g. a product of parameters that underflows to a 0 divisor
     except ArithmeticError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

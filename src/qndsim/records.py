@@ -79,21 +79,25 @@ RECORD_CSV_HEADER = "traj_id,step,time_s,outcome_m,mean_x1_m,mean_x2_m,var_x1_m2
 
 _FIELDS = tuple(RECORD_CSV_HEADER.split(","))
 
-#: Bytes ``read_records`` reads at a time once n_meas is known, extended to
-#: the end of the last line.  An execution choice only: no result depends on it.
-READ_BLOCK = 1 << 20
+#: Bytes ``read_records`` reads at a time into its buffer once n_meas is
+#: known; a block is the whole lines among them.  On the 71 MB file of
+#: 1 000 x 500, ``analyze`` took 5.8 k minor page faults at 256 KiB and 22 k
+#: at 1 MiB, and ran slower at 64 and 128 KiB.  An execution choice only: no
+#: result depends on it.
+READ_BLOCK = 1 << 18
 
 
-#: Rows ``format_rows`` renders as one block.  While a block is rendered,
-#: its words, their bytes and the renderer's temporaries take about 900
-#: bytes a row beside the chunk's values, so 512 rows take under 0.5 MB.  On
-#: 1 000 x 500 with rows, 2 048-row blocks made format_rows about 15 %
-#: faster but raised the peak RSS of ``simulate`` by 1.7 MB (59.5 -> 61.2).
-#: An execution choice only: no byte depends on it.
-FORMAT_BLOCK_ROWS = 512
+#: Rows ``format_rows`` renders as one block.  A block's words and text and
+#: the renderer's scratch, made once per chunk, take about 850 bytes a row
+#: beside the chunk's values: under 0.9 MB.  On 1 000 x 500 with rows,
+#: format_rows took 0.20 s in all, against 0.29 s for 512-row blocks of fresh
+#: arrays.  1 536-row blocks rendered about 10 % faster but left 11 % of
+#: the in-process memory bound in ``test_ensemble``, against 25 % here.  An
+#: execution choice only: no byte depends on it.
+FORMAT_BLOCK_ROWS = 1024
 
 
-def format_rows(first_id: int, plan, values: np.ndarray) -> Iterator[bytes]:
+def format_rows(first_id: int, plan, values: np.ndarray) -> Iterator[bytearray]:
     """Rows of one chunk of trajectories, in trajectory order, as the text
     of consecutive blocks of at most ``FORMAT_BLOCK_ROWS`` rows, each
     rendered when it is asked for.
@@ -109,6 +113,8 @@ def format_rows(first_id: int, plan, values: np.ndarray) -> Iterator[bytes]:
     uint32 words, one row per record row: id | ``,step,time`` | ``,outcome``
     | ``,mean1`` | ``,mean2`` | ``,v11,v22\\n``, with the outcomes and means
     from ``_render17``.  Deleting the NULs from its bytes leaves the text.
+    Every block is laid out in one buffer, whose step and variance words are
+    written once per run of steps, and rendered with one scratch array.
     """
     shared = plan.steps[["time", "post_v11", "post_v22"]].tolist()
     heads = _words([b",%d,%.17g" % (step, time) for step, (time, _, _) in enumerate(shared, start=1)])
@@ -121,17 +127,28 @@ def format_rows(first_id: int, plan, values: np.ndarray) -> Iterator[bytes]:
     width = tail_at + tails.shape[1]
     per_block = max(1, FORMAT_BLOCK_ROWS // n_meas)  # trajectories
     span = min(n_meas, FORMAT_BLOCK_ROWS)  # steps
+    text = bytearray(4 * min(per_block, n_traj) * span * width)
+    words = np.frombuffer(text, dtype=np.uint32).reshape(-1, span, width)
+    scratch = np.empty((14, 3 * words.shape[0] * span))
+    shared_from = None  # the first step whose shared words the buffer holds
     for lo in range(0, n_traj, per_block):
         hi = min(lo + per_block, n_traj)
         for first in range(0, n_meas, span):
             last = min(first + span, n_meas)
-            block = np.empty((hi - lo, last - first, width), dtype=np.uint32)
+            if first != shared_from:  # once per chunk when a block holds whole trajectories
+                words[:, : last - first, head_at:values_at] = heads[first:last]
+                words[:, : last - first, tail_at:] = tails[first:last]
+                shared_from = first
+            if hi - lo < len(words) or last - first < span:  # the rest of a short block's buffer is NULs
+                words[hi - lo :] = 0
+                words[:, last - first :] = 0
+                shared_from = None
+            block = words[: hi - lo, : last - first]
             block[:, :, :head_at] = ids[lo:hi, None]
-            block[:, :, head_at:values_at] = heads[first:last]
-            rendered = _render17(values[first:last, :, lo:hi].transpose(2, 0, 1))
-            block[:, :, values_at:tail_at] = rendered.reshape(hi - lo, last - first, -1)
-            block[:, :, tail_at:] = tails[first:last]
-            yield block.tobytes().translate(None, b"\0")
+            # value-major, so that each word of a slot is written along the rows
+            slots = block[:, :, values_at:tail_at].reshape(hi - lo, last - first, 3, _SLOT_WORDS)
+            _render17(values[first:last, :, lo:hi].transpose(1, 2, 0), slots.transpose(2, 0, 1, 3), scratch)
+            yield text.translate(None, b"\0")
 
 
 def _words(texts: list[bytes], width: int = 0) -> np.ndarray:
@@ -186,69 +203,100 @@ def _tables() -> tuple[np.ndarray, ...]:
     """``_render17``'s tables, built on its first call, since every command
     imports this module and most write no rows: the four of
     ``_power_table``, ``_group_table``'s, the words of ",", sign, leading
-    digit and point at lead + 10 * point + 20 * negative, and the two words
-    of "e-" and the exponent at each q."""
-    leads = _words([b"," + sign + b"%d" % lead + point for sign in (b"\0", b"-") for point in (b"\0", b".")
+    digit and point at lead + 10 * (no point) + 20 * negative, and the
+    first and the second word of "e-" and the exponent at each q."""
+    leads = _words([b"," + sign + b"%d" % lead + point for sign in (b"\0", b"-") for point in (b".", b"\0")
                     for lead in range(10)])[:, 0]
-    exponents = _words([b"e-%02d" % q for q in range(_Q_MAX + 1)], 8)
-    return (*_power_table(), _group_table(), leads, exponents)
+    exponents = _words([b"e-%02d" % q for q in range(_Q_MAX + 1)], 8).T.copy()
+    return (*_power_table(), _group_table(), leads, *exponents)
 
 
-def _render17(values: np.ndarray) -> np.ndarray:
-    """The bytes of ``b",%.17g" % v`` for each value, in order, as rows of
-    ``_SLOT_WORDS`` NUL-padded uint32 words; see the module docstring."""
-    power_hi, power_head, power_tail, power_lo, groups, leads, exponents = _tables()
-    x = np.ravel(values)
-    slots = np.empty((x.size, _SLOT_WORDS), dtype=np.uint32)
+#: ``np.take`` whose out= is written in place: every index is in range, or
+#: belongs to a value that CPython writes.
+_take = functools.partial(np.take, mode="clip")
+
+
+def _render17(values: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The bytes of ``b",%.17g" % v`` for each value, as ``_SLOT_WORDS``
+    NUL-padded uint32 words per value, written to ``out`` (shape
+    ``values.shape + (_SLOT_WORDS,)``) and returned; see the module
+    docstring.  ``scratch`` is an array of 14 rows of at least
+    ``values.size`` doubles, which ``format_rows`` makes once per chunk: six
+    rows of floats, whose memory then takes the words, and eight of ints."""
+    power_hi, power_head, power_tail, power_lo, groups, leads, exponent0, exponent1 = _tables()
+    n = values.size
+    a, p, head, tail, c, t = scratch[:6, :n]
+    ints = scratch[6:, :n].view(np.int64)
+    qi, lead, digits, spare = ints[:4]
+    halves, groups02 = ints[4:6], ints[6:]  # (upper, lower), (group0, group2)
+    a.reshape(values.shape)[...] = values  # values may be a strided view of the chunk
+    negative = a < 0.0
     with np.errstate(all="ignore"):  # zero, subnormal and non-finite values go to CPython
-        a = np.abs(x)
+        np.abs(a, out=a)
         q = np.log10(a)
         np.floor(q, out=q)
-        np.negative(q, out=q)
+        q *= -1.0
         fast = (q >= _Q_MIN) & (q <= _Q_MAX)
-        q = q.astype(np.intp)
-        q[~fast] = _Q_MIN
+        qi[...] = q
         # a * 10**(16 + q) as p + c: p = fl(a * hi) and c the rest, exact up to 2**-47
-        p = a * power_hi[q]
-        split = a * _SPLIT
-        a_head = split - (split - a)
-        a_tail = a - a_head
-        head, tail = power_head[q], power_tail[q]
-        c = ((a_head * head - p) + a_head * tail + a_tail * head) + a_tail * tail
-        c += a * power_lo[q]
-        whole = np.floor(c)
-        c -= whole  # the fraction, exactly
+        _take(power_hi, qi, out=p)
+        p *= a
+        np.multiply(a, _SPLIT, out=t)  # Veltkamp: q becomes a's head, t its tail
+        np.subtract(t, np.subtract(t, a, out=q), out=q)
+        np.subtract(a, q, out=t)
+        np.multiply(q, _take(power_head, qi, out=head), out=c)
+        c -= p
+        c += np.multiply(q, _take(power_tail, qi, out=tail), out=q)
+        c += np.multiply(t, head, out=head)
+        c += np.multiply(t, tail, out=tail)
+        c += np.multiply(_take(power_lo, qi, out=head), a, out=head)
+        np.floor(c, out=t)  # the whole part
+        c -= t  # the fraction, exactly
         fast &= (c > _MARGIN) & (c < 1.0 - _MARGIN) & (np.abs(c - 0.5) > _MARGIN) & (p >= 1e16) & (p <= 1e17)
         # p >= 1e16 > 2**53 is a whole number, so digits = p + whole exactly
-        digits = np.where(fast, p, 1e16).astype(np.int64)
-        digits += np.where(fast, whole, 0.0).astype(np.int64)
-    fast &= (digits >= 10**16) & (digits < 10**17)  # log10 found the decade
+        digits[...] = p
+        spare[...] = t
+        digits += spare
+    fast &= digits >= 10**16  # log10 found the decade
     digits += c > 0.5  # never a tie: c is at least _MARGIN from 1/2
     fast &= digits < 10**17  # a carry into the next decade goes to CPython
     digits[~fast] = 10**16  # in range for the tables; CPython writes these slots
-    lead = digits // 10**16  # floor division by a constant is much faster than divmod
-    rest = digits - lead * 10**16
-    upper = rest // 10**8
-    lower = rest - upper * 10**8
-    group0 = upper // 10**4
-    group1 = upper - group0 * 10**4
-    group2 = lower // 10**4
-    group3 = lower - group2 * 10**4
-    # a group's trailing zeros are NULs when every later group is zero
-    zero3 = group3 == 0
-    zero2 = zero3 & (group2 == 0)
-    zero1 = zero2 & (group1 == 0)
-    slots[:, 0] = leads.take(lead + 10 * ~(zero1 & (group0 == 0)) + 20 * (x < 0.0))
-    slots[:, 1] = groups.take(group0 + 10000 * zero1)
-    slots[:, 2] = groups.take(group1 + 10000 * zero2)
-    slots[:, 3] = groups.take(group2 + 10000 * zero3)
-    slots[:, 4] = groups.take(group3 + 10000)
-    slots[:, 5] = exponents[:, 0].take(q)
-    slots[:, 6] = exponents[:, 1].take(q)
+    # the lead digit, the 8-digit halves upper and lower, then all four
+    # groups of 4 at once: (group0, group2) in groups02, (group1, group3) in halves
+    upper, lower = halves
+    np.floor_divide(digits, 10**16, out=lead)  # floor division by a constant is much faster than divmod
+    digits -= np.multiply(lead, 10**16, out=spare)
+    np.floor_divide(digits, 10**8, out=upper)
+    np.subtract(digits, np.multiply(upper, 10**8, out=spare), out=lower)
+    np.floor_divide(halves, 10**4, out=groups02)
+    halves -= np.multiply(groups02, 10**4, out=ints[2:4])
+    group0, group2 = groups02
+    group1, group3 = halves
+    lead += 20 * negative
+    # a group's trailing zeros are NULs, and the point too, when every later
+    # group is zero: only where group3 is, so those few are done one by one
+    at = np.flatnonzero(group3 == 0)
+    if at.size:
+        zero = np.ones(at.size, dtype=np.bool_)  # every later group is zero
+        for index in (group2, group1, group0):
+            group = index[at]
+            index[at] = group + 10000 * zero
+            zero &= group == 0
+        lead[at] += 10 * zero
+    # word k of the slot of values[j, ...] goes to slots[j, k, ...]: copied
+    # into out at once, that is much faster than writing each word into out
+    words = scratch[:6].reshape(-1).view(np.uint32)
+    slots = words[: _SLOT_WORDS * n].reshape(values.shape[0], _SLOT_WORDS, *values.shape[1:])
+    word = words[_SLOT_WORDS * n : (_SLOT_WORDS + 1) * n]
+    for k, (table, index) in enumerate(((leads, lead), (groups, group0), (groups, group1), (groups, group2),
+                                        (groups[10000:], group3), (exponent0, qi), (exponent1, qi))):
+        slots[:, k] = _take(table, index, out=word).reshape(values.shape)
+    out[...] = np.moveaxis(slots, 1, -1)
     slow = np.flatnonzero(~fast)
     if slow.size:
-        slots[slow] = _fallback(x[slow])
-    return slots
+        slow = np.unravel_index(slow, values.shape)
+        out[slow] = _fallback(values[slow])
+    return out
 
 
 def _fallback(values: np.ndarray) -> np.ndarray:
@@ -266,8 +314,9 @@ def read_records(path: str) -> tuple[np.ndarray, np.ndarray]:
     with ``path:line``.
 
     ``_scan_lines`` reads trajectory 0 and the first row of trajectory 1,
-    which fixes n_meas and the trace; then the file is read in blocks of
-    about ``READ_BLOCK`` bytes of whole lines.  Each block that
+    which fixes n_meas and the trace; then the file is read ``READ_BLOCK``
+    bytes at a time into one buffer, and each block is the whole lines in
+    it: the part of a line that a read cuts off starts the next.  Each block that
     ``_BlockCheck.rows`` does not vouch for goes through ``_scan_lines`` from
     the same state, which accepts it or names the line at fault.
     """
@@ -285,18 +334,31 @@ def read_records(path: str) -> tuple[np.ndarray, np.ndarray]:
                 if len(x1) == 1:
                     trace_fields.append(line.split(b",")[7].removesuffix(b"\n"))
             check = _BlockCheck(trace_fields) if len(x1) == 2 else None
-            while check is not None and (block := handle.read(READ_BLOCK)):
-                block += handle.readline()  # to the end of the last line
-                vouched = check.rows(block, lineno - 1)
-                if vouched is None:
-                    lineno, traj, step = _scan_lines(path, io.BytesIO(block), lineno, x1, trace, traj, step)
+            held = 0  # bytes of a line that the last block did not end, at the front of the buffer
+            while check is not None:
+                got = handle.readinto(check.room[held:])
+                size = held + got
+                end = check.buffer.rfind(b"\n", 0, size) + 1 if got else size  # the file's end ends its last line
+                if not end:  # no whole line yet
+                    if not got:
+                        break
+                    if size == len(check.room):  # a line longer than the room
+                        check.grow(2 * size)
+                    held = size
                     continue
-                n_rows, means = vouched
-                del x1[(lineno - 1) // check.n_meas :]  # the trajectory in progress, if any
-                x1 += means
-                lineno += n_rows
-                traj, step = divmod(lineno - 2, check.n_meas)
-                step += 1
+                vouched = check.rows(end, lineno - 1)
+                if vouched is None:
+                    lineno, traj, step = _scan_lines(path, io.BytesIO(check.buffer[:end]), lineno, x1, trace, traj,
+                                                     step)
+                else:
+                    n_rows, means = vouched
+                    del x1[(lineno - 1) // check.n_meas :]  # the trajectory in progress, if any
+                    x1 += means
+                    lineno += n_rows
+                    traj, step = divmod(lineno - 2, check.n_meas)
+                    step += 1
+                held = size - end
+                check.buffer[:held] = check.buffer[end:size]
     except OSError as exc:
         raise ConfigError(f"cannot read records {path!r}: {exc}") from None
     if not x1:
@@ -355,38 +417,34 @@ def _scan_lines(path, lines, lineno, x1, trace, traj, step) -> tuple[int, int, i
 _MEAN_WIDTH = 24
 
 
-def _mean_automaton() -> tuple[np.ndarray, np.ndarray, int]:
-    """(class of each byte, next state at ``state | class``, accepting state)
-    of the mean_x1_m spellings a block check vouches for.
+def _mean_automaton() -> tuple[np.ndarray, int]:
+    """(next state at ``state | byte``, accepting state) of the mean_x1_m
+    spellings a block check vouches for.
 
-    States are multiples of 8 and classes are below 8, so one ``take`` steps
-    the automaton over one byte of every row.
+    States are multiples of 256, so one ``take`` steps the automaton over one
+    byte of every row.
     """
-    other, digit, minus, point, e, comma = range(6)
-    classes = np.full(256, other, dtype=np.uint8)
-    classes[np.frombuffer(b"0123456789", dtype=np.uint8)] = digit
-    for byte, byte_class in ((b"-", minus), (b".", point), (b"e", e), (b",", comma)):
-        classes[ord(byte)] = byte_class
-    start, sign, whole, dot, fraction, exp, exp_sign, exp_digits, done, dead = range(0, 80, 8)
+    start, sign, whole, dot, fraction, exp, exp_sign, exp_digits, done, dead = range(0, 2560, 256)
+    digit = b"0123456789"
     moves = {
-        start: {digit: whole, minus: sign},
+        start: {digit: whole, b"-": sign},
         sign: {digit: whole},
-        whole: {digit: whole, point: dot, e: exp, comma: done},
+        whole: {digit: whole, b".": dot, b"e": exp, b",": done},
         dot: {digit: fraction},
-        fraction: {digit: fraction, e: exp, comma: done},
-        exp: {minus: exp_sign},
+        fraction: {digit: fraction, b"e": exp, b",": done},
+        exp: {b"-": exp_sign},
         exp_sign: {digit: exp_digits},
-        exp_digits: {digit: exp_digits, comma: done},
+        exp_digits: {digit: exp_digits, b",": done},
     }
-    table = np.full(80, dead, dtype=np.uint8)
-    table[done : done + 8] = done  # what follows the comma is the next field's
+    table = np.full(dead + 256, dead, dtype=np.intp)
+    table[done : done + 256] = done  # what follows the comma is the next field's
     for state, out in moves.items():
-        for byte_class, target in out.items():
-            table[state | byte_class] = target
-    return classes, table, done
+        for spelling, target in out.items():
+            table[[state + byte for byte in spelling]] = target
+    return table, done
 
 
-_MEAN_CLASSES, _MEAN_NEXT, _MEAN_DONE = _mean_automaton()
+_MEAN_NEXT, _MEAN_DONE = _mean_automaton()
 
 #: The bytes of a row a run writes that are no higher than ",": seven
 #: commas, then the newline.
@@ -414,8 +472,11 @@ class _BlockCheck:
     """Vouches with numpy for blocks of rows once trajectory 0 is read.
 
     Built from trajectory 0's var_x2_m2 fields as written, one per step.
-    ``rows(block, first_row)`` returns (rows, mean_x1 of the last row of each
-    trajectory in the block and of the block's last row) when every row is
+    It owns the reader's buffer: the reader reads into ``room``, moves the
+    part of a line that a read cut off to the front, and has ``grow`` the
+    room for a line longer than it.  ``rows(end, first_row)``
+    returns, for the block ``buffer[:end]``, (rows, mean_x1 of the last row
+    of each trajectory in the block and of the block's last row) when every row is
     the one a run writes at that place: seven commas and nothing else below
     ``","`` before the newline, ``traj_id`` and ``step`` spelt as a run
     spells row ``first_row + i``, a finite mean_x1_m (see ``_MEAN_WIDTH``)
@@ -428,14 +489,30 @@ class _BlockCheck:
         self.n_meas = len(trace_fields)
         self.steps = _spelled([b"%d," % step for step in range(1, self.n_meas + 1)])
         self.trace = _spelled([field + b"\n" for field in trace_fields])
-        # the widest window the step, var_x2_m2 and mean_x1_m checks read
-        self.width = max(8 * self.steps[0].shape[1], 8 * self.trace[0].shape[1], _MEAN_WIDTH + 1)
+        # the widest window the checks read: step, var_x2_m2, mean_x1_m, and
+        # traj_id (a row number below 2**63 has at most 19 digits, then ",")
+        self.width = max(8 * self.steps[0].shape[1], 8 * self.trace[0].shape[1], _MEAN_WIDTH + 1, 24)
+        self.buffer = bytearray()
+        self.grow(READ_BLOCK)
 
-    def rows(self, block: bytes, first_row: int) -> tuple[int, list[float]] | None:
-        if not block.endswith(b"\n"):
+    def grow(self, size: int) -> None:
+        """Give the buffer ``room`` for ``size`` bytes of lines, keeping its
+        bytes, and past the room the bytes that the windows of a block's
+        last row read past its end."""
+        held = self.buffer
+        self.buffer = bytearray(size + self.width)
+        self.buffer[: len(held)] = held
+        self.room = memoryview(self.buffer)[:size]
+        data = np.frombuffer(self.buffer, dtype=np.uint8)
+        self.data = data[:size]
+        self.windows = sliding_window_view(data, self.width)  # the bytes at every offset
+        self.below = np.empty(size, dtype=np.bool_)
+
+    def rows(self, end: int, first_row: int) -> tuple[int, list[float]] | None:
+        if self.data[end - 1] != ord("\n"):
             return None
-        data = np.frombuffer(block, dtype=np.uint8)
-        separators = np.flatnonzero(data <= ord(","))
+        data = self.data[:end]
+        separators = np.flatnonzero(np.less_equal(data, ord(","), out=self.below[:end]))
         if separators.size % 8:
             return None
         separators = separators.reshape(-1, 8)
@@ -445,10 +522,10 @@ class _BlockCheck:
         starts = np.concatenate(([0], separators[:-1, 7] + 1))
         traj, step_index = np.divmod(first_row + np.arange(n_rows), self.n_meas)
         ids = _spelled([b"%d," % t for t in range(traj[0], traj[-1] + 1)])
-
-        # the bytes at every offset, and zeros past the block's end
-        width = max(self.width, 8 * ids[0].shape[1])
-        windows = sliding_window_view(np.frombuffer(block + bytes(width), dtype=np.uint8), width)
+        # the bytes past the block's end never decide a check: each field it
+        # compares ends before the block's last newline, and the mean_x1_m
+        # automaton is done or dead by then
+        windows = self.windows
         if not (
             _all_spelt(windows, starts, ids, traj - traj[0])
             and _all_spelt(windows, separators[:, 0] + 1, self.steps, step_index)
@@ -457,10 +534,10 @@ class _BlockCheck:
             return None
 
         # one byte of every row's mean_x1_m at a time, through the comma
-        text = _MEAN_CLASSES.take(windows[separators[:, 3] + 1, : _MEAN_WIDTH + 1].T)
-        state = np.zeros(n_rows, dtype=np.uint8)
-        for column in text:
-            state = _MEAN_NEXT.take(state | column)
+        state = np.zeros(n_rows, dtype=np.intp)
+        index = np.empty_like(state)
+        for column in windows[separators[:, 3] + 1, : _MEAN_WIDTH + 1].T:
+            np.take(_MEAN_NEXT, np.bitwise_or(state, column, out=index), out=state, mode="clip")
         if not (state == _MEAN_DONE).all():
             return None
 
@@ -468,7 +545,7 @@ class _BlockCheck:
         if last.size == 0 or last[-1] != n_rows - 1:
             last = np.append(last, n_rows - 1)
         bounds = zip((separators[last, 3] + 1).tolist(), separators[last, 4].tolist())
-        return n_rows, [float(block[lo:hi]) for lo, hi in bounds]
+        return n_rows, [float(self.buffer[lo:hi]) for lo, hi in bounds]
 
 
 def _require_complete(path: str, lineno: int, traj: int, step: int, n_meas: int) -> None:

@@ -55,6 +55,20 @@ def test_zero_point_quadrupled_mass_halves():
     assert math.isclose(x_zp(4e-3), 0.5 * x_zp(1e-3), rel_tol=1e-15)
 
 
+@pytest.mark.parametrize("mass, omega1", [(1e300, 1e4), (1e305, 1e4), (1e-300, 1e-30)])
+def test_zero_point_displacement_where_its_quotient_leaves_the_double_range(mass, omega1):
+    # hbar / (mass omega1) underflows (about 1e-338 and 1e-343) or overflows (1e296)
+    expected = math.sqrt(HBAR / omega1) / math.sqrt(mass)
+    assert math.isclose(budget_figures(paper_point(mass=mass, omega1=omega1))["x_zp_m"], expected, rel_tol=1e-15)
+
+
+def test_thermal_energy_drift_does_not_depend_on_omega1():
+    # eta1 hbar omega1 = kB T dt / tau1; eta1 hbar underflows at omega1 = 1e300
+    for omega1 in (1e4, 1e300):
+        figures = budget_figures(paper_point(omega1=omega1))
+        assert math.isclose(figures["delta_e_br_J"], 6.903245e-31, rel_tol=1e-15)
+
+
 def test_eta1_linear_in_temperature_exactly():
     assert eta1(paper_point(temperature=0.1)) == 2.0 * eta1(paper_point(temperature=0.05))
 
@@ -66,7 +80,7 @@ def test_eta1_inverse_linear_in_tau():
 def test_report_consistency():
     figures = budget_figures(paper_point())
     assert list(figures) == ["eta1", "eta2", "eta_a", "delta_e_br_J", "x_zp_m"]
-    assert figures["delta_e_br_J"] == figures["eta1"] * HBAR * 1e4
+    assert figures["delta_e_br_J"] == KB * 0.05 * (1e-2 / 1e4)
     assert math.isclose(figures["delta_e_br_J"], KB * 0.05 * 1e-2 / 1e4, rel_tol=1e-12)
     assert figures["eta_a"] == 1.0
     assert budget_figures(paper_point()) == figures  # pure function, identical bits

@@ -72,10 +72,22 @@ def test_budget_figure_that_is_not_finite_is_a_numerical_failure(capsys):
     assert out == "" and err.startswith("numerical failure: delta_e_br_J is not finite")
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["--omega1", "1e300"], "delta_e_br_J=6.903e-31"),
+    (["--mass", "1e300"], "x_zp_m=1.027e-169"),
+    (["--mass", "1e305"], "x_zp_m=3.247e-172"),
+    (["--mass", "1e-300", "--omega1", "1e-30"], "x_zp_m=1.027e+148"),
+], ids=["omega1_1e300", "mass_1e300", "mass_1e305", "mass_1e-300"])
+def test_budget_figure_with_an_intermediate_out_of_range(argv, line, capsys):
+    # eta1 hbar, hbar / (mass omega1) or mass omega1 is out of the double range; the figure is not
+    assert main(["budget", *argv]) == 0
+    assert line in capsys.readouterr().out.splitlines()
+
+
 # a product of parameters that underflows to 0 and then divides
 UNDERFLOWED_DIVISORS = {
     "budget_eta1": ["budget", "--omega1", "1e-300"],  # hbar * omega1
-    "budget_x_zp": ["budget", "--mass", "1e-300", "--omega1", "1e-30"],  # mass * omega1
+    "budget_eta2": ["budget", "--omega2", "1e-300"],  # hbar * omega2
     "qnd_check": ["qnd-check", "--observable", "x1", "--times", "0,1", "--mass", "1e-300", "--omega1", "1e-30"],
 }
 
@@ -99,6 +111,26 @@ def test_simulate_underflowed_divisor_is_a_numerical_failure(workers, tmp_path, 
     assert main(argv) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == "numerical failure: float division by zero\n"
+    assert not records_path.exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_simulate_out_of_memory_is_a_config_error(workers, tmp_path, capsys, monkeypatch):
+    # as when a long schedule's plan cannot be allocated; no test allocates that much
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+
+    def setup(config):
+        raise MemoryError("Unable to allocate 14.9 GiB for an array")
+
+    monkeypatch.setattr("qndsim.ensemble._setup", setup)
+    cfg_path, _ = write_config(tmp_path, n_traj=1100, n_meas=3)
+    records_path = tmp_path / "records.csv"
+    argv = ["simulate", "--config", str(cfg_path), "--records", str(records_path), "--workers", str(workers)]
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "error: out of memory: Unable to allocate 14.9 GiB for an array\n"
+    assert "Traceback" not in err
     assert not records_path.exists()
 
 
@@ -725,7 +757,20 @@ def block_and_loop_outcomes(path, read_block=1000):
     return blocks, alone, any(vouched)
 
 
-@pytest.mark.parametrize("read_block", [1, 1000])
+# READ_BLOCK one byte short of k whole rows after the rows the loop reads
+# first, exactly k rows, and one byte more, so that the first block ends just
+# before, on and just after a newline, and later ones near one
+ROW_EDGES = {"rows-1": -1, "rows": 0, "rows+1": 1}
+
+
+def edge_block(rows, n_meas, edge, k=5):
+    """READ_BLOCK for ``edge`` of ``ROW_EDGES`` over ``rows``, the lines of
+    a record file after its header (without their newlines): the loop reads
+    trajectory 0 and the first row of trajectory 1 before any block."""
+    return sum(len(row) + 1 for row in rows[n_meas + 1 : n_meas + 1 + k]) + ROW_EDGES[edge]
+
+
+@pytest.mark.parametrize("read_block", [1, 1000, *ROW_EDGES])
 @pytest.mark.parametrize("case", list(MALFORMED_RECORDS))
 def test_late_malformed_records_raise_what_the_loop_raises(case, read_block, late_rows, tmp_path):
     spoil = MALFORMED_RECORDS[case][0]
@@ -733,6 +778,8 @@ def test_late_malformed_records_raise_what_the_loop_raises(case, read_block, lat
     first = 3 * LATE_TRAJECTORY  # the spoiled rows are those of trajectories 20 to 22
     path = tmp_path / "records.csv"
     path.write_text("\n".join([header] + rows[:first] + spoil(rows[first : first + 9]) + rows[first + 9 :]) + "\n")
+    if read_block in ROW_EDGES:
+        read_block = edge_block(rows, 3, read_block)
     blocks, alone, vouched = block_and_loop_outcomes(path, read_block)
     assert isinstance(alone, str) and alone.startswith(f"{path}:")
     assert blocks == alone
@@ -803,6 +850,20 @@ def test_any_late_field_reads_as_the_loop_reads_it(late_rows, tmp_path_factory, 
     path = tmp_path_factory.mktemp("field") / "records.csv"
     blocks, alone, vouched = one_late_field_outcomes(rows, header, path, row, column, edit, read_block)
     assert blocks == alone
+    assert vouched
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("edge", list(ROW_EDGES))
+def test_blocks_that_end_next_to_a_newline_read_as_the_loop(edge, k, tmp_path):
+    # every row is 26 bytes, so that every block ends on the same side of a
+    # newline: the mean_x1_m of trajectories 0 to 9 takes up the id's second digit
+    rows = [f"{traj},{step},0.5,1,{'1.25' if traj < 10 else '1.5'},1,1,2.5e-3" for traj in range(40) for step in (1, 2, 3)]
+    assert {len(row) + 1 for row in rows} == {26}
+    path = tmp_path / "records.csv"
+    path.write_text("\n".join([RECORD_CSV_HEADER] + rows) + "\n")
+    blocks, alone, vouched = block_and_loop_outcomes(path, edge_block(rows, 3, edge, k))
+    assert blocks == alone == (np.array([1.25] * 10 + [1.5] * 30).tobytes(), np.array([2.5e-3] * 3).tobytes())
     assert vouched
 
 

@@ -245,7 +245,7 @@ def test_rows_chunk_memory_stays_under_its_values_and_a_few_blocks(overrides):
     finally:
         tracemalloc.stop()
     values = 24 * 128 * 200
-    block = 1000 * FORMAT_BLOCK_ROWS  # a block being rendered takes about 900 bytes a row
+    block = 850 * FORMAT_BLOCK_ROWS  # a block being rendered takes about 850 bytes a row
     assert text > 3 * 1024 * 1024 and peak < values + 3 * block
 
 

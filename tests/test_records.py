@@ -8,6 +8,7 @@ reference.
 
 import math
 import sys
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 
@@ -27,7 +28,9 @@ FIXED_NOTATION = {"mass_kg": 1e-24}
 
 def rendered(values) -> list[bytes]:
     """``_render17``'s text of each value, without the leading comma."""
-    slots = records._render17(np.asarray(values, dtype=np.float64)).view(np.uint8)
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty((values.size, records._SLOT_WORDS), dtype=np.uint32)
+    slots = records._render17(values, out, np.empty((14, values.size))).view(np.uint8)
     return [bytes(slot[slot != 0])[1:] for slot in slots]
 
 
@@ -224,7 +227,7 @@ def test_format_rows_equals_the_template(meter, policy, start, width, monkeypatc
     assert rows == reference
 
 
-@pytest.mark.parametrize("block_rows", [1, 5, 13])
+@pytest.mark.parametrize("block_rows", [1, 5, 13, records.FORMAT_BLOCK_ROWS])
 @pytest.mark.parametrize("overrides", [{}, FIXED_NOTATION], ids=["default", "fixed_notation"])
 def test_format_rows_does_not_depend_on_its_block(overrides, block_rows, monkeypatch):
     # blocks of whole trajectories, and runs of steps of one trajectory
@@ -251,3 +254,24 @@ def test_fixed_notation_means_are_written_as_cpython_writes_them(workers, tmp_pa
     if workers == 2:
         run_ensemble(config, workers=1, record_path=str(tmp_path / "in_process.csv"))
         assert (tmp_path / "in_process.csv").read_bytes() == path.read_bytes()
+
+
+def test_read_records_memory_does_not_grow_with_the_file(tmp_path, monkeypatch):
+    # the reader reads every block into one buffer and checks it with masks
+    # it keeps; reading a block, a copy of it with its last line, a padded
+    # copy and fresh masks peaked at about 5 blocks
+    monkeypatch.setattr(records, "READ_BLOCK", 1 << 16)  # files of 4 and 9 blocks
+    peaks = []
+    for n_traj in (10, 20):  # 2 000 and 4 000 rows
+        path = tmp_path / f"records{n_traj}.csv"
+        run_ensemble(replace(default_config(), n_traj=n_traj, n_meas=200), record_path=str(path))
+        assert path.stat().st_size > 4 * records.READ_BLOCK
+        records.read_records(str(path))  # one-time allocations, untraced
+        tracemalloc.start()
+        try:
+            records.read_records(str(path))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < 4.5 * records.READ_BLOCK
+    assert abs(peaks[1] - peaks[0]) < records.READ_BLOCK / 16
