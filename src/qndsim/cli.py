@@ -28,7 +28,6 @@ from .errors import (
     StateDomainError,
 )
 from .observables import OBSERVABLE_KINDS, QND_TOL, OscillatorParams, is_qnd_sequence
-from .records import read_records
 from .stats import SampleSeries, boltzmann_verdict, energy_histogram
 
 # budget flag -> BudgetInputs field; unset flags take the default config's
@@ -257,6 +256,8 @@ def _cmd_analyze(args) -> int:
     _require_distinct(args, "config", "records", "out", "histogram")
     config = load_config(args.config) if args.config is not None else default_config()
     with _outputs(args.out, args.histogram):
+        from .records import read_records  # only the command that reads records loads the reader
+
         x1, v22_trace = read_records(args.records)
         stats = ensemble_stats(x1, v22_trace, config.oscillator())
         text = json.dumps({"n_traj": len(x1), "n_meas": len(v22_trace), **stats, "alpha": args.alpha})

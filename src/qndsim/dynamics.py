@@ -16,9 +16,10 @@ energy therefore grows as kB T (1 - exp(-t/tau1)) ~ kB T t / tau1, which is
 the Brownian-drift noise figure eta1 per interval when divided by hbar w1.
 
 The step has two halves.  ``thermal_relax`` is the covariance half: it needs
-no draw, so ``measurement.plan_schedule`` runs it once per schedule.
-``thermal_kick`` is the means half, for floats or for arrays over a batch of
-trajectories that share one covariance.  ``thermal_step`` composes the two.
+no draw, so ``measurement.plan_schedule`` runs it once per schedule, and
+``measurement.step_means`` applies its decay and kick sd to the means of a
+batch of trajectories that share one covariance.  ``thermal_step`` composes
+the two halves for one state, whose means are floats or arrays.
 """
 
 from __future__ import annotations
@@ -81,14 +82,6 @@ def thermal_relax(
     return d, math.sqrt(kick), GaussianQuadState(state.mean1, state.mean2, v11, v22, v12, state.time + dt)
 
 
-def thermal_kick(mean1, mean2, d: float, sd: float, rng):
-    """Means half of ``thermal_step``: (mean1, mean2) decayed by d, each with a
-    Gaussian kick of sd, mean1 first.  Each draw is centred on the decayed
-    mean, so means that are arrays over a batch get one normal per trajectory
-    from a plain Generator as from the ensemble's draw source."""
-    return rng.normal(d * mean1, sd), rng.normal(d * mean2, sd)
-
-
 def thermal_step(
     state: GaussianQuadState,
     dt: float,
@@ -96,8 +89,10 @@ def thermal_step(
     rng: np.random.Generator,
 ) -> GaussianQuadState:
     """Exact Ornstein-Uhlenbeck update over dt > 0: ``thermal_relax`` for the
-    covariance and clock, then ``thermal_kick`` for the sampled means (two
-    rng draws)."""
+    covariance and clock, then the sampled means decay by d, each with a
+    Gaussian kick, mean1 first (two rng draws).  Each draw is centred on the
+    decayed mean, so means that are arrays over a batch get one normal per
+    trajectory."""
     d, sd, relaxed = thermal_relax(state, dt, params)
-    relaxed.mean1, relaxed.mean2 = thermal_kick(state.mean1, state.mean2, d, sd, rng)
+    relaxed.mean1, relaxed.mean2 = rng.normal(d * state.mean1, sd), rng.normal(d * state.mean2, sd)
     return relaxed

@@ -21,24 +21,29 @@ no config.  The plan is dropped after the config's summary, which reports
 the plan's v22 trace; ``analyze`` reads the same trace from the record CSV,
 so both report the same slope.
 
-A chunk steps only means: the plan's ``means``, the one step loop, applies
-the plan to arrays over the chunk's trajectories.  Its random draws come
-from ``_ChunkDraws``, which stands in for the Generator: its k-th
-``normal(loc, scale)`` returns ``loc + scale * z_k``, where ``z_k`` holds the
-k-th standard normal of every trajectory's own stream.  That is the same
-arithmetic a Generator does for a scalar draw, so each trajectory gets the
-values it would get if stepped alone through ``run_schedule``, bit for bit.
-The normals are drawn in blocks of at most ``DRAW_BLOCK`` per stream, and no
-more than the chunk uses (the plan's ``draws`` plus the two start means), by
-one Philox that is given each stream's state in turn (Salmon et al.,
-"Parallel random numbers: as easy as 1, 2, 3", SC'11: a counter-based stream
-is its key and counter).  The chunk keeps each step's
+A chunk steps only means: ``measurement.step_means``, the one step loop,
+steps a (2, n) array of the chunk's means in place.  Its draws come from
+``_ChunkDraws``, which hands out whole blocks of standard normals, at most
+``DRAW_BLOCK`` per stream and no more than the chunk uses (the two start
+means, then the plan's ``draws``), drawn by one Philox that is given each
+stream's state in turn (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11: a counter-based stream is its key and counter).  Each block
+is multiplied in place, once, by the sd of each of its draws, and the kernel
+adds its columns: ``loc + (sd * z)`` is what a Generator computes for a
+scalar draw, so each trajectory gets the values it would get if stepped
+alone through ``run_schedule``, bit for bit.  The start means are zeros plus
+their scaled draws, since 0.0 + (-0.0) is +0.0.  Finiteness is checked once
+per chunk, before any of its rows is rendered.  The chunk keeps each step's
 outcomes and means only when record rows are asked for, so that without
 them its memory does not grow with n_meas.  With them, a chunk run in
 process hands back its rows unrendered, as ``format_rows``' blocks, which
 are rendered as they are written; so the run holds one chunk's values and
 one block's text, never a chunk's text.  A pool worker renders its chunk's
 blocks before it sends them, so that rendering stays parallel.
+
+``records`` is imported only by a run that keeps rows, and
+``concurrent.futures`` only when a pool starts, so a rowless run in process
+loads neither.
 
 ``run_ensembles`` runs a list of configs, as ``sweep`` does, through one
 process pool at most: every config's chunks go to the same pool in order,
@@ -65,10 +70,10 @@ from __future__ import annotations
 import json
 import os
 import stat
+import sys
 import time as _time
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
-from concurrent.futures import Future, ProcessPoolExecutor
 from contextlib import ExitStack, suppress
 from dataclasses import dataclass, field
 from itertools import islice, starmap
@@ -79,9 +84,8 @@ from .budget import eta1 as _eta1, eta2 as _eta2, operating_point
 from .config import CONFIG_KEYS, RunConfig
 from .dynamics import GaussianQuadState, stationary_variance, zero_point_variance
 from .errors import DegenerateSeriesError, InsufficientDataError, ParameterError
-from .measurement import SchedulePlan, plan_schedule
+from .measurement import DrawColumns, SchedulePlan, plan_schedule, step_means
 from .observables import OscillatorParams
-from .records import RECORD_CSV_HEADER, format_rows
 from .stats import SampleSeries, estimate_t1, gof_boltzmann, heating_slope
 
 #: Trajectories stepped as one batch when no record rows are kept.  An
@@ -97,12 +101,14 @@ ROWS_CHUNK_SIZE = 128
 #: in process, where each block is rendered as it is written, and about 166
 #: in a pool worker, which sends its rows as text (142 bytes of it a row).
 #: Past n_meas = 500 chunks narrow, and a step of a narrow chunk costs as
-#: many calls of the step functions as one of a wide chunk.
+#: many numpy calls of the step kernel as one of a wide chunk.
 ROWS_STEP_BUDGET = 64000
 
-#: Most standard normals drawn per stream at a time.  A chunk's block is no
-#: wider than the normals it uses, so a run of at most 384 per stream (a
-#: default run uses 302) sets each stream's generator state once and saves none.
+#: Most standard normals drawn per stream at a time, and so the widest block
+#: the kernel takes its draws from; a block may end inside a step.  A chunk's
+#: block is no wider than the normals it uses, so a run of at most 384 per
+#: stream (a default run uses 302) sets each stream's generator state once,
+#: saves none, and scales its draws in one pass.
 DRAW_BLOCK = 384
 
 #: The statistics a summary reports after its config echo, in the order of
@@ -116,43 +122,33 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
 
 
 class _ChunkDraws:
-    """Stands in for a Generator over trajectories [start, stop): the k-th
-    ``normal(loc, scale)`` returns ``loc + scale * z_k``, where ``z_k`` holds
-    the k-th standard normal of each trajectory's own stream.
+    """The standard normals of trajectories [start, stop), ``n_draws`` per
+    stream, handed out as whole blocks by iteration: each block is a
+    (width, stop - start) view whose column i holds the next normals of
+    trajectory start + i's own stream.  One buffer is refilled for each
+    block, so a block is valid only until the next is asked for.
 
-    One Philox serves every stream.  Before it fills a stream's next block it
-    is given that stream's state: at first the state ``trajectory_rng``
-    starts from (key (seed, index), counter 0, empty buffer), afterwards the
-    state the last fill left.  A counter-based stream is its key and counter,
-    so each stream yields exactly the normals of its own ``trajectory_rng``,
-    without a Philox built per stream.  The first states are one dict whose
-    key is rewritten for each stream: the state setter copies its values.
-
-    ``n_draws`` is the number of normals the chunk takes from each stream.
-    A block is at most that wide, and a stream's state is saved only when
-    another fill will follow.  Asking for more than ``n_draws`` raises.
+    One Philox serves every stream.  Before it fills a stream's row of the
+    buffer it is given that stream's state: at first the state
+    ``trajectory_rng`` starts from (key (seed, index), counter 0, empty
+    buffer), afterwards the state the last fill left.  A counter-based stream
+    is its key and counter, so each stream yields exactly the normals of its
+    own ``trajectory_rng``, without a Philox built per stream.  The first
+    states are one dict whose key is rewritten for each stream: the state
+    setter copies its values.  A block is at most ``DRAW_BLOCK`` wide, and a
+    stream's state is saved only when another fill will follow.
     """
 
     def __init__(self, seed: int, start: int, stop: int, n_draws: int) -> None:
         self._bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
-        self._generator = np.random.Generator(self._bits)
         fresh = self._bits.state
         # plain lists, which the state setter reads faster than arrays
         fresh["state"] = {"counter": fresh["state"]["counter"].tolist(), "key": [seed, start]}
         fresh["buffer"] = fresh["buffer"].tolist()
         self._fresh = fresh
         self._indices = range(start, stop)
-        self._saved: list[dict] | None = None  # each stream's state when another fill follows
-        self._block = np.empty((stop - start, min(DRAW_BLOCK, n_draws)))
-        self._unfilled = n_draws
-        self._next = self._filled = 0
-
-    def normal(self, loc, scale: float) -> np.ndarray:
-        if self._next == self._filled:
-            self._fill()
-        z = self._block[:, self._next]
-        self._next += 1
-        return loc + scale * z
+        self._n_draws = n_draws
+        self._width = min(DRAW_BLOCK, n_draws)
 
     def _fresh_states(self) -> Iterator[dict]:
         """Each stream's first state, as one dict re-keyed in turn."""
@@ -161,20 +157,20 @@ class _ChunkDraws:
             key[1] = index
             yield self._fresh
 
-    def _fill(self) -> None:
-        width = min(self._block.shape[1], self._unfilled)
-        if width == 0:
-            raise RuntimeError("a chunk asked for more normals than it declared")
-        more = self._unfilled > width
-        bits, saved = self._bits, []
-        for row, state in zip(self._block, self._saved or self._fresh_states()):
-            bits.state = state
-            self._generator.standard_normal(out=row[:width])
-            if more:
-                saved.append(bits.state)
-        self._saved = saved
-        self._unfilled -= width
-        self._next, self._filled = 0, width
+    def __iter__(self) -> Iterator[np.ndarray]:
+        bits, normals = self._bits, np.random.Generator(self._bits).standard_normal
+        buffer = np.empty((len(self._indices), self._width))
+        unfilled, saved = self._n_draws, None
+        while unfilled:
+            width = min(self._width, unfilled)
+            unfilled -= width
+            states, saved = saved or self._fresh_states(), []
+            for row, state in zip(buffer, states):
+                bits.state = state
+                normals(out=row[:width])
+                if unfilled:
+                    saved.append(bits.state)
+            yield buffer[:, :width].T
 
 
 def _setup(config: RunConfig) -> tuple[float, SchedulePlan]:
@@ -197,12 +193,19 @@ def _run_chunk(
     ``plan``.  Return (final X1 means, rows): the rows, if collected, are
     left unrendered, each block of ``format_rows`` rendered when it is
     taken; None without them."""
-    draws = _ChunkDraws(seed, start, stop, 2 + plan.draws)  # the two start means, then the plan's
-    steps = plan.means(draws.normal(0.0, mean_sd), draws.normal(0.0, mean_sd), draws)
+    lead = (mean_sd, mean_sd)  # the two start means, then the plan's draws
+    blocks = _ChunkDraws(seed, start, stop, len(lead) + plan.draws)
+    draws = DrawColumns(blocks, lambda lo, hi: plan.scales(lo, hi, lead))
+    means = np.zeros((2, stop - start))
+    means += draws.take(len(lead))
     if not collect_rows:
-        return deque(steps, maxlen=1)[0][1], None
-    # every step's (outcome, mean1, mean2), filled in place as the steps are made
-    values = np.fromiter(steps, dtype=np.dtype((np.float64, (3, stop - start))), count=len(plan.steps))
+        step_means(plan, means, draws)
+        return means[0], None
+    from .records import format_rows
+
+    # every step's (outcome, mean1, mean2), written in place by the kernel
+    values = np.empty((len(plan.steps), 3, stop - start))
+    step_means(plan, means, draws, values)
     # x1 is a copy, so that the summary keeps no chunk's values alive
     return values[-1, 1].copy(), format_rows(start, plan, values)
 
@@ -278,6 +281,8 @@ def ensemble_stats(x1_values, v22_trace, params: OscillatorParams) -> dict:
 def _then_failure(jobs) -> Iterator:
     """The jobs, then, if making one failed (its config's set-up raised), a
     future that raises that error."""
+    from concurrent.futures import Future
+
     try:
         yield from jobs
     except (ValueError, ArithmeticError) as error:
@@ -286,11 +291,13 @@ def _then_failure(jobs) -> Iterator:
         yield failed
 
 
-def _in_order(pool: ProcessPoolExecutor, jobs, ahead: int) -> Iterator[tuple[np.ndarray, list[bytes] | None]]:
-    """``_run_pooled_chunk`` over ``jobs`` in ``pool``, yielded in job order,
-    with at most ``ahead`` chunks submitted and not yet yielded.  A job that
-    cannot be made raises in its place, after the chunks before it, as in
-    process."""
+def _in_order(pool, jobs, ahead: int) -> Iterator[tuple[np.ndarray, list[bytes] | None]]:
+    """``_run_pooled_chunk`` over ``jobs`` in ``pool``, a process pool,
+    yielded in job order, with at most ``ahead`` chunks submitted and not yet
+    yielded.  A job that cannot be made raises in its place, after the chunks
+    before it, as in process."""
+    from concurrent.futures import Future
+
     pending: deque = deque()
     try:
         for job in _then_failure(jobs):
@@ -349,11 +356,15 @@ def run_ensembles(
     try:
         with ExitStack() as stack:
             if collect_rows:
+                from .records import RECORD_CSV_HEADER
+
                 handle = stack.enter_context(open(record_path, "wb"))
                 handle.write(RECORD_CSV_HEADER.encode() + b"\n")
             n_procs = _pool_size(workers, sum(map(len, starts)))
             if n_procs > 1:
-                pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_procs))
+                # the module attribute, so that a replaced class is the one started
+                pool_class = sys.modules[__name__].ProcessPoolExecutor
+                pool = stack.enter_context(pool_class(max_workers=n_procs))
                 parts = _in_order(pool, jobs(), 2 * n_procs)
                 stack.callback(parts.close)  # cancel what is queued before the pool waits for it
             else:
@@ -396,3 +407,14 @@ def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = 
     see ``run_ensembles``."""
     (summary,) = run_ensembles([config], workers, record_path)
     return summary
+
+
+def __getattr__(name: str):
+    """``ProcessPoolExecutor``, imported from ``concurrent.futures`` on first
+    access (PEP 562), which is when a run first starts a pool."""
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor
+    return ProcessPoolExecutor

@@ -31,25 +31,28 @@ ParameterError for an unknown one; below them it is the ``orthodox`` bool.
 Covariance, gains, read direction and the outcome's spread depend on no
 outcome: the recursion is data-free (Kalman 1960).  So a step has two halves.
 ``plan_schedule`` runs the covariance half of a whole schedule once, with
-every check, and stores it as a ``SchedulePlan``; the plan's ``means`` is the
-one step loop, and it applies the plan to means that are floats or arrays
-over a batch of trajectories; the plan's ``draws`` counts the normals that
-loop takes, so the draw order is declared here alone.  ``measure`` is built
-from the same halves, ``run_schedule`` is a plan and its means, and the
-ensemble makes one plan per config, so its chunks step only means.
+every check, and stores it as a ``SchedulePlan``; its ``draws`` counts the
+normals a schedule takes and its ``scales`` gives the sd of each, so the draw
+order is declared here alone.  ``step_means`` is the means half, the one
+array step loop: it steps a (2, n) array of means over a batch of
+trajectories in place, adding draws that ``DrawColumns`` hands out already
+scaled.  ``run_schedule`` is a plan and that kernel on one trajectory (or
+one batch), and the ensemble makes one plan per config, so its chunks step
+only means.  ``measure`` is one measurement built from the covariance half
+and the same arithmetic on scalars.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Iterator
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .constants import HBAR
-from .dynamics import GaussianQuadState, thermal_kick, thermal_relax
+from .dynamics import GaussianQuadState, thermal_relax
 from .errors import NumericalFailureError, ParameterError, StateDomainError
 from .observables import COLLAPSE_POLICIES, MeterSpec, OscillatorParams
 
@@ -185,31 +188,6 @@ def _conditioned(
     return (u1, u2, outcome_sd, k1, k2), posterior
 
 
-def _read_means(mean1, mean2, read, sigma_ba: float, orthodox: bool, rng):
-    """Means half of ``measure``: (outcome, mean1, mean2) after one read.
-
-    ``read`` is the (u1, u2, outcome sd, k1, k2) of ``_conditioned``.  The
-    outcome is drawn from N(u . mean, outcome sd^2).  An orthodox update then
-    moves each mean by its gain times the innovation; under no_conditioning
-    each mean takes an unsteered kick of sigma_ba instead.  The means may be
-    floats or arrays over a batch: each draw is centred on them, so any
-    generator gives one normal per trajectory.
-    """
-    u1, u2, outcome_sd, k1, k2 = read
-    mu = u1 * mean1 + u2 * mean2
-    outcome = rng.normal(mu, outcome_sd)
-    if orthodox:
-        innov = outcome - mu
-        mean1 = mean1 + k1 * innov
-        mean2 = mean2 + k2 * innov
-    else:
-        mean1 = rng.normal(mean1, sigma_ba)
-        mean2 = rng.normal(mean2, sigma_ba)
-    if not (np.isfinite(outcome).all() and np.isfinite(mean1).all() and np.isfinite(mean2).all()):
-        raise NumericalFailureError("measurement produced a non-finite outcome or state")
-    return outcome, mean1, mean2
-
-
 def measure(
     state: GaussianQuadState,
     meter: MeterSpec,
@@ -218,18 +196,29 @@ def measure(
     rng: np.random.Generator,
 ) -> tuple[float, GaussianQuadState, MeasurementRecord]:
     """Draw one outcome and return (outcome, updated state, record):
-    ``_conditioned`` updates the covariance, then ``_read_means`` the means.
+    ``_conditioned`` updates the covariance, then the means are read.
 
-    The clock does not advance: measurements are instantaneous events between
-    thermal steps.  For a batch state (array means) the outcome is an array
-    too, with one normal per trajectory from any generator; covariance and
-    clock stay scalars.
+    The outcome is drawn from N(u . mean, outcome sd^2).  An orthodox update
+    then moves each mean by its gain times the innovation; under
+    no_conditioning each mean takes an unsteered kick of sigma_ba instead.
+    Each draw is centred on what it moves, so for a batch state (array
+    means) the outcome is an array too, with one normal per trajectory from
+    any generator; covariance and clock stay scalars.  The clock does not
+    advance: measurements are instantaneous events between thermal steps.
     """
-    orthodox, sba = _orthodox(policy), backaction_sigma(meter, params)
-    read, post = _conditioned(state, meter, orthodox, params)
-    outcome, post.mean1, post.mean2 = _read_means(state.mean1, state.mean2, read, sba, orthodox, rng)
-    record = MeasurementRecord(state.time, outcome, state.v11, post.v11, post.v22)
-    return outcome, post, record
+    orthodox = _orthodox(policy)
+    (u1, u2, outcome_sd, k1, k2), post = _conditioned(state, meter, orthodox, params)
+    mu = u1 * state.mean1 + u2 * state.mean2
+    outcome = rng.normal(mu, outcome_sd)
+    if orthodox:
+        innov = outcome - mu
+        post.mean1, post.mean2 = state.mean1 + k1 * innov, state.mean2 + k2 * innov
+    else:
+        sba = backaction_sigma(meter, params)
+        post.mean1, post.mean2 = rng.normal(state.mean1, sba), rng.normal(state.mean2, sba)
+    if not all(np.isfinite(value).all() for value in (outcome, post.mean1, post.mean2)):
+        raise NumericalFailureError("measurement produced a non-finite outcome or state")
+    return outcome, post, MeasurementRecord(state.time, outcome, state.v11, post.v11, post.v22)
 
 
 #: One step of a ``SchedulePlan``, 80 bytes: the clock and the variances its
@@ -243,7 +232,7 @@ PLAN_STEP = np.dtype([(name, np.float64) for name in _PLAN_COLUMNS])
 class SchedulePlan:
     """The data-free half of a schedule, as ``plan_schedule`` computes it
     once: the thermal step's decay and kick sd, an optional burn-in step's,
-    and one ``PLAN_STEP`` record per measurement.  ``means`` applies it."""
+    and one ``PLAN_STEP`` record per measurement.  ``step_means`` applies it."""
 
     orthodox: bool
     sigma_ba: float
@@ -254,27 +243,118 @@ class SchedulePlan:
 
     @property
     def draws(self) -> int:
-        """Normals ``means`` draws, in the order it draws them: the two kicks
-        of a burn-in step, then per step the two thermal kicks, the outcome
-        and, under no_conditioning, the kicks of both means."""
+        """Normals ``step_means`` takes, in the order it takes them: the two
+        kicks of a burn-in step, then per step the two thermal kicks, the
+        outcome and, under no_conditioning, the kicks of both means."""
         return 2 * (self.burn_in is not None) + len(self.steps) * (3 if self.orthodox else 5)
 
-    def means(self, mean1, mean2, rng) -> Iterator[tuple]:
-        """Step means (floats, or arrays over a batch of trajectories) through
-        the plan, and yield (outcome, mean1, mean2) after each measurement.
-
-        This is the one step loop: per step ``thermal_kick`` then
-        ``_read_means``, with the plan's coefficients.  ``rng`` may be any
-        source with the Generator's ``normal(loc, scale)``; for arrays, the
-        ensemble passes one that draws each trajectory's normals from that
-        trajectory's own stream.
-        """
+    def scales(self, lo: int, hi: int, lead: tuple[float, ...] = ()) -> np.ndarray:
+        """The sd of each of draws [lo, hi) of a run that takes draws of the
+        sds ``lead`` first, then the plan's ``draws``, in their order."""
         if self.burn_in is not None:
-            mean1, mean2 = thermal_kick(mean1, mean2, *self.burn_in, rng)
-        for step in self.steps:
-            mean1, mean2 = thermal_kick(mean1, mean2, self.decay, self.kick_sd, rng)
-            outcome, mean1, mean2 = _read_means(mean1, mean2, step.item()[5:], self.sigma_ba, self.orthodox, rng)
-            yield outcome, mean1, mean2
+            lead += (self.burn_in[1],) * 2
+        k = np.arange(lo - len(lead), hi - len(lead))
+        step, slot = np.divmod(k, 3 if self.orthodox else 5)
+        out = np.array([self.kick_sd, self.kick_sd, 0.0, self.sigma_ba, self.sigma_ba])[slot]
+        read = (slot == 2) & (k >= 0)
+        out[read] = self.steps["outcome_sd"][step[read]]
+        out[k < 0] = np.array(lead)[k[k < 0]]  # a negative k counts back from the end of lead
+        return out
+
+
+class DrawColumns:
+    """The normals of a run, handed out ``k`` draws at a time, from
+    ``blocks`` whose first axis runs over draws and whose others over
+    trajectories (a block may be the transposed view of a buffer that holds
+    each trajectory's draws in a row, and that buffer may be refilled for
+    the next block).
+
+    Each block is multiplied in place, once, by the sd of each of its draws,
+    ``scales(lo, hi)`` for draws [lo, hi) of the run: a draw of N(loc, sd^2)
+    is then ``loc + (sd * z)``, as ``Generator.normal`` computes it, and
+    the kernel only adds it.  Draws that straddle blocks are gathered into a
+    copy.  What ``take`` returns is valid until the next take.  Taking more
+    draws than the blocks hold raises RuntimeError.
+    """
+
+    def __init__(self, blocks: Iterable[np.ndarray], scales: Callable[[int, int], np.ndarray]) -> None:
+        self._blocks = iter(blocks)
+        self._scales = scales
+        self._block: np.ndarray | tuple = ()
+        self._next = self._scaled = 0  # next draw in the block; draws scaled so far
+
+    def take(self, k: int) -> np.ndarray:
+        start, self._next = self._next, self._next + k
+        if self._next <= len(self._block):
+            return self._block[start:self._next]
+        parts = []
+        while self._next > len(self._block):
+            if start < len(self._block):
+                parts.append(self._block[start:].copy())
+            self._next -= len(self._block)
+            start = 0
+            block = next(self._blocks, None)
+            if block is None:
+                raise RuntimeError("a run asked for more normals than it declared")
+            lo = self._scaled
+            self._scaled += len(block)
+            np.multiply(block.T, self._scales(lo, self._scaled), out=block.T)
+            self._block = block
+        parts.append(self._block[:self._next])
+        return np.concatenate(parts)
+
+
+def step_means(plan: SchedulePlan, means: np.ndarray, draws: DrawColumns, values: np.ndarray | None = None) -> None:
+    """Step ``means``, the (2, n) X1 and X2 means of a batch of trajectories,
+    in place through ``plan``, taking the plan's draws from ``draws``.  With
+    ``values``, an (n_meas, 3, n) array, write each step's outcomes and means
+    after the measurement into ``values[step]``.
+
+    This is the one step loop.  Per step: ``m *= d; m += kicks``, then
+    ``mu = u1 m1 + u2 m2`` and ``y = mu + noise``, then ``m += K (y - mu)``
+    under orthodox, or ``m += kicks`` of sigma_ba under no_conditioning; every
+    sum is the one ``Generator.normal`` makes of its loc and scaled draw, so
+    each trajectory gets the values a scalar ``thermal_step`` and ``measure``
+    give it, bit for bit.
+
+    Finiteness is checked once, over the final means or, with ``values``,
+    over every value written: with finite coefficients a non-finite outcome
+    or mean stays non-finite at every later step (0 * inf is nan), and under
+    orthodox each outcome feeds the means.  Under no_conditioning no outcome
+    feeds a mean, so without ``values`` each outcome is checked as it is
+    drawn.  Either raises NumericalFailureError.
+    """
+    # (u1, u2) and (k1, k2) of each step, as (2, 1) columns of the plan's table
+    table = plan.steps.view(np.float64).reshape(len(plan.steps), len(_PLAN_COLUMNS), 1)
+    reads, gains = table[:, 5:7], table[:, 8:10]
+    mu, y, product = np.empty_like(means[0]), np.empty_like(means[0]), np.empty_like(means)
+    if plan.burn_in is not None:
+        means *= plan.burn_in[0]
+        means += draws.take(2)
+    orthodox, decay, take = plan.orthodox, plan.decay, draws.take
+    width = 3 if orthodox else 5
+    # a non-finite value is reported below, once, not warned of at each step
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step, (read, gain) in enumerate(zip(reads, gains)):
+            drawn = take(width)
+            means *= decay
+            means += drawn[:2]
+            np.multiply(means, read, out=product)
+            np.add(product[0], product[1], out=mu)
+            outcome = y if values is None else values[step, 0]
+            np.add(mu, drawn[2], out=outcome)
+            if orthodox:
+                np.subtract(outcome, mu, out=mu)  # the innovation
+                np.multiply(gain, mu, out=product)
+                means += product
+            else:
+                means += drawn[3:]
+                if values is None and not np.isfinite(outcome).all():
+                    raise NumericalFailureError("measurement produced a non-finite outcome or state")
+            if values is not None:
+                values[step, 1:] = means
+    if not np.isfinite(means if values is None else values).all():
+        raise NumericalFailureError("measurement produced a non-finite outcome or state")
 
 
 def plan_schedule(
@@ -324,13 +404,21 @@ def run_schedule(
     (every step's record, final state).
 
     The covariance is planned by ``plan_schedule`` and the means are stepped
-    through the plan; every value equals that of ``thermal_step`` and
-    ``measure`` composed by hand, bit for bit.
+    through the plan by ``step_means``, with the normals of one
+    ``rng.standard_normal`` call, which are those the scalar steps draw, in
+    their order; every value equals that of ``thermal_step`` and ``measure``
+    composed by hand, bit for bit.  Float means give float outcomes and
+    means, and array means arrays.
     """
     plan = plan_schedule(initial, meter, policy, params, dt, n_meas)
+    means = np.array([initial.mean1, initial.mean2], dtype=np.float64).reshape(2, -1)
+    values = np.empty((n_meas, 3, means.shape[1]))
+    draws = DrawColumns([rng.standard_normal((plan.draws, means.shape[1]))], plan.scales)
+    step_means(plan, means, draws, values)
+    if np.ndim(initial.mean1) == 0:
+        values, means = values[..., 0].tolist(), means[:, 0].tolist()
     rows = plan.steps[["time", "pre_v11", "post_v11", "post_v22", "post_v12"]].tolist()
-    means = plan.means(initial.mean1, initial.mean2, rng)
     records = []
-    for (time, pre_v11, v11, v22, v12), (outcome, mean1, mean2) in zip(rows, means):
+    for (time, pre_v11, v11, v22, v12), (outcome, _, _) in zip(rows, values):
         records.append(MeasurementRecord(time, outcome, pre_v11, v11, v22))
-    return records, GaussianQuadState(mean1, mean2, v11, v22, v12, time)
+    return records, GaussianQuadState(means[0], means[1], v11, v22, v12, time)

@@ -459,7 +459,7 @@ def test_unwritable_output_path_exits_one(command, flag, tmp_path, capsys, monke
     else:
         monkeypatch.setattr("qndsim.cli.run_ensemble", work)
         monkeypatch.setattr("qndsim.cli.run_ensembles", work)
-    monkeypatch.setattr("qndsim.cli.read_records", work)
+    monkeypatch.setattr("qndsim.records.read_records", work)
     inputs = {
         "simulate": ["--config", str(cfg_path)],
         "sweep": ["--config", str(cfg_path), "--vary", "seed=1"],
@@ -625,7 +625,7 @@ def test_path_named_twice_exits_one(case, tmp_path, capsys, monkeypatch):
     run_ensemble(config, record_path=str(records_path))
     monkeypatch.setattr("qndsim.cli.run_ensemble", None)  # no work may start
     monkeypatch.setattr("qndsim.cli.run_ensembles", None)
-    monkeypatch.setattr("qndsim.cli.read_records", None)
+    monkeypatch.setattr("qndsim.records.read_records", None)
     before = {path: path.read_bytes() for path in (cfg_path, records_path)}
     paths = {"--config": str(cfg_path)}
     if command == "analyze":

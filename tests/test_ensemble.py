@@ -29,6 +29,7 @@ from qndsim.ensemble import (
     _setup,
     run_ensembles,
 )
+from qndsim.measurement import DrawColumns
 from qndsim.records import FORMAT_BLOCK_ROWS, RECORD_CSV_HEADER
 
 
@@ -159,35 +160,54 @@ def test_trajectory_replays_without_rows(branch, monkeypatch):
 @pytest.mark.parametrize("meter_kind", ["qnd_x1", "qnd_x2", "position"])
 @pytest.mark.parametrize("policy", ["orthodox", "no_conditioning"])
 def test_chunk_declares_the_draws_it_uses(policy, meter_kind, burn_in_s, monkeypatch):
-    made = []
+    # each stream fills exactly the two start means and the plan's draws,
+    # and the kernel takes every one of them, with blocks that hold the
+    # whole run and with blocks of 4, whose edges fall inside steps
+    filled, taken = [], []
 
     class CountingDraws(_ChunkDraws):
-        def __init__(self, seed, start, stop, n_draws):
-            super().__init__(seed, start, stop, n_draws)
-            self.declared, self.used = n_draws, 0
-            made.append(self)
+        def __iter__(self):
+            for block in super().__iter__():
+                filled.append(block.shape)
+                yield block
 
-        def normal(self, loc, scale):
-            self.used += 1
-            return super().normal(loc, scale)
+    class CountingColumns(DrawColumns):
+        def take(self, k):
+            taken.append(k)
+            return super().take(k)
 
     monkeypatch.setattr("qndsim.ensemble._ChunkDraws", CountingDraws)
+    monkeypatch.setattr("qndsim.ensemble.DrawColumns", CountingColumns)
     config = small_config(collapse_policy=policy, meter_kind=meter_kind, burn_in_s=burn_in_s, n_meas=7)
-    _run_chunk(config.seed, *_setup(config), 0, 3, False)
-    [draws] = made
-    assert draws.used == draws.declared
+    mean_sd, plan = _setup(config)
+    for draw_block in (DRAW_BLOCK, 4):
+        monkeypatch.setattr("qndsim.ensemble.DRAW_BLOCK", draw_block)
+        filled.clear()
+        taken.clear()
+        _run_chunk(config.seed, mean_sd, plan, 0, 3, False)
+        assert sum(width for width, _ in filled) == sum(taken) == 2 + plan.draws
+        assert all(width <= draw_block and n == 3 for width, n in filled)
+
+
+def unit_scales(lo, hi):
+    return np.ones(hi - lo)
 
 
 @pytest.mark.parametrize("n_draws", [5, DRAW_BLOCK, 2 * DRAW_BLOCK + 5])
 def test_chunk_draws_are_each_streams_own_and_end_at_the_declared_count(n_draws):
     # more than one block saves each stream's state between fills, and the
     # last fill may be narrower than the block
-    draws = _ChunkDraws(2024, 4, 7, n_draws)
-    z = np.array([draws.normal(0.0, 1.0) for _ in range(n_draws)])
+    blocks = [block.copy() for block in _ChunkDraws(2024, 4, 7, n_draws)]
+    assert [len(block) for block in blocks[:-1]] == [DRAW_BLOCK] * (len(blocks) - 1)
+    z = np.concatenate(blocks)
     for column, index in enumerate(range(4, 7)):
         assert z[:, column].tobytes() == trajectory_rng(2024, index).standard_normal(n_draws).tobytes()
+    # taken a few at a time, across block edges, they are the same normals
+    draws = DrawColumns(_ChunkDraws(2024, 4, 7, n_draws), unit_scales)
+    taken = np.concatenate([draws.take(min(5, n_draws - k)).copy() for k in range(0, n_draws, 5)])
+    assert taken.tobytes() == z.tobytes()
     with pytest.raises(RuntimeError, match="more normals than it declared"):
-        draws.normal(0.0, 1.0)
+        draws.take(1)
 
 
 @pytest.mark.parametrize(
@@ -199,11 +219,39 @@ def test_chunk_draws_are_each_streams_own_and_end_at_the_declared_count(n_draws)
     ],
 )
 def test_rekeyed_chunk_draws_equal_each_trajectory_rng(seed, start, n_draws):
-    draws = _ChunkDraws(seed, start, start + 3, n_draws)
-    z = np.array([draws.normal(0.0, 1.0) for _ in range(n_draws)])
+    z = np.concatenate([block.copy() for block in _ChunkDraws(seed, start, start + 3, n_draws)])
     for column in range(3):
         expected = trajectory_rng(seed, start + column).standard_normal(n_draws)
         assert z[:, column].tobytes() == expected.tobytes()
+
+
+def plan_with(config, column, step):
+    """``_setup`` for ``config`` whose plan has ``inf`` at ``column`` of
+    ``step``, in a copy of its steps."""
+    mean_sd, plan = _setup(config)
+    steps = plan.steps.copy()
+    steps[column][step] = np.inf
+    return mean_sd, replace(plan, steps=steps)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("rows", [False, True], ids=["rowless", "rows"])
+@pytest.mark.parametrize(
+    "policy, column", [("orthodox", "k1"), ("no_conditioning", "outcome_sd")], ids=["gain", "foil_outcome_sd"]
+)
+def test_a_non_finite_value_mid_run_is_a_numerical_failure(policy, column, rows, workers, tmp_path, monkeypatch):
+    # finiteness is checked once per chunk: an infinite gain makes the means
+    # non-finite from step 3 on; under no_conditioning an infinite outcome
+    # sd makes only that step's outcomes non-finite, since no outcome feeds
+    # a mean; either fails, in process and in a pool, and leaves no record file
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    config = small_config(n_traj=CHUNK_SIZE + 100, collapse_policy=policy)
+    monkeypatch.setattr("qndsim.ensemble._setup", lambda config: plan_with(config, column, 3))
+    path = tmp_path / "records.csv"
+    with pytest.raises(NumericalFailureError, match="^measurement produced a non-finite outcome or state$"):
+        run_ensemble(config, workers=workers, record_path=str(path) if rows else None)
+    assert not path.exists()
 
 
 def test_chunk_memory_does_not_grow_with_n_meas_without_rows():

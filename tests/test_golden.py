@@ -93,10 +93,12 @@ def test_summary_without_rows_matches_golden_digest(variant, workers, width, mon
 
 # (chunk size with and without rows, DRAW_BLOCK): the old chunk size and
 # draw block, a chunk size that divides nothing, a single chunk drawing few
-# normals at a time, and one trajectory per chunk drawing one normal per fill
+# normals at a time, one trajectory per chunk drawing one normal per fill,
+# and draw blocks of 4 and 10, whose edges fall inside steps of 3 and 5
+# draws, so that the kernel gathers a step's draws from two fills
 EXECUTION_CHOICES = [
     pytest.param(chunk_size, draw_block, id=f"{chunk_size}-{draw_block}")
-    for chunk_size, draw_block in [(128, 128), (7, 128), (300, 5), (1, 1)]
+    for chunk_size, draw_block in [(128, 128), (7, 128), (300, 5), (1, 1), (128, 4), (7, 10)]
 ]
 
 

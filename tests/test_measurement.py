@@ -21,7 +21,7 @@ from qndsim import (
     run_schedule,
     thermal_step,
 )
-from qndsim.measurement import PLAN_STEP, plan_schedule
+from qndsim.measurement import PLAN_STEP, DrawColumns, plan_schedule, step_means
 from qndsim.observables import COLLAPSE_POLICIES, METER_KINDS
 
 M = 1e-3
@@ -365,14 +365,17 @@ def test_schedule_on_batch_means_matches_manual_composition(params):
 @pytest.mark.parametrize("kind", METER_KINDS)
 @pytest.mark.parametrize("policy", ["orthodox", "no_conditioning"])
 def test_plan_equals_the_steps_composed_by_hand(kind, policy, params):
-    # the plan's clock and covariance, and its means loop, step by step
-    # against thermal_step and measure, burn-in included; the position
-    # meter's read direction turns with time
+    # the plan's clock and covariance, and the step kernel on one
+    # trajectory, step by step against thermal_step and measure, burn-in
+    # included; the position meter's read direction turns with time
     meter = MeterSpec(kind, 1e-18)
     state = GaussianQuadState(1e-15, -2e-15, VINF, 0.5 * VINF, 1e-31, 0.25)
     plan = plan_schedule(state, meter, policy, params, 1e-3, 9, burn_in_s=0.5)
-    stepped = list(plan.means(state.mean1, state.mean2, np.random.default_rng(3)))
-    assert len(stepped) == 9
+    means, values = np.array([[state.mean1], [state.mean2]]), np.empty((9, 3, 1))
+    normals = np.random.default_rng(3).standard_normal((plan.draws, 1))
+    step_means(plan, means, DrawColumns([normals], plan.scales), values)
+    stepped = values[..., 0].tolist()
+    assert means[:, 0].tolist() == stepped[-1][1:]
     rng = np.random.default_rng(3)
     manual = thermal_step(state, 0.5, params, rng)
     for row, (outcome, mean1, mean2) in zip(plan.steps.tolist(), stepped):

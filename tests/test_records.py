@@ -195,13 +195,13 @@ def reference_rows(first_id: int, plan, values: np.ndarray) -> bytes:
 def chunk_rows(config, start, stop, monkeypatch) -> tuple[bytes, bytes]:
     """(rows ``_run_chunk`` writes for trajectories [start, stop), the
     reference template's rows for the same values)."""
-    calls = []
+    calls, format_rows = [], records.format_rows
 
     def spy(first_id, plan, values):
         calls.append((first_id, plan, values.copy()))
-        return records.format_rows(first_id, plan, values)
+        return format_rows(first_id, plan, values)
 
-    monkeypatch.setattr("qndsim.ensemble.format_rows", spy)
+    monkeypatch.setattr("qndsim.records.format_rows", spy)
     _, rows = _run_chunk(config.seed, *_setup(config), start, stop, True)
     (call,) = calls
     return b"".join(rows), reference_rows(*call)
