@@ -12,34 +12,33 @@ worker count or chunk size.  Identical config implies byte-identical outputs.
 The covariance, gains, read directions and clock need no outcome (the
 Riccati recursion of Kalman 1960 is data-free), so every trajectory of a run
 shares them.  The parent sets each config up once, when the config's chunks
-are queued: it takes the sd of the start means, makes the
-``measurement.SchedulePlan`` with ``plan_schedule`` and the summary's
-budget figures eta1 and eta2, so a covariance or figure that fails raises
-before any of its chunks runs.  A chunk job carries only the master seed,
-that sd, the plan, its trajectory range and whether to keep rows; it reads
-no config.  The plan is dropped after the config's summary, which reports
-the plan's v22 trace; ``analyze`` reads the same trace from the record CSV,
-so both report the same slope.
+are queued: it makes the ``measurement.SchedulePlan``, whose lead steps are
+the start and the burn-in, and the summary's budget figures eta1 and eta2,
+so a covariance or figure that fails raises before any of its chunks runs.
+A chunk job carries only the master seed, the plan, its trajectory range
+and whether to keep rows; it reads no config.  The plan is dropped after
+the config's summary, which reports the plan's v22 trace; ``analyze`` reads
+the same trace from the record CSV, so both report the same slope.
 
 A chunk steps only means: ``measurement.step_means``, the one step loop,
 steps a (2, n) array of the chunk's means in place.  Its draws come from
 ``_ChunkDraws``, which hands out whole blocks of standard normals, at most
-``DRAW_BLOCK`` per stream and no more than the chunk uses (the two start
-means, then the plan's ``draws``), drawn by one Philox that is given each
-stream's state in turn (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC'11: a counter-based stream is its key and counter).  Each block
-is multiplied in place, once, by the sd of each of its draws, and the kernel
-adds its columns: ``loc + (sd * z)`` is what a Generator computes for a
-scalar draw, so each trajectory gets the values it would get if stepped
-alone through ``run_schedule``, bit for bit.  The start means are zeros plus
-their scaled draws, since 0.0 + (-0.0) is +0.0.  Finiteness is checked once
-per chunk, before any of its rows is rendered.  The chunk keeps each step's
-outcomes and means only when record rows are asked for, so that without
-them its memory does not grow with n_meas.  With them, a chunk run in
-process hands back its rows unrendered, as ``format_rows``' blocks, which
-are rendered as they are written; so the run holds one chunk's values and
-one block's text, never a chunk's text.  A pool worker renders its chunk's
-blocks before it sends them, so that rendering stays parallel.
+``DRAW_BLOCK`` per stream and the plan's ``draws`` in all, drawn by one
+Philox that is given each stream's state in turn (Salmon et al., "Parallel
+random numbers: as easy as 1, 2, 3", SC'11: a counter-based stream is its key
+and counter).  Each block is multiplied in place, once, by the sd of each of
+its draws, and the kernel adds its columns: ``loc + (sd * z)`` is what a
+Generator computes for a scalar draw, so each trajectory gets the values it
+would get if stepped alone through ``run_schedule``, bit for bit.  The start
+steps zero means by a decay of 0.0, so a start mean is 0.0 + (sd * z), as a
+Generator draws it.  Finiteness is checked once per chunk, before any of its
+rows is rendered.  The chunk keeps each step's outcomes and means only when
+record rows are asked for, so that without them its memory does not grow with
+n_meas.  With them, a chunk run in process hands back its rows unrendered, as
+``format_rows``' blocks, which are rendered as they are written; so the run
+holds one chunk's values and one block's text, never a chunk's text.  A pool
+worker renders its chunk's blocks before it sends them, so that rendering
+stays parallel.
 
 ``records`` is imported only by a run that keeps rows, and
 ``concurrent.futures`` only when a pool starts, so a rowless run in process
@@ -52,17 +51,18 @@ and each config's summary is yielded as soon as its last chunk is in.
 
 Trajectories start at thermal stationarity in realization form: the thermal
 spread of the ensemble is carried by the sampled means, N(0, V_inf - V_floor)
-per quadrature, while the conditional covariance starts at the bath floor
-(zero for a classical bath, the zero-point variance for a quantum one).  The
-ensemble marginal then starts exactly at the stationary law.  Conditioning
-should only move uncertainty between the covariance and the mean spread, but
-today it inflates the marginal: ``thermal_step`` gives the bath's kick both
-to the sampled means and to the covariance, and each orthodox update moves
-the covariance's share into the means.  So the variance of the X1 means
-tends to V_inf (2 - exp(-t / tau1)), and the fitted temperature drifts from
-T towards 2 T: T1/T = 1.62 was measured at t = tau1 on 4 000 trajectories.
-The excess is about t / tau1, 1e-4 on the default run.  This is the first
-open item of ROADMAP.md.
+per quadrature from the plan's first lead step, while the conditional
+covariance starts at the bath floor (zero for a classical bath, the
+zero-point variance for a quantum one).  The ensemble marginal then starts
+exactly at the stationary law.  Conditioning should only move uncertainty
+between the covariance and the mean spread, but today it inflates the
+marginal: ``thermal_step`` gives the bath's kick both to the sampled means
+and to the covariance, and each orthodox update moves the covariance's share
+into the means.  So the variance of the X1 means tends to
+V_inf (2 - exp(-t / tau1)), and the fitted temperature drifts from T towards
+2 T: T1/T = 1.62 was measured at t = tau1 on 4 000 trajectories.  The excess
+is about t / tau1, 1e-4 on the default run.  This is the first open item of
+ROADMAP.md.
 """
 
 from __future__ import annotations
@@ -75,14 +75,14 @@ import time as _time
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import ExitStack, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice, starmap
 
 import numpy as np
 
 from .budget import eta1 as _eta1, eta2 as _eta2, operating_point
 from .config import CONFIG_KEYS, RunConfig
-from .dynamics import GaussianQuadState, stationary_variance, zero_point_variance
+from .dynamics import GaussianQuadState, stationary_variance, thermal_relax, zero_point_variance
 from .errors import DegenerateSeriesError, InsufficientDataError, ParameterError
 from .measurement import DrawColumns, SchedulePlan, plan_schedule, step_means
 from .observables import OscillatorParams
@@ -173,31 +173,31 @@ class _ChunkDraws:
             yield buffer[:, :width].T
 
 
-def _setup(config: RunConfig) -> tuple[float, SchedulePlan]:
-    """(sd of each sampled mean at the start, covariance plan) of a config,
-    in realization form (see the module docstring): the plan runs from the
-    bath floor, through the burn-in, then the schedule."""
+def _setup(config: RunConfig) -> SchedulePlan:
+    """The plan of a config, in realization form (see the module docstring):
+    its lead steps are the start, a decay of 0 and a kick of sd
+    sqrt(V_inf - floor), and the burn-in, if any; the schedule runs from the
+    bath floor relaxed through the burn-in."""
     params = config.oscillator()
     floor = 0.0 if config.bath_model == "classical" else zero_point_variance(params)
-    mean_sd = float(np.sqrt(max(stationary_variance(params) - floor, 0.0)))
-    start = GaussianQuadState(mean1=0.0, mean2=0.0, v11=floor, v22=floor)
-    return mean_sd, plan_schedule(start, config.meter(), config.collapse_policy, params, config.dt_s, config.n_meas,
-                                  config.burn_in_s)
+    lead = [(0.0, float(np.sqrt(max(stationary_variance(params) - floor, 0.0))))]
+    state = GaussianQuadState(mean1=0.0, mean2=0.0, v11=floor, v22=floor)
+    if config.burn_in_s > 0.0:
+        decay, kick_sd, state = thermal_relax(state, config.burn_in_s, params)
+        lead.append((decay, kick_sd))
+    plan = plan_schedule(state, config.meter(), config.collapse_policy, params, config.dt_s, config.n_meas)
+    return replace(plan, lead=tuple(lead))
 
 
 def _run_chunk(
-    seed: int, mean_sd: float, plan: SchedulePlan, start: int, stop: int, collect_rows: bool
+    seed: int, plan: SchedulePlan, start: int, stop: int, collect_rows: bool
 ) -> tuple[np.ndarray, Iterable[bytes] | None]:
     """Step the means of trajectories [start, stop) of the run with master
-    seed ``seed`` as one batch, from start means of sd ``mean_sd``, through
-    ``plan``.  Return (final X1 means, rows): the rows, if collected, are
-    left unrendered, each block of ``format_rows`` rendered when it is
-    taken; None without them."""
-    lead = (mean_sd, mean_sd)  # the two start means, then the plan's draws
-    blocks = _ChunkDraws(seed, start, stop, len(lead) + plan.draws)
-    draws = DrawColumns(blocks, lambda lo, hi: plan.scales(lo, hi, lead))
+    seed ``seed`` as one batch, from zeros, through ``plan``.  Return (final
+    X1 means, rows): the rows, if collected, are left unrendered, each block
+    of ``format_rows`` rendered when it is taken; None without them."""
+    draws = DrawColumns(_ChunkDraws(seed, start, stop, plan.draws), plan.scales)
     means = np.zeros((2, stop - start))
-    means += draws.take(len(lead))
     if not collect_rows:
         step_means(plan, means, draws)
         return means[0], None
@@ -346,11 +346,11 @@ def run_ensembles(
 
     def jobs():
         for config, point_starts in zip(configs, starts):
-            mean_sd, plan = _setup(config)
+            plan = _setup(config)
             budget_point = operating_point(config)
             plans.append((plan, _eta1(budget_point), _eta2(budget_point)))
             for lo in point_starts:
-                yield config.seed, mean_sd, plan, lo, min(lo + size, config.n_traj), collect_rows
+                yield config.seed, plan, lo, min(lo + size, config.n_traj), collect_rows
 
     handle = None
     try:

@@ -1,9 +1,9 @@
 """Gaussian meter models for stroboscopic quadrature measurement.
 
 A meter reads the projection u . (X1, X2) of the state with additive Gaussian
-noise of standard deviation sigma_m.  The read direction u is fixed for the
-back-action-evading kinds (qnd_x1, qnd_x2) and rotates as (cos w1 t, sin w1 t)
-for a naive position meter, since x = X1 cos w1 t + X2 sin w1 t.
+noise of standard deviation sigma_m.  The read direction u is (cos a, sin a),
+turned a quarter for qnd_x2, at the angle a = 0 for the back-action-evading
+kinds and a = w1 t for a naive position meter: x = X1 cos w1 t + X2 sin w1 t.
 
 The outcome is drawn from the predictive law N(u . mean, u^T V u + sigma_m^2).
 Under the orthodox policy the state then collapses by the Gaussian conditional
@@ -31,15 +31,15 @@ ParameterError for an unknown one; below them it is the ``orthodox`` bool.
 Covariance, gains, read direction and the outcome's spread depend on no
 outcome: the recursion is data-free (Kalman 1960).  So a step has two halves.
 ``plan_schedule`` runs the covariance half of a whole schedule once, with
-every check, and stores it as a ``SchedulePlan``; its ``draws`` counts the
-normals a schedule takes and its ``scales`` gives the sd of each, so the draw
-order is declared here alone.  ``step_means`` is the means half, the one
-array step loop: it steps a (2, n) array of means over a batch of
-trajectories in place, adding draws that ``DrawColumns`` hands out already
-scaled.  ``run_schedule`` is a plan and that kernel on one trajectory (or
-one batch), and the ensemble makes one plan per config, so its chunks step
-only means.  ``measure`` is one measurement built from the covariance half
-and the same arithmetic on scalars.
+every check, and stores it as a ``SchedulePlan``, whose ``lead`` of thermal
+steps before the first measurement holds an ensemble's start and burn-in;
+its ``draws`` counts the normals a schedule takes and its ``scales`` gives
+the sd of each, so the draw order is declared here alone.  ``step_means``,
+the one array step loop, steps a (2, n) array of means in place, adding
+draws that ``DrawColumns`` hands out already scaled.  ``run_schedule`` is a
+plan and that kernel on one trajectory or batch, and ``measure`` one
+measurement built from the covariance half and the same arithmetic on
+scalars.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 from .constants import HBAR
 from .dynamics import GaussianQuadState, thermal_relax
 from .errors import NumericalFailureError, ParameterError, StateDomainError
-from .observables import COLLAPSE_POLICIES, MeterSpec, OscillatorParams
+from .observables import COLLAPSE_POLICIES, METER_KINDS, MeterSpec, OscillatorParams
 
 # Relative slack for the PSD test on input covariances.
 _PSD_SLACK = 1e-12
@@ -77,15 +77,18 @@ class MeasurementRecord:
 
 
 def measurement_direction(kind: str, t: float, params: OscillatorParams) -> tuple[float, float]:
-    """Unit read direction in the (X1, X2) plane for a meter of this kind at time t."""
-    if kind == "qnd_x1":
-        return 1.0, 0.0
-    if kind == "qnd_x2":
-        return 0.0, 1.0
-    if kind == "position":
-        w1t = params.omega1 * t
-        return math.cos(w1t), math.sin(w1t)
-    raise ParameterError(f"unknown meter kind {kind!r}")
+    """Unit read direction in the (X1, X2) plane for a meter of this kind at
+    time t: (cos, sin) of its angle, turned a quarter for qnd_x2.  The angle
+    is w1 t for a position meter and 0 t for the back-action-evading kinds;
+    one that is not finite (t, or w1 t, past the double range) raises
+    NumericalFailureError."""
+    if kind not in METER_KINDS:
+        raise ParameterError(f"unknown meter kind {kind!r}")
+    angle = (params.omega1 if kind == "position" else 0.0) * t
+    if not math.isfinite(angle):
+        raise NumericalFailureError(f"the read angle is not finite at t={t!r}")
+    c, s = math.cos(angle), math.sin(angle)
+    return (-s, c) if kind == "qnd_x2" else (c, s)
 
 
 def backaction_sigma(meter: MeterSpec, params: OscillatorParams) -> float:
@@ -231,34 +234,34 @@ PLAN_STEP = np.dtype([(name, np.float64) for name in _PLAN_COLUMNS])
 @dataclass(frozen=True, eq=False)
 class SchedulePlan:
     """The data-free half of a schedule, as ``plan_schedule`` computes it
-    once: the thermal step's decay and kick sd, an optional burn-in step's,
-    and one ``PLAN_STEP`` record per measurement.  ``step_means`` applies it."""
+    once: the thermal step's decay and kick sd, one ``PLAN_STEP`` record per
+    measurement, and the lead, which ``plan_schedule`` leaves empty: the
+    (decay, kick sd) of each thermal step that the means take before the
+    first measurement.  ``step_means`` applies it."""
 
     orthodox: bool
     sigma_ba: float
-    burn_in: tuple[float, float] | None  # (decay, kick sd) of a thermal step before the schedule
     decay: float
     kick_sd: float
     steps: np.ndarray
+    lead: tuple[tuple[float, float], ...] = ()
 
     @property
     def draws(self) -> int:
         """Normals ``step_means`` takes, in the order it takes them: the two
-        kicks of a burn-in step, then per step the two thermal kicks, the
+        kicks of each lead step, then per step the two thermal kicks, the
         outcome and, under no_conditioning, the kicks of both means."""
-        return 2 * (self.burn_in is not None) + len(self.steps) * (3 if self.orthodox else 5)
+        return 2 * len(self.lead) + len(self.steps) * (3 if self.orthodox else 5)
 
-    def scales(self, lo: int, hi: int, lead: tuple[float, ...] = ()) -> np.ndarray:
-        """The sd of each of draws [lo, hi) of a run that takes draws of the
-        sds ``lead`` first, then the plan's ``draws``, in their order."""
-        if self.burn_in is not None:
-            lead += (self.burn_in[1],) * 2
+    def scales(self, lo: int, hi: int) -> np.ndarray:
+        """The sd of each of draws [lo, hi), in the order of ``draws``."""
+        lead = np.repeat([sd for _, sd in self.lead], 2)
         k = np.arange(lo - len(lead), hi - len(lead))
         step, slot = np.divmod(k, 3 if self.orthodox else 5)
         out = np.array([self.kick_sd, self.kick_sd, 0.0, self.sigma_ba, self.sigma_ba])[slot]
         read = (slot == 2) & (k >= 0)
         out[read] = self.steps["outcome_sd"][step[read]]
-        out[k < 0] = np.array(lead)[k[k < 0]]  # a negative k counts back from the end of lead
+        out[k < 0] = lead[k[k < 0]]  # a negative k counts back from the end of lead
         return out
 
 
@@ -328,8 +331,8 @@ def step_means(plan: SchedulePlan, means: np.ndarray, draws: DrawColumns, values
     table = plan.steps.view(np.float64).reshape(len(plan.steps), len(_PLAN_COLUMNS), 1)
     reads, gains = table[:, 5:7], table[:, 8:10]
     mu, y, product = np.empty_like(means[0]), np.empty_like(means[0]), np.empty_like(means)
-    if plan.burn_in is not None:
-        means *= plan.burn_in[0]
+    for decay, _ in plan.lead:
+        means *= decay
         means += draws.take(2)
     orthodox, decay, take = plan.orthodox, plan.decay, draws.take
     width = 3 if orthodox else 5
@@ -364,11 +367,10 @@ def plan_schedule(
     params: OscillatorParams,
     dt: float,
     n_meas: int,
-    burn_in_s: float = 0.0,
 ) -> SchedulePlan:
     """Plan n_meas alternations of a thermal step of dt and a measurement,
-    from the covariance and clock of ``state`` (its means are not read),
-    after a thermal step of burn_in_s when that is > 0.
+    from the covariance and clock of ``state`` (its means are not read), with
+    no lead.
 
     This is the one covariance recursion: ``thermal_relax`` and
     ``_conditioned`` once per step, with every check they make (dt > 0
@@ -378,17 +380,13 @@ def plan_schedule(
     if n_meas < 1:
         raise ParameterError(f"schedule requires n_meas >= 1, got {n_meas!r}")
     orthodox = _orthodox(policy)
-    burn_in = None
-    if burn_in_s > 0.0:
-        decay, kick_sd, state = thermal_relax(state, burn_in_s, params)
-        burn_in = (decay, kick_sd)
     steps = np.empty(n_meas, dtype=PLAN_STEP)
     for step in range(n_meas):
         decay, kick_sd, state = thermal_relax(state, dt, params)
         pre_v11 = state.v11
         read, state = _conditioned(state, meter, orthodox, params)
         steps[step] = (state.time, pre_v11, state.v11, state.v22, state.v12, *read)
-    return SchedulePlan(orthodox, backaction_sigma(meter, params), burn_in, decay, kick_sd, steps)
+    return SchedulePlan(orthodox, backaction_sigma(meter, params), decay, kick_sd, steps)
 
 
 def run_schedule(

@@ -105,7 +105,7 @@ def format_rows(first_id: int, plan, values: np.ndarray) -> Iterator[bytearray]:
     ``plan`` is the run's ``SchedulePlan``: time and variances are shared by
     every trajectory, so they are rendered once per step, not once per row.
     ``values[step]`` holds the chunk's (outcome, mean1, mean2) at that step,
-    as the plan's ``means`` yields them: shape (n_meas, 3, n_traj), over
+    as ``step_means`` writes them: shape (n_meas, 3, n_traj), over
     trajectories first_id, first_id + 1, ...
 
     A block is a few whole trajectories, or a run of steps of one trajectory

@@ -114,6 +114,20 @@ def test_simulate_underflowed_divisor_is_a_numerical_failure(workers, tmp_path, 
     assert not records_path.exists()
 
 
+@pytest.mark.parametrize("meter_kind", ["position", "qnd_x1"])
+def test_simulate_clock_overflow_is_a_numerical_failure(meter_kind, tmp_path, capsys):
+    # 2 000 steps of 1e305 s take the clock to inf, and w1 t there already at
+    # the first step: a read angle that is not finite exits 2, not with a
+    # traceback nor with rows at t = inf
+    cfg_path, _ = write_config(tmp_path, n_traj=20, n_meas=2000, dt_s=1e305, tau1_s=1e300, meter_kind=meter_kind)
+    records_path = tmp_path / "records.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--records", str(records_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("numerical failure: the read angle is not finite at t=")
+    assert err.endswith("=1e+305\n" if meter_kind == "position" else "=inf\n")
+    assert not records_path.exists()
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_simulate_out_of_memory_is_a_config_error(workers, tmp_path, capsys, monkeypatch):
     # as when a long schedule's plan cannot be allocated; no test allocates that much

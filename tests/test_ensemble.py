@@ -160,12 +160,16 @@ def test_trajectory_replays_without_rows(branch, monkeypatch):
 @pytest.mark.parametrize("meter_kind", ["qnd_x1", "qnd_x2", "position"])
 @pytest.mark.parametrize("policy", ["orthodox", "no_conditioning"])
 def test_chunk_declares_the_draws_it_uses(policy, meter_kind, burn_in_s, monkeypatch):
-    # each stream fills exactly the two start means and the plan's draws,
-    # and the kernel takes every one of them, with blocks that hold the
-    # whole run and with blocks of 4, whose edges fall inside steps
-    filled, taken = [], []
+    # each stream is asked for and fills exactly the plan's draws, start and
+    # burn-in included, and the kernel takes every one of them, with blocks
+    # that hold the whole run and with blocks of 4, whose edges fall inside steps
+    asked, filled, taken = [], [], []
 
     class CountingDraws(_ChunkDraws):
+        def __init__(self, seed, start, stop, n_draws):
+            asked.append(n_draws)
+            super().__init__(seed, start, stop, n_draws)
+
         def __iter__(self):
             for block in super().__iter__():
                 filled.append(block.shape)
@@ -179,14 +183,33 @@ def test_chunk_declares_the_draws_it_uses(policy, meter_kind, burn_in_s, monkeyp
     monkeypatch.setattr("qndsim.ensemble._ChunkDraws", CountingDraws)
     monkeypatch.setattr("qndsim.ensemble.DrawColumns", CountingColumns)
     config = small_config(collapse_policy=policy, meter_kind=meter_kind, burn_in_s=burn_in_s, n_meas=7)
-    mean_sd, plan = _setup(config)
+    plan = _setup(config)
     for draw_block in (DRAW_BLOCK, 4):
         monkeypatch.setattr("qndsim.ensemble.DRAW_BLOCK", draw_block)
+        asked.clear()
         filled.clear()
         taken.clear()
-        _run_chunk(config.seed, mean_sd, plan, 0, 3, False)
-        assert sum(width for width, _ in filled) == sum(taken) == 2 + plan.draws
+        _run_chunk(config.seed, plan, 0, 3, False)
+        assert asked == [plan.draws]
+        assert sum(width for width, _ in filled) == sum(taken) == plan.draws
         assert all(width <= draw_block and n == 3 for width, n in filled)
+
+
+@pytest.mark.parametrize("burn_in_s", [0.0, 5.0])
+@pytest.mark.parametrize("bath_model", ["classical", "quantum"])
+@pytest.mark.parametrize("meter_kind", ["qnd_x1", "qnd_x2", "position"])
+@pytest.mark.parametrize("policy", ["orthodox", "no_conditioning"])
+def test_plan_draws_follow_the_documented_layout(policy, meter_kind, bath_model, burn_in_s):
+    # two start kicks, two for a burn-in, then 3 normals a step, or 5 under
+    # no_conditioning, as perfbench/run.py's normal_draws counts them; the
+    # start is the first lead step, from zero means to the stationary spread
+    config = small_config(collapse_policy=policy, meter_kind=meter_kind, bath_model=bath_model,
+                          burn_in_s=burn_in_s, n_meas=7)
+    plan = _setup(config)
+    assert plan.draws == 2 + 2 * (burn_in_s > 0.0) + (3 if policy == "orthodox" else 5) * config.n_meas
+    params = config.oscillator()
+    floor = 0.0 if bath_model == "classical" else zero_point_variance(params)
+    assert plan.lead[0] == (0.0, math.sqrt(stationary_variance(params) - floor))
 
 
 def unit_scales(lo, hi):
@@ -228,10 +251,10 @@ def test_rekeyed_chunk_draws_equal_each_trajectory_rng(seed, start, n_draws):
 def plan_with(config, column, step):
     """``_setup`` for ``config`` whose plan has ``inf`` at ``column`` of
     ``step``, in a copy of its steps."""
-    mean_sd, plan = _setup(config)
+    plan = _setup(config)
     steps = plan.steps.copy()
     steps[column][step] = np.inf
-    return mean_sd, replace(plan, steps=steps)
+    return replace(plan, steps=steps)
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -257,13 +280,13 @@ def test_a_non_finite_value_mid_run_is_a_numerical_failure(policy, column, rows,
 def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
     def peak_bytes(n_meas):
         config = small_config(n_meas=n_meas)
-        mean_sd, plan = _setup(config)  # once per config, in the parent
+        plan = _setup(config)  # once per config, in the parent
         # untraced, so that what a first chunk allocates once in a process
         # (numpy.random's import, on the first Philox) is not counted
-        _run_chunk(config.seed, mean_sd, plan, 0, 1, False)
+        _run_chunk(config.seed, plan, 0, 1, False)
         tracemalloc.start()
         try:
-            _run_chunk(config.seed, mean_sd, plan, 0, 16, False)
+            _run_chunk(config.seed, plan, 0, 16, False)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -281,11 +304,11 @@ def test_rows_chunk_memory_stays_under_its_values_and_a_few_blocks(overrides):
     # notation) are boxed as Python floats, and boxing the whole chunk's
     # values would add about 2.4 MB here, the chunk's text 3.6 MB
     config = small_config(n_traj=128, n_meas=200, **overrides)
-    mean_sd, plan = _setup(config)
-    b"".join(_run_chunk(config.seed, mean_sd, plan, 0, 1, True)[1])  # one-time allocations, untraced
+    plan = _setup(config)
+    b"".join(_run_chunk(config.seed, plan, 0, 1, True)[1])  # one-time allocations, untraced
     tracemalloc.start()
     try:
-        _, rows = _run_chunk(config.seed, mean_sd, plan, 0, 128, True)
+        _, rows = _run_chunk(config.seed, plan, 0, 128, True)
         text = 0
         for block in rows:
             text += len(block)
@@ -320,9 +343,9 @@ def test_rows_chunk_width_is_bounded_by_the_step_budget(tmp_path, monkeypatch):
     # at least one trajectory; the width changes no output byte
     widths = []
 
-    def spy(seed, mean_sd, plan, start, stop, collect_rows):
+    def spy(seed, plan, start, stop, collect_rows):
         widths.append(stop - start)
-        return _run_chunk(seed, mean_sd, plan, start, stop, collect_rows)
+        return _run_chunk(seed, plan, start, stop, collect_rows)
 
     monkeypatch.setattr("qndsim.ensemble._run_chunk", spy)
     config = small_config(n_traj=11, n_meas=40)

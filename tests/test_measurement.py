@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +22,7 @@ from qndsim import (
     run_schedule,
     thermal_step,
 )
+from qndsim.dynamics import thermal_relax
 from qndsim.measurement import PLAN_STEP, DrawColumns, plan_schedule, step_means
 from qndsim.observables import COLLAPSE_POLICIES, METER_KINDS
 
@@ -46,6 +48,18 @@ def test_direction_cases(params):
     u = measurement_direction("position", math.pi / (4 * W1), params)
     assert math.isclose(u[0], math.sqrt(2) / 2, rel_tol=1e-12)
     assert math.isclose(u[1], math.sqrt(2) / 2, rel_tol=1e-12)
+
+
+def test_unknown_meter_kind_has_no_direction(params):
+    with pytest.raises(ParameterError, match="^unknown meter kind 'bogus'$"):
+        measurement_direction("bogus", 0.0, params)
+
+
+@pytest.mark.parametrize("kind", METER_KINDS)
+def test_a_clock_past_the_double_range_has_no_direction(kind, params):
+    # cos(inf) raises ValueError and 0 * inf is nan: either would leave the angle undefined
+    with pytest.raises(NumericalFailureError, match=r"^the read angle is not finite at t=inf$"):
+        measurement_direction(kind, math.inf, params)
 
 
 def test_position_direction_follows_the_free_flow(params, rng):
@@ -370,7 +384,8 @@ def test_plan_equals_the_steps_composed_by_hand(kind, policy, params):
     # included; the position meter's read direction turns with time
     meter = MeterSpec(kind, 1e-18)
     state = GaussianQuadState(1e-15, -2e-15, VINF, 0.5 * VINF, 1e-31, 0.25)
-    plan = plan_schedule(state, meter, policy, params, 1e-3, 9, burn_in_s=0.5)
+    decay, kick_sd, relaxed = thermal_relax(state, 0.5, params)
+    plan = replace(plan_schedule(relaxed, meter, policy, params, 1e-3, 9), lead=((decay, kick_sd),))
     means, values = np.array([[state.mean1], [state.mean2]]), np.empty((9, 3, 1))
     normals = np.random.default_rng(3).standard_normal((plan.draws, 1))
     step_means(plan, means, DrawColumns([normals], plan.scales), values)

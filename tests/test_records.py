@@ -202,7 +202,7 @@ def chunk_rows(config, start, stop, monkeypatch) -> tuple[bytes, bytes]:
         return format_rows(first_id, plan, values)
 
     monkeypatch.setattr("qndsim.records.format_rows", spy)
-    _, rows = _run_chunk(config.seed, *_setup(config), start, stop, True)
+    _, rows = _run_chunk(config.seed, _setup(config), start, stop, True)
     (call,) = calls
     return b"".join(rows), reference_rows(*call)
 
