@@ -53,7 +53,7 @@ class GaussianQuadState:
 def stationary_variance(params: OscillatorParams) -> float:
     """Equilibrium variance of each amplitude under the configured bath."""
     if params.bath_model == "classical":
-        return KB * params.temperature / (params.mass * params.omega1**2)
+        return KB * params.temperature / params.stiffness
     # quantum: coth crossover to the zero-point floor hbar / (2 m w1)
     x = HBAR * params.omega1 / (2.0 * KB * params.temperature)
     return HBAR / (2.0 * params.mass * params.omega1) / math.tanh(x)

@@ -21,17 +21,15 @@ the config's summary, which reports the plan's v22 trace; ``analyze`` reads
 the same trace from the record CSV, so both report the same slope.
 
 A chunk steps only means: ``measurement.step_means``, the one step loop,
-steps a (2, n) array of the chunk's means in place.  Its draws come from
-``_ChunkDraws``, which hands out whole blocks of standard normals, at most
-``DRAW_BLOCK`` per stream and the plan's ``draws`` in all, drawn by one
-Philox that is given each stream's state in turn (Salmon et al., "Parallel
-random numbers: as easy as 1, 2, 3", SC'11: a counter-based stream is its key
-and counter).  Each block is multiplied in place, once, by the sd of each of
-its draws, and the kernel adds its columns: ``loc + (sd * z)`` is what a
-Generator computes for a scalar draw, so each trajectory gets the values it
-would get if stepped alone through ``run_schedule``, bit for bit.  The start
-steps zero means by a decay of 0.0, so a start mean is 0.0 + (sd * z), as a
-Generator draws it.  Finiteness is checked once per chunk, before any of its
+steps a (2, n) array of the chunk's means in place, asking for their
+standard normals a block at a time, in the order its docstring declares.
+``_ChunkDraws`` fills each block, the plan's ``draws`` a stream in all, by
+one Philox that is given each stream's state in turn (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11: a counter-based stream
+is its key and counter), so each trajectory gets the values it would get if
+stepped alone through ``run_schedule``, bit for bit.  The start steps zero
+means by a decay of 0.0, so a start mean is 0.0 + (sd * z), as a Generator
+draws it.  Finiteness is checked once per chunk, before any of its
 rows is rendered.  The chunk keeps each step's outcomes and means only when
 record rows are asked for, so that without them its memory does not grow with
 n_meas.  With them, a chunk run in process hands back its rows unrendered, as
@@ -84,13 +82,14 @@ from .budget import eta1 as _eta1, eta2 as _eta2, operating_point
 from .config import CONFIG_KEYS, RunConfig
 from .dynamics import GaussianQuadState, stationary_variance, thermal_relax, zero_point_variance
 from .errors import DegenerateSeriesError, InsufficientDataError, ParameterError
-from .measurement import DrawColumns, SchedulePlan, plan_schedule, step_means
+from .measurement import SchedulePlan, plan_schedule, step_means
 from .observables import OscillatorParams
 from .stats import SampleSeries, estimate_t1, gof_boltzmann, heating_slope
 
 #: Trajectories stepped as one batch when no record rows are kept.  An
 #: execution choice only: no output depends on it.  Each of its trajectories
-#: holds a draw block and a generator state, at most about 4 KB, while it runs.
+#: holds a draw block of at most ``measurement.DRAW_BLOCK`` normals and a
+#: generator state, about 4 KB, while it runs.
 CHUNK_SIZE = 512
 
 #: Most trajectories stepped as one batch when record rows are kept; no
@@ -104,13 +103,6 @@ ROWS_CHUNK_SIZE = 128
 #: many numpy calls of the step kernel as one of a wide chunk.
 ROWS_STEP_BUDGET = 64000
 
-#: Most standard normals drawn per stream at a time, and so the widest block
-#: the kernel takes its draws from; a block may end inside a step.  A chunk's
-#: block is no wider than the normals it uses, so a run of at most 384 per
-#: stream (a default run uses 302) sets each stream's generator state once,
-#: saves none, and scales its draws in one pass.
-DRAW_BLOCK = 384
-
 #: The statistics a summary reports after its config echo, in the order of
 #: its JSON keys and of the ``sweep`` CSV columns; each is a RunSummary field.
 SUMMARY_STATS = ("t1_hat_K", "t1_stderr_K", "gof_p_value", "v22_slope_m2", "eta1", "eta2")
@@ -123,10 +115,11 @@ def trajectory_rng(seed: int, index: int) -> np.random.Generator:
 
 class _ChunkDraws:
     """The standard normals of trajectories [start, stop), ``n_draws`` per
-    stream, handed out as whole blocks by iteration: each block is a
-    (width, stop - start) view whose column i holds the next normals of
-    trajectory start + i's own stream.  One buffer is refilled for each
-    block, so a block is valid only until the next is asked for.
+    stream, handed out by calls: ``draws(k)`` returns a (k, stop - start)
+    view whose column i holds the next k normals of trajectory start + i's
+    own stream.  One buffer, as wide as the widest call so far, is refilled
+    for each call, so a view is valid only until the next call.  Asking for
+    more than ``n_draws`` in all raises RuntimeError.
 
     One Philox serves every stream.  Before it fills a stream's row of the
     buffer it is given that stream's state: at first the state
@@ -135,8 +128,8 @@ class _ChunkDraws:
     is its key and counter, so each stream yields exactly the normals of its
     own ``trajectory_rng``, without a Philox built per stream.  The first
     states are one dict whose key is rewritten for each stream: the state
-    setter copies its values.  A block is at most ``DRAW_BLOCK`` wide, and a
-    stream's state is saved only when another fill will follow.
+    setter copies its values.  A stream's state is saved only when another
+    fill will follow.
     """
 
     def __init__(self, seed: int, start: int, stop: int, n_draws: int) -> None:
@@ -147,8 +140,9 @@ class _ChunkDraws:
         fresh["buffer"] = fresh["buffer"].tolist()
         self._fresh = fresh
         self._indices = range(start, stop)
-        self._n_draws = n_draws
-        self._width = min(DRAW_BLOCK, n_draws)
+        self._unfilled = n_draws
+        self._buffer = np.empty((stop - start, 0))
+        self._saved = []
 
     def _fresh_states(self) -> Iterator[dict]:
         """Each stream's first state, as one dict re-keyed in turn."""
@@ -157,20 +151,21 @@ class _ChunkDraws:
             key[1] = index
             yield self._fresh
 
-    def __iter__(self) -> Iterator[np.ndarray]:
+    def __call__(self, k: int) -> np.ndarray:
+        if k > self._unfilled:
+            raise RuntimeError("a run asked for more normals than it declared")
+        self._unfilled -= k
+        if k > self._buffer.shape[1]:
+            self._buffer = np.empty((len(self._indices), k))
         bits, normals = self._bits, np.random.Generator(self._bits).standard_normal
-        buffer = np.empty((len(self._indices), self._width))
-        unfilled, saved = self._n_draws, None
-        while unfilled:
-            width = min(self._width, unfilled)
-            unfilled -= width
-            states, saved = saved or self._fresh_states(), []
-            for row, state in zip(buffer, states):
-                bits.state = state
-                normals(out=row[:width])
-                if unfilled:
-                    saved.append(bits.state)
-            yield buffer[:, :width].T
+        states, saved = self._saved or self._fresh_states(), []
+        for row, state in zip(self._buffer, states):
+            bits.state = state
+            normals(out=row[:k])
+            if self._unfilled:
+                saved.append(bits.state)
+        self._saved = saved
+        return self._buffer[:, :k].T
 
 
 def _setup(config: RunConfig) -> SchedulePlan:
@@ -196,16 +191,16 @@ def _run_chunk(
     seed ``seed`` as one batch, from zeros, through ``plan``.  Return (final
     X1 means, rows): the rows, if collected, are left unrendered, each block
     of ``format_rows`` rendered when it is taken; None without them."""
-    draws = DrawColumns(_ChunkDraws(seed, start, stop, plan.draws), plan.scales)
+    normals = _ChunkDraws(seed, start, stop, plan.draws)
     means = np.zeros((2, stop - start))
     if not collect_rows:
-        step_means(plan, means, draws)
+        step_means(plan, means, normals)
         return means[0], None
     from .records import format_rows
 
     # every step's (outcome, mean1, mean2), written in place by the kernel
     values = np.empty((len(plan.steps), 3, stop - start))
-    step_means(plan, means, draws, values)
+    step_means(plan, means, normals, values)
     # x1 is a copy, so that the summary keeps no chunk's values alive
     return values[-1, 1].copy(), format_rows(start, plan, values)
 

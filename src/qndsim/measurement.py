@@ -32,21 +32,20 @@ Covariance, gains, read direction and the outcome's spread depend on no
 outcome: the recursion is data-free (Kalman 1960).  So a step has two halves.
 ``plan_schedule`` runs the covariance half of a whole schedule once, with
 every check, and stores it as a ``SchedulePlan``, whose ``lead`` of thermal
-steps before the first measurement holds an ensemble's start and burn-in;
-its ``draws`` counts the normals a schedule takes and its ``scales`` gives
-the sd of each, so the draw order is declared here alone.  ``step_means``,
-the one array step loop, steps a (2, n) array of means in place, adding
-draws that ``DrawColumns`` hands out already scaled.  ``run_schedule`` is a
-plan and that kernel on one trajectory or batch, and ``measure`` one
-measurement built from the covariance half and the same arithmetic on
-scalars.
+steps before the first measurement holds an ensemble's start and burn-in,
+and whose ``draws`` counts the normals a schedule takes.  ``step_means``,
+the one array step loop, steps a (2, n) array of means in place; it asks
+for those normals in blocks of whole steps, scales each block once, and
+declares their order in its docstring.  ``run_schedule`` is a plan and that
+kernel on one trajectory or batch, and ``measure`` one measurement built
+from the covariance half and the same arithmetic on scalars.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from collections.abc import Callable, Iterable
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -58,6 +57,11 @@ from .observables import COLLAPSE_POLICIES, METER_KINDS, MeterSpec, OscillatorPa
 
 # Relative slack for the PSD test on input covariances.
 _PSD_SLACK = 1e-12
+
+#: Most standard normals ``step_means`` asks for per stream at a time, unless
+#: a block's lead and one step need more: the widest draw block of a run, so
+#: a run of at most 384 a stream (a default run takes 302) asks once.
+DRAW_BLOCK = 384
 
 
 @dataclass(slots=True)
@@ -248,77 +252,37 @@ class SchedulePlan:
 
     @property
     def draws(self) -> int:
-        """Normals ``step_means`` takes, in the order it takes them: the two
-        kicks of each lead step, then per step the two thermal kicks, the
-        outcome and, under no_conditioning, the kicks of both means."""
+        """Normals ``step_means`` takes a trajectory, in the order that its
+        docstring declares."""
         return 2 * len(self.lead) + len(self.steps) * (3 if self.orthodox else 5)
 
-    def scales(self, lo: int, hi: int) -> np.ndarray:
-        """The sd of each of draws [lo, hi), in the order of ``draws``."""
-        lead = np.repeat([sd for _, sd in self.lead], 2)
-        k = np.arange(lo - len(lead), hi - len(lead))
-        step, slot = np.divmod(k, 3 if self.orthodox else 5)
-        out = np.array([self.kick_sd, self.kick_sd, 0.0, self.sigma_ba, self.sigma_ba])[slot]
-        read = (slot == 2) & (k >= 0)
-        out[read] = self.steps["outcome_sd"][step[read]]
-        out[k < 0] = lead[k[k < 0]]  # a negative k counts back from the end of lead
-        return out
 
-
-class DrawColumns:
-    """The normals of a run, handed out ``k`` draws at a time, from
-    ``blocks`` whose first axis runs over draws and whose others over
-    trajectories (a block may be the transposed view of a buffer that holds
-    each trajectory's draws in a row, and that buffer may be refilled for
-    the next block).
-
-    Each block is multiplied in place, once, by the sd of each of its draws,
-    ``scales(lo, hi)`` for draws [lo, hi) of the run: a draw of N(loc, sd^2)
-    is then ``loc + (sd * z)``, as ``Generator.normal`` computes it, and
-    the kernel only adds it.  Draws that straddle blocks are gathered into a
-    copy.  What ``take`` returns is valid until the next take.  Taking more
-    draws than the blocks hold raises RuntimeError.
-    """
-
-    def __init__(self, blocks: Iterable[np.ndarray], scales: Callable[[int, int], np.ndarray]) -> None:
-        self._blocks = iter(blocks)
-        self._scales = scales
-        self._block: np.ndarray | tuple = ()
-        self._next = self._scaled = 0  # next draw in the block; draws scaled so far
-
-    def take(self, k: int) -> np.ndarray:
-        start, self._next = self._next, self._next + k
-        if self._next <= len(self._block):
-            return self._block[start:self._next]
-        parts = []
-        while self._next > len(self._block):
-            if start < len(self._block):
-                parts.append(self._block[start:].copy())
-            self._next -= len(self._block)
-            start = 0
-            block = next(self._blocks, None)
-            if block is None:
-                raise RuntimeError("a run asked for more normals than it declared")
-            lo = self._scaled
-            self._scaled += len(block)
-            np.multiply(block.T, self._scales(lo, self._scaled), out=block.T)
-            self._block = block
-        parts.append(self._block[:self._next])
-        return np.concatenate(parts)
-
-
-def step_means(plan: SchedulePlan, means: np.ndarray, draws: DrawColumns, values: np.ndarray | None = None) -> None:
+def step_means(
+    plan: SchedulePlan, means: np.ndarray, normals: Callable[[int], np.ndarray], values: np.ndarray | None = None
+) -> None:
     """Step ``means``, the (2, n) X1 and X2 means of a batch of trajectories,
-    in place through ``plan``, taking the plan's draws from ``draws``.  With
-    ``values``, an (n_meas, 3, n) array, write each step's outcomes and means
-    after the measurement into ``values[step]``.
+    in place through ``plan``, taking the plan's draws from ``normals``:
+    ``normals(k)`` returns the next k standard normals of each trajectory's
+    stream as a (k, n) array, which the kernel overwrites and does not keep
+    past the next call.  With ``values``, an (n_meas, 3, n) array, write each
+    step's outcomes and means after the measurement into ``values[step]``.
 
-    This is the one step loop.  Per step: ``m *= d; m += kicks``, then
-    ``mu = u1 m1 + u2 m2`` and ``y = mu + noise``, then ``m += K (y - mu)``
-    under orthodox, or ``m += kicks`` of sigma_ba under no_conditioning; every
-    sum is the one ``Generator.normal`` makes of its loc and scaled draw, so
-    each trajectory gets the values a scalar ``thermal_step`` and ``measure``
-    give it, bit for bit.
+    This is the one step loop, and the one owner of the draw order.  Each
+    trajectory takes ``plan.draws`` normals: the two kicks of each lead step,
+    then per step the two thermal kicks, the outcome and, under
+    no_conditioning, the kicks of both means.  They are asked for in blocks
+    of whole steps, the first led by the lead's draws, each at most
+    ``DRAW_BLOCK`` per stream unless the lead and one step exceed it, and
+    no block is wider than the first.  Each block is multiplied in place,
+    once, by the sd of each of its draws, through the transposed view, whose
+    rows are each trajectory's draws where ``normals`` holds them in a row;
+    a draw of N(loc, sd^2) is then ``loc + (sd * z)``, as
+    ``Generator.normal`` computes it, and the steps only add it.
+
+    Per step: ``m *= d; m += kicks``, then ``mu = u1 m1 + u2 m2`` and
+    ``y = mu + noise``, then ``m += K (y - mu)`` under orthodox, or
+    ``m += kicks`` of sigma_ba under no_conditioning; so each trajectory gets
+    the values a scalar ``thermal_step`` and ``measure`` give it, bit for bit.
 
     Finiteness is checked once, over the final means or, with ``values``,
     over every value written: with finite coefficients a non-finite outcome
@@ -329,33 +293,42 @@ def step_means(plan: SchedulePlan, means: np.ndarray, draws: DrawColumns, values
     """
     # (u1, u2) and (k1, k2) of each step, as (2, 1) columns of the plan's table
     table = plan.steps.view(np.float64).reshape(len(plan.steps), len(_PLAN_COLUMNS), 1)
-    reads, gains = table[:, 5:7], table[:, 8:10]
+    reads, gains, outcome_sds = table[:, 5:7], table[:, 8:10], plan.steps["outcome_sd"]
     mu, y, product = np.empty_like(means[0]), np.empty_like(means[0]), np.empty_like(means)
-    for decay, _ in plan.lead:
-        means *= decay
-        means += draws.take(2)
-    orthodox, decay, take = plan.orthodox, plan.decay, draws.take
+    orthodox, decay, lead = plan.orthodox, plan.decay, plan.lead
     width = 3 if orthodox else 5
+    slots = np.array([plan.kick_sd, plan.kick_sd, 0.0, plan.sigma_ba, plan.sigma_ba][:width])
+    per_block = max(1, (DRAW_BLOCK - 2 * len(lead)) // width)
     # a non-finite value is reported below, once, not warned of at each step
     with np.errstate(over="ignore", invalid="ignore"):
-        for step, (read, gain) in enumerate(zip(reads, gains)):
-            drawn = take(width)
-            means *= decay
-            means += drawn[:2]
-            np.multiply(means, read, out=product)
-            np.add(product[0], product[1], out=mu)
-            outcome = y if values is None else values[step, 0]
-            np.add(mu, drawn[2], out=outcome)
-            if orthodox:
-                np.subtract(outcome, mu, out=mu)  # the innovation
-                np.multiply(gain, mu, out=product)
-                means += product
-            else:
-                means += drawn[3:]
-                if values is None and not np.isfinite(outcome).all():
-                    raise NumericalFailureError("measurement produced a non-finite outcome or state")
-            if values is not None:
-                values[step, 1:] = means
+        for lo in range(0, len(plan.steps), per_block):
+            hi = min(lo + per_block, len(plan.steps))
+            scales = np.concatenate((np.repeat([sd for _, sd in lead], 2), np.tile(slots, hi - lo)))
+            scales[2 * len(lead) + 2::width] = outcome_sds[lo:hi]
+            block = normals(len(scales))
+            np.multiply(block.T, scales, out=block.T)
+            for i, (lead_decay, _) in enumerate(lead):
+                means *= lead_decay
+                means += block[2 * i:2 * i + 2]
+            by_step = block[2 * len(lead):].reshape(hi - lo, width, -1)
+            lead = ()
+            for step, read, gain, drawn in zip(range(lo, hi), reads[lo:hi], gains[lo:hi], by_step):
+                means *= decay
+                means += drawn[:2]
+                np.multiply(means, read, out=product)
+                np.add(product[0], product[1], out=mu)
+                outcome = y if values is None else values[step, 0]
+                np.add(mu, drawn[2], out=outcome)
+                if orthodox:
+                    np.subtract(outcome, mu, out=mu)  # the innovation
+                    np.multiply(gain, mu, out=product)
+                    means += product
+                else:
+                    means += drawn[3:]
+                    if values is None and not np.isfinite(outcome).all():
+                        raise NumericalFailureError("measurement produced a non-finite outcome or state")
+                if values is not None:
+                    values[step, 1:] = means
     if not np.isfinite(means if values is None else values).all():
         raise NumericalFailureError("measurement produced a non-finite outcome or state")
 
@@ -411,8 +384,7 @@ def run_schedule(
     plan = plan_schedule(initial, meter, policy, params, dt, n_meas)
     means = np.array([initial.mean1, initial.mean2], dtype=np.float64).reshape(2, -1)
     values = np.empty((n_meas, 3, means.shape[1]))
-    draws = DrawColumns([rng.standard_normal((plan.draws, means.shape[1]))], plan.scales)
-    step_means(plan, means, draws, values)
+    step_means(plan, means, lambda k: rng.standard_normal((k, means.shape[1])), values)
     if np.ndim(initial.mean1) == 0:
         values, means = values[..., 0].tolist(), means[:, 0].tolist()
     rows = plan.steps[["time", "pre_v11", "post_v11", "post_v22", "post_v12"]].tolist()

@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import ParameterError, require_positive
+from .errors import NumericalFailureError, ParameterError, require_positive
 
 #: Bath models of OscillatorParams and the run config.
 BATH_MODELS = ("classical", "quantum")
@@ -76,6 +76,15 @@ class OscillatorParams:
             require_positive(name, getattr(self, name))
         if self.bath_model not in BATH_MODELS:
             raise ParameterError(f"unknown bath_model {self.bath_model!r}")
+
+    @property
+    def stiffness(self) -> float:
+        """m w1^2, in N/m.  A w1^2 past the double range raises
+        NumericalFailureError, where a float's power raises OverflowError."""
+        try:
+            return self.mass * self.omega1**2
+        except OverflowError:
+            raise NumericalFailureError(f"the stiffness m omega1^2 is not finite at omega1={self.omega1!r}") from None
 
 
 @dataclass(frozen=True)

@@ -102,11 +102,14 @@ class EnergyHistogram:
 
 
 def _usable_variance(values: np.ndarray) -> float:
-    """Sample variance, rejecting series that are constant to rounding."""
-    variance = float(np.var(values, ddof=1))
-    scale = float(np.max(np.abs(values)))
-    if variance <= (1e-15 * scale) ** 2:
-        raise DegenerateSeriesError("series carries no resolvable variation")
+    """Sample variance, rejecting series that are constant to rounding; one
+    that overflows raises NumericalFailureError.  The bound is squared as a
+    numpy scalar, by the C pow a float uses, which past the double range
+    gives inf where a float raises OverflowError."""
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is named, not warned of
+        variance = require_finite("the sample variance", float(np.var(values, ddof=1)))
+        if variance <= (1e-15 * np.max(np.abs(values))) ** 2:
+            raise DegenerateSeriesError("series carries no resolvable variation")
     return variance
 
 
@@ -117,7 +120,7 @@ def estimate_t1(series: SampleSeries, params: OscillatorParams) -> BoltzmannFit:
     if n < 30:
         raise InsufficientDataError(f"need >= 30 samples to estimate T1, got {n}")
     variance = _usable_variance(series.values)
-    t1 = require_finite("the T1 estimate", params.mass * params.omega1**2 * variance / KB)
+    t1 = require_finite("the T1 estimate", params.stiffness * variance / KB)
     return BoltzmannFit(t1_hat=t1, stderr=t1 * math.sqrt(2.0 / (n - 1)))
 
 

@@ -114,6 +114,17 @@ def test_simulate_underflowed_divisor_is_a_numerical_failure(workers, tmp_path, 
     assert not records_path.exists()
 
 
+def test_simulate_overflowing_stiffness_is_a_numerical_failure(tmp_path, capsys):
+    # omega1**2 leaves the double range in the stationary variance: the
+    # failure names the quantity, not errno 34
+    cfg_path, _ = write_config(tmp_path, n_traj=40, n_meas=3, omega1_rad_s=1e160)
+    records_path = tmp_path / "records.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--records", str(records_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "numerical failure: the stiffness m omega1^2 is not finite at omega1=1e+160\n"
+    assert not records_path.exists()
+
+
 @pytest.mark.parametrize("meter_kind", ["position", "qnd_x1"])
 def test_simulate_clock_overflow_is_a_numerical_failure(meter_kind, tmp_path, capsys):
     # 2 000 steps of 1e305 s take the clock to inf, and w1 t there already at
@@ -512,19 +523,47 @@ def test_analyze_rejects_alpha_outside_unit_interval(alpha, tmp_path, capsys):
     assert err.startswith("error: ") and "--alpha" in err
 
 
-def test_analyze_overflowing_t1_is_a_numerical_failure(tmp_path, capsys):
-    # a well-formed file whose final means are about 1e150: their variance is
-    # finite, the temperature it implies is not, and inf is not JSON
+def records_with_scaled_means(tmp_path, factor):
+    """A 120 x 5 record file whose X1 means, about 1e-15, are scaled by
+    ``factor``."""
     path = tmp_path / "records.csv"
     run_ensemble(replace(default_config(), n_traj=120, n_meas=5), record_path=str(path))
     header, *rows = path.read_text().splitlines()
-    rows = [_with_field(row, 4, repr(float(row.split(",")[4]) * 1e165)) for row in rows]
+    rows = [_with_field(row, 4, repr(float(row.split(",")[4]) * factor)) for row in rows]
     path.write_text("\n".join([header] + rows) + "\n")
+    return path
+
+
+def test_analyze_overflowing_t1_is_a_numerical_failure(tmp_path, capsys):
+    # a well-formed file whose final means are about 1e150: their variance is
+    # finite, the temperature it implies is not, and inf is not JSON
+    path = records_with_scaled_means(tmp_path, 1e165)
     out_path = tmp_path / "analysis.json"
     assert main(["analyze", "--records", str(path), "--out", str(out_path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("numerical failure: the T1 estimate is not finite")
     assert not out_path.exists()
+
+
+def test_analyze_overflowing_variance_is_a_numerical_failure(tmp_path, capsys, recwarn):
+    # final means of about 1e170: their variance overflows, which the
+    # failure names, and numpy warns of nothing
+    path = records_with_scaled_means(tmp_path, 1e185)
+    out_path = tmp_path / "analysis.json"
+    assert main(["analyze", "--records", str(path), "--out", str(out_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "numerical failure: the sample variance is not finite: inf\n"
+    assert not recwarn.list and not out_path.exists()
+
+
+def test_analyze_with_an_overflowing_stiffness_is_a_numerical_failure(tmp_path, capsys):
+    # well-formed records, analysed under a config whose omega1**2 leaves
+    # the double range in the T1 estimate
+    path = records_with_scaled_means(tmp_path, 1.0)
+    cfg_path, _ = write_config(tmp_path, omega1_rad_s=1e160)
+    assert main(["analyze", "--records", str(path), "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "numerical failure: the stiffness m omega1^2 is not finite at omega1=1e+160\n"
 
 
 def test_analyze_rejects_overflowing_v22_trace(tmp_path, capsys):

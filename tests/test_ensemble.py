@@ -21,7 +21,6 @@ from qndsim import (
 from qndsim.dynamics import stationary_variance, zero_point_variance
 from qndsim.ensemble import (
     CHUNK_SIZE,
-    DRAW_BLOCK,
     ROWS_CHUNK_SIZE,
     _ChunkDraws,
     _pool_size,
@@ -29,7 +28,7 @@ from qndsim.ensemble import (
     _setup,
     run_ensembles,
 )
-from qndsim.measurement import DrawColumns
+from qndsim.measurement import DRAW_BLOCK
 from qndsim.records import FORMAT_BLOCK_ROWS, RECORD_CSV_HEADER
 
 
@@ -156,43 +155,71 @@ def test_trajectory_replays_without_rows(branch, monkeypatch):
         assert summary.v22_trace.tobytes() == np.array([r.post_v22 for r in scheduled]).tobytes()
 
 
+def count_chunk_draws(monkeypatch):
+    """Make ``_run_chunk`` draw from a ``_ChunkDraws`` that records the count
+    it is made with and each request, with the shape of what it returns;
+    return the two lists they are recorded in."""
+    made, asked = [], []
+
+    class CountingDraws(_ChunkDraws):
+        def __init__(self, seed, start, stop, n_draws):
+            made.append(n_draws)
+            super().__init__(seed, start, stop, n_draws)
+
+        def __call__(self, k):
+            block = super().__call__(k)
+            asked.append((k, block.shape))
+            return block
+
+    monkeypatch.setattr("qndsim.ensemble._ChunkDraws", CountingDraws)
+    return made, asked
+
+
 @pytest.mark.parametrize("burn_in_s", [0.0, 5.0])
 @pytest.mark.parametrize("meter_kind", ["qnd_x1", "qnd_x2", "position"])
 @pytest.mark.parametrize("policy", ["orthodox", "no_conditioning"])
 def test_chunk_declares_the_draws_it_uses(policy, meter_kind, burn_in_s, monkeypatch):
-    # each stream is asked for and fills exactly the plan's draws, start and
-    # burn-in included, and the kernel takes every one of them, with blocks
-    # that hold the whole run and with blocks of 4, whose edges fall inside steps
-    asked, filled, taken = [], [], []
-
-    class CountingDraws(_ChunkDraws):
-        def __init__(self, seed, start, stop, n_draws):
-            asked.append(n_draws)
-            super().__init__(seed, start, stop, n_draws)
-
-        def __iter__(self):
-            for block in super().__iter__():
-                filled.append(block.shape)
-                yield block
-
-    class CountingColumns(DrawColumns):
-        def take(self, k):
-            taken.append(k)
-            return super().take(k)
-
-    monkeypatch.setattr("qndsim.ensemble._ChunkDraws", CountingDraws)
-    monkeypatch.setattr("qndsim.ensemble.DrawColumns", CountingColumns)
+    # each stream's source is made for exactly the plan's draws, start and
+    # burn-in included, and the kernel takes every one of them, one (k, 3)
+    # block per request, with blocks that hold the whole run and with
+    # blocks of 4, which the lead and one step exceed
+    made, asked = count_chunk_draws(monkeypatch)
     config = small_config(collapse_policy=policy, meter_kind=meter_kind, burn_in_s=burn_in_s, n_meas=7)
     plan = _setup(config)
     for draw_block in (DRAW_BLOCK, 4):
-        monkeypatch.setattr("qndsim.ensemble.DRAW_BLOCK", draw_block)
+        monkeypatch.setattr("qndsim.measurement.DRAW_BLOCK", draw_block)
+        made.clear()
         asked.clear()
-        filled.clear()
-        taken.clear()
         _run_chunk(config.seed, plan, 0, 3, False)
-        assert asked == [plan.draws]
-        assert sum(width for width, _ in filled) == sum(taken) == plan.draws
-        assert all(width <= draw_block and n == 3 for width, n in filled)
+        assert made == [plan.draws]
+        assert sum(k for k, _ in asked) == plan.draws
+        assert [shape for _, shape in asked] == [(k, 3) for k, _ in asked]
+        assert len(asked) == (1 if draw_block == DRAW_BLOCK else config.n_meas)
+
+
+@pytest.mark.parametrize("draw_block", [DRAW_BLOCK, 10, 4])
+@pytest.mark.parametrize("burn_in_s", [0.0, 5.0])
+@pytest.mark.parametrize("meter_kind", ["qnd_x1", "qnd_x2", "position"])
+@pytest.mark.parametrize("policy", ["orthodox", "no_conditioning"])
+def test_kernel_asks_for_the_lead_and_whole_steps(policy, meter_kind, burn_in_s, draw_block, monkeypatch):
+    # step_means owns the draw order: its first request is the lead's two
+    # kicks a step plus whole steps, every later one whole steps, 3 draws a
+    # step or 5 under no_conditioning; none is wider than DRAW_BLOCK unless
+    # it holds the lead and one step, or one step, that already exceed it;
+    # 200 steps take more than one block at every DRAW_BLOCK
+    _, asked = count_chunk_draws(monkeypatch)
+    monkeypatch.setattr("qndsim.measurement.DRAW_BLOCK", draw_block)
+    config = small_config(collapse_policy=policy, meter_kind=meter_kind, burn_in_s=burn_in_s, n_meas=200)
+    plan = _setup(config)
+    _run_chunk(config.seed, plan, 0, 3, False)
+    (first, _), *rest = asked
+    lead, width = 2 * len(plan.lead), 3 if policy == "orthodox" else 5
+    assert lead == 2 + 2 * (burn_in_s > 0.0)
+    assert first > lead and (first - lead) % width == 0
+    assert all(k % width == 0 for k, _ in rest)
+    assert first <= max(draw_block, lead + width)
+    assert all(k <= max(draw_block, width) for k, _ in rest)
+    assert first + sum(k for k, _ in rest) == plan.draws and rest
 
 
 @pytest.mark.parametrize("burn_in_s", [0.0, 5.0])
@@ -212,25 +239,27 @@ def test_plan_draws_follow_the_documented_layout(policy, meter_kind, bath_model,
     assert plan.lead[0] == (0.0, math.sqrt(stationary_variance(params) - floor))
 
 
-def unit_scales(lo, hi):
-    return np.ones(hi - lo)
+def chunk_normals(draws, widths):
+    """The normals of ``draws``, a ``_ChunkDraws``, asked for ``widths`` at a
+    time, copied out of its buffer, as one (sum(widths), n) array."""
+    return np.concatenate([draws(width).copy() for width in widths])
 
 
 @pytest.mark.parametrize("n_draws", [5, DRAW_BLOCK, 2 * DRAW_BLOCK + 5])
 def test_chunk_draws_are_each_streams_own_and_end_at_the_declared_count(n_draws):
-    # more than one block saves each stream's state between fills, and the
-    # last fill may be narrower than the block
-    blocks = [block.copy() for block in _ChunkDraws(2024, 4, 7, n_draws)]
-    assert [len(block) for block in blocks[:-1]] == [DRAW_BLOCK] * (len(blocks) - 1)
-    z = np.concatenate(blocks)
+    # one request, or several: each after the first starts from the saved
+    # states, and a request wider than any before it widens the buffer
+    widths = [n_draws] if n_draws <= DRAW_BLOCK else [3, DRAW_BLOCK, 1, DRAW_BLOCK + 1]
+    z = chunk_normals(_ChunkDraws(2024, 4, 7, n_draws), widths)
+    assert z.shape == (n_draws, 3)
     for column, index in enumerate(range(4, 7)):
         assert z[:, column].tobytes() == trajectory_rng(2024, index).standard_normal(n_draws).tobytes()
-    # taken a few at a time, across block edges, they are the same normals
-    draws = DrawColumns(_ChunkDraws(2024, 4, 7, n_draws), unit_scales)
-    taken = np.concatenate([draws.take(min(5, n_draws - k)).copy() for k in range(0, n_draws, 5)])
+    # asked for a few at a time, they are the same normals
+    draws = _ChunkDraws(2024, 4, 7, n_draws)
+    taken = chunk_normals(draws, [min(5, n_draws - k) for k in range(0, n_draws, 5)])
     assert taken.tobytes() == z.tobytes()
     with pytest.raises(RuntimeError, match="more normals than it declared"):
-        draws.take(1)
+        draws(1)
 
 
 @pytest.mark.parametrize(
@@ -242,7 +271,8 @@ def test_chunk_draws_are_each_streams_own_and_end_at_the_declared_count(n_draws)
     ],
 )
 def test_rekeyed_chunk_draws_equal_each_trajectory_rng(seed, start, n_draws):
-    z = np.concatenate([block.copy() for block in _ChunkDraws(seed, start, start + 3, n_draws)])
+    widths = [min(DRAW_BLOCK, n_draws - lo) for lo in range(0, n_draws, DRAW_BLOCK)]
+    z = chunk_normals(_ChunkDraws(seed, start, start + 3, n_draws), widths)
     for column in range(3):
         expected = trajectory_rng(seed, start + column).standard_normal(n_draws)
         assert z[:, column].tobytes() == expected.tobytes()

@@ -16,7 +16,7 @@ from dataclasses import replace
 
 import pytest
 
-from qndsim import default_config, ensemble, format_config, run_ensemble
+from qndsim import default_config, ensemble, format_config, measurement, run_ensemble
 from qndsim.cli import main
 
 # variant: (config overrides, sha256 of summary JSON, sha256 of record CSV)
@@ -91,11 +91,11 @@ def test_summary_without_rows_matches_golden_digest(variant, workers, width, mon
     assert summary_digest(summary) == GOLDEN[variant][1]
 
 
-# (chunk size with and without rows, DRAW_BLOCK): the old chunk size and
-# draw block, a chunk size that divides nothing, a single chunk drawing few
-# normals at a time, one trajectory per chunk drawing one normal per fill,
-# and draw blocks of 4 and 10, whose edges fall inside steps of 3 and 5
-# draws, so that the kernel gathers a step's draws from two fills
+# (chunk size with and without rows, the DRAW_BLOCK that step_means reads):
+# the old chunk size and draw block, a chunk size that divides nothing, a
+# single chunk asking for one step at a time, one trajectory per chunk asking
+# for one step per fill, a block of 4, which the lead and one step exceed,
+# and a block of 10, which holds one or two whole steps
 EXECUTION_CHOICES = [
     pytest.param(chunk_size, draw_block, id=f"{chunk_size}-{draw_block}")
     for chunk_size, draw_block in [(128, 128), (7, 128), (300, 5), (1, 1), (128, 4), (7, 10)]
@@ -107,7 +107,7 @@ EXECUTION_CHOICES = [
 def test_outputs_do_not_depend_on_chunk_size(variant, chunk_size, draw_block, tmp_path, monkeypatch):
     monkeypatch.setattr(ensemble, "CHUNK_SIZE", chunk_size)
     monkeypatch.setattr(ensemble, "ROWS_CHUNK_SIZE", chunk_size)
-    monkeypatch.setattr(ensemble, "DRAW_BLOCK", draw_block)
+    monkeypatch.setattr(measurement, "DRAW_BLOCK", draw_block)
     assert run_digests(variant, 1, tmp_path) == GOLDEN[variant][1:]
     assert summary_digest(run_ensemble(golden_config(variant))) == GOLDEN[variant][1]
 

@@ -23,7 +23,7 @@ from qndsim import (
     thermal_step,
 )
 from qndsim.dynamics import thermal_relax
-from qndsim.measurement import PLAN_STEP, DrawColumns, plan_schedule, step_means
+from qndsim.measurement import PLAN_STEP, plan_schedule, step_means
 from qndsim.observables import COLLAPSE_POLICIES, METER_KINDS
 
 M = 1e-3
@@ -387,8 +387,8 @@ def test_plan_equals_the_steps_composed_by_hand(kind, policy, params):
     decay, kick_sd, relaxed = thermal_relax(state, 0.5, params)
     plan = replace(plan_schedule(relaxed, meter, policy, params, 1e-3, 9), lead=((decay, kick_sd),))
     means, values = np.array([[state.mean1], [state.mean2]]), np.empty((9, 3, 1))
-    normals = np.random.default_rng(3).standard_normal((plan.draws, 1))
-    step_means(plan, means, DrawColumns([normals], plan.scales), values)
+    rng = np.random.default_rng(3)
+    step_means(plan, means, lambda k: rng.standard_normal((k, 1)), values)
     stepped = values[..., 0].tolist()
     assert means[:, 0].tolist() == stepped[-1][1:]
     rng = np.random.default_rng(3)
