@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .config import RunConfig
 from .constants import HBAR, KB
-from .errors import require_finite, require_positive
+from .errors import require_finite, require_nonzero, require_positive
 
 
 @dataclass(frozen=True)
@@ -60,12 +60,14 @@ def operating_point(config: RunConfig) -> BudgetInputs:
 
 def eta1(inputs: BudgetInputs) -> float:
     """Brownian-drift quanta of the mechanical mode per interval."""
-    return require_finite("eta1", (KB * inputs.temperature / (HBAR * inputs.omega1)) * (inputs.dt / inputs.tau1))
+    quantum = require_nonzero("hbar omega1", HBAR * inputs.omega1, omega1=inputs.omega1)
+    return require_finite("eta1", (KB * inputs.temperature / quantum) * (inputs.dt / inputs.tau1))
 
 
 def eta2(inputs: BudgetInputs) -> float:
     """Dissipation quanta of the electrical readout mode per interval."""
-    return require_finite("eta2", (KB * inputs.temperature / (HBAR * inputs.omega2)) * (inputs.dt / inputs.tau2))
+    quantum = require_nonzero("hbar omega2", HBAR * inputs.omega2, omega2=inputs.omega2)
+    return require_finite("eta2", (KB * inputs.temperature / quantum) * (inputs.dt / inputs.tau2))
 
 
 def budget_figures(inputs: BudgetInputs) -> dict[str, float]:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR, KB
-from .errors import ParameterError
+from .errors import ParameterError, require_nonzero
 from .observables import OscillatorParams
 
 
@@ -56,12 +56,15 @@ def stationary_variance(params: OscillatorParams) -> float:
         return KB * params.temperature / params.stiffness
     # quantum: coth crossover to the zero-point floor hbar / (2 m w1)
     x = HBAR * params.omega1 / (2.0 * KB * params.temperature)
-    return HBAR / (2.0 * params.mass * params.omega1) / math.tanh(x)
+    x = require_nonzero("hbar omega1 / 2 kB T", x, omega1=params.omega1, temperature=params.temperature)
+    return zero_point_variance(params) / math.tanh(x)
 
 
 def zero_point_variance(params: OscillatorParams) -> float:
-    """Ground-state amplitude variance hbar / (2 m w1)."""
-    return HBAR / (2.0 * params.mass * params.omega1)
+    """Ground-state amplitude variance hbar / (2 m w1); a 2 m w1 that
+    underflows to 0 raises NumericalFailureError."""
+    two_m_omega1 = 2.0 * params.mass * params.omega1
+    return HBAR / require_nonzero("2 m omega1", two_m_omega1, mass=params.mass, omega1=params.omega1)
 
 
 def thermal_relax(

@@ -45,7 +45,11 @@ loads neither.
 ``run_ensembles`` runs a list of configs, as ``sweep`` does, through one
 process pool at most: every config's chunks go to the same pool in order,
 and each config's summary is yielded as soon as its last chunk is in.
-``run_ensemble`` is the one-config case.
+``run_ensemble`` is the one-config case.  A run is given one process per
+whole ``PROCESS_TRAJ_STEPS`` of its work, the n_traj x n_meas of all its
+configs together, and starts a pool only when that, the workers asked for,
+its chunks and the usable cores all reach two; a smaller run is stepped in
+process, with the same bytes, whatever ``workers`` is.
 
 Trajectories start at thermal stationarity in realization form: the thermal
 spread of the ensemble is carried by the sampled means, N(0, V_inf - V_floor)
@@ -95,6 +99,16 @@ CHUNK_SIZE = 512
 #: Most trajectories stepped as one batch when record rows are kept; no
 #: output depends on it either.
 ROWS_CHUNK_SIZE = 128
+
+#: Traj-steps (n_traj x n_meas, summed over a run's configs) that earn a run
+#: one process, so a run gets a pool only when it has two such shares or more.
+#: An execution choice only: no output depends on it.  In paired fresh runs
+#: on 2 cores at ``--workers`` 1 and 2, every run below 1M traj-steps was as
+#: fast or faster in process, with or without rows; at 1M the two were even,
+#: and above it a pool gained as the work grew (10 000 x 1 000: 1.50 s in
+#: process, 1.03 s pooled).  A fresh pool costs about 30 ms to import, start
+#: and shut down.
+PROCESS_TRAJ_STEPS = 500_000
 
 #: Most rows a chunk holds until they are written: 24 bytes each of values
 #: in process, where each block is rendered as it is written, and about 166
@@ -212,12 +226,15 @@ def _run_pooled_chunk(*job) -> tuple[np.ndarray, list[bytes] | None]:
     return x1, None if rows is None else list(rows)
 
 
-def _pool_size(workers: int, n_chunks: int) -> int:
-    """Processes worth starting: never more than the chunks or the cores this
-    process may run on (its CPU affinity where the platform reports it)."""
+def _pool_size(workers: int, n_chunks: int, traj_steps: int) -> int:
+    """Processes worth starting for a run of ``n_chunks`` chunks and
+    ``traj_steps`` traj-steps in all: never more than the chunks, the cores
+    this process may run on (its CPU affinity where the platform reports it)
+    or the whole shares of ``PROCESS_TRAJ_STEPS`` in the run, and at least
+    one, the parent."""
     affinity = getattr(os, "sched_getaffinity", None)
     cores = len(affinity(0)) if affinity is not None else os.cpu_count() or 1
-    return min(workers, n_chunks, cores)
+    return max(1, min(workers, n_chunks, cores, traj_steps // PROCESS_TRAJ_STEPS))
 
 
 @dataclass(eq=False)
@@ -319,10 +336,10 @@ def run_ensembles(
     chunk as they arrive, and in process block by block as they are
     rendered.  A config is set up when its first chunk is queued, and its
     plan is dropped after its summary.  Every config's chunks go through one
-    pool, started only when more than one process would run, which keeps at
-    most two chunks per process in flight; so memory holds one config's
-    series, the chunks in flight (one chunk's values in process) and their
-    configs' plans.
+    pool, started only when ``_pool_size`` gives more than one process,
+    which keeps at most two chunks per process in flight; so memory holds
+    one config's series, the chunks in flight (one chunk's values in
+    process) and their configs' plans.
     A run that fails anywhere, statistics included, removes the record file
     if it is a regular file: a streamed file cut short would otherwise be
     well-formed.  ``wall_time_s`` is the time since the call or the previous
@@ -355,7 +372,8 @@ def run_ensembles(
 
                 handle = stack.enter_context(open(record_path, "wb"))
                 handle.write(RECORD_CSV_HEADER.encode() + b"\n")
-            n_procs = _pool_size(workers, sum(map(len, starts)))
+            traj_steps = sum(config.n_traj * config.n_meas for config in configs)
+            n_procs = _pool_size(workers, sum(map(len, starts)), traj_steps)
             if n_procs > 1:
                 # the module attribute, so that a replaced class is the one started
                 pool_class = sys.modules[__name__].ProcessPoolExecutor

@@ -1,6 +1,7 @@
 """Exception types: parameter domain, state domain, data sufficiency, numerics;
-the one finite-and-positive check that the parameter records share, and the
-one finite check of a reported figure."""
+the one finite-and-positive check that the parameter records share, the
+one finite check of a reported figure, and the one check of a divisor that
+underflowed."""
 
 import math
 
@@ -40,4 +41,14 @@ def require_finite(name: str, value: float) -> float:
     not finite: a reported figure that overflows is a failed computation."""
     if not math.isfinite(value):
         raise NumericalFailureError(f"{name} is not finite: {value!r}")
+    return value
+
+
+def require_nonzero(name: str, value: float, **at: float) -> float:
+    """Return value, or raise NumericalFailureError naming ``name`` and the
+    parameters ``at`` if it is 0: a product of positive parameters that
+    underflowed, which would otherwise divide by zero unnamed."""
+    if value == 0.0:
+        where = ", ".join(f"{key}={parameter!r}" for key, parameter in at.items())
+        raise NumericalFailureError(f"{name} underflows to 0 at {where}")
     return value

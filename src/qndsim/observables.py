@@ -36,7 +36,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalFailureError, ParameterError, require_positive
+from .errors import NumericalFailureError, ParameterError, require_nonzero, require_positive
 
 #: Bath models of OscillatorParams and the run config.
 BATH_MODELS = ("classical", "quantum")
@@ -80,11 +80,13 @@ class OscillatorParams:
     @property
     def stiffness(self) -> float:
         """m w1^2, in N/m.  A w1^2 past the double range raises
-        NumericalFailureError, where a float's power raises OverflowError."""
+        NumericalFailureError, where a float's power raises OverflowError, and
+        so does an m w1^2 that underflows to 0, which would divide unnamed."""
         try:
-            return self.mass * self.omega1**2
+            stiffness = self.mass * self.omega1**2
         except OverflowError:
             raise NumericalFailureError(f"the stiffness m omega1^2 is not finite at omega1={self.omega1!r}") from None
+        return require_nonzero("the stiffness m omega1^2", stiffness, mass=self.mass, omega1=self.omega1)
 
 
 @dataclass(frozen=True)
@@ -196,9 +198,11 @@ def is_qnd_sequence(
             raise ParameterError(f"measurement times must be finite, with omega1 * t finite, got {t!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ParameterError(f"tol must be finite and >= 0, got {tol!r}")
+    # the quadratures, their evolution and the bound all divide by it
+    m_omega1 = require_nonzero("m omega1", params.mass * params.omega1, mass=params.mass, omega1=params.omega1)
     evolved = [heisenberg_evolve(resolve_observable(obs, t, params), t, params) for t in times]
     worst = 0.0
     for i in range(len(evolved)):
         for j in range(i + 1, len(evolved)):
             worst = max(worst, abs(commutator_symplectic(evolved[i], evolved[j])))
-    return QndVerdict(worst <= tol / (params.mass * params.omega1), worst)
+    return QndVerdict(worst <= tol / m_omega1, worst)

@@ -22,3 +22,31 @@ def params():
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260811)
+
+
+@pytest.fixture
+def pool_starts(monkeypatch):
+    """Two usable cores whatever the machine has; returns the ``max_workers``
+    of each process pool a run starts, in order."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    started = []
+
+    class CountingPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            started.append(kwargs.get("max_workers"))
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 2)
+    monkeypatch.setattr("qndsim.ensemble.ProcessPoolExecutor", CountingPool)
+    return started
+
+
+@pytest.fixture
+def pooled(pool_starts, monkeypatch):
+    """``pool_starts`` with a floor of one traj-step per process, so that a
+    run of two chunks or more at two workers or more starts a pool of two,
+    however small it is."""
+    monkeypatch.setattr("qndsim.ensemble.PROCESS_TRAJ_STEPS", 1)
+    return pool_starts

@@ -260,7 +260,7 @@ def test_criterion_10_false_alarm_calibration():
     )
 
 
-def test_criterion_11_determinism(tmp_path):
+def test_criterion_11_determinism(tmp_path, pooled):
     config = replace(default_config(), n_traj=192, n_meas=8, seed=11011)
     path = tmp_path / "records.csv"
     outputs = []
@@ -269,8 +269,10 @@ def test_criterion_11_determinism(tmp_path):
         outputs.append((summary.to_json(), path.read_bytes()))
     ok_repeat = outputs[0] == outputs[1]
     ok_workers = outputs[0] == outputs[2]
+    # eight workers asked for, two cores and two chunks of rows: a pool of two
+    ok_pool = pooled == [2]
     _report(
         11,
-        ok_repeat and ok_workers,
-        f"byte-identical summary+records: repeat run {ok_repeat}, workers 1 vs 8 {ok_workers}",
+        ok_repeat and ok_workers and ok_pool,
+        f"byte-identical summary+records: repeat run {ok_repeat}, workers 1 vs 8 {ok_workers} (pools {pooled})",
     )

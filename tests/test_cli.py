@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -84,34 +85,49 @@ def test_budget_figure_with_an_intermediate_out_of_range(argv, line, capsys):
     assert line in capsys.readouterr().out.splitlines()
 
 
-# a product of parameters that underflows to 0 and then divides
+# a product of parameters that underflows to 0 and then divides: (arguments, the quantity named)
 UNDERFLOWED_DIVISORS = {
-    "budget_eta1": ["budget", "--omega1", "1e-300"],  # hbar * omega1
-    "budget_eta2": ["budget", "--omega2", "1e-300"],  # hbar * omega2
-    "qnd_check": ["qnd-check", "--observable", "x1", "--times", "0,1", "--mass", "1e-300", "--omega1", "1e-30"],
+    "budget_eta1": (["budget", "--omega1", "1e-300"], "hbar omega1 underflows to 0 at omega1=1e-300"),
+    "budget_eta2": (["budget", "--omega2", "1e-300"], "hbar omega2 underflows to 0 at omega2=1e-300"),
+    "qnd_check": (
+        ["qnd-check", "--observable", "x1", "--times", "0,1", "--mass", "1e-300", "--omega1", "1e-30"],
+        "m omega1 underflows to 0 at mass=1e-300, omega1=1e-30",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", list(UNDERFLOWED_DIVISORS))
 def test_underflowed_divisor_is_a_numerical_failure(case, capsys):
-    assert main(UNDERFLOWED_DIVISORS[case]) == 2
+    argv, message = UNDERFLOWED_DIVISORS[case]
+    assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "numerical failure: float division by zero\n"
+    assert out == "" and err == f"numerical failure: {message}\n"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_simulate_underflowed_divisor_is_a_numerical_failure(workers, tmp_path, capsys, monkeypatch):
-    # two usable cores whatever the machine has, so that two workers start a pool
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
+def test_simulate_underflowed_divisor_is_a_numerical_failure(workers, tmp_path, capsys, pooled):
     # mass * omega1**2 underflows to 0 in the stationary variance
     cfg_path, _ = write_config(tmp_path, n_traj=1100, n_meas=3, omega1_rad_s=1e-300)
     records_path = tmp_path / "records.csv"
     argv = ["simulate", "--config", str(cfg_path), "--records", str(records_path), "--workers", str(workers)]
     assert main(argv) == 2
     out, err = capsys.readouterr()
-    assert out == "" and err == "numerical failure: float division by zero\n"
+    expected = "the stiffness m omega1^2 underflows to 0 at mass=0.001, omega1=1e-300"
+    assert out == "" and err == f"numerical failure: {expected}\n"
     assert not records_path.exists()
+    assert pooled == ([2] if workers == 2 else [])
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"mass_kg": 1e-300, "omega1_rad_s": 1e-30}, "2 m omega1 underflows to 0 at mass=1e-300, omega1=1e-30"),
+    ({"omega1_rad_s": 1e-300}, "hbar omega1 / 2 kB T underflows to 0 at omega1=1e-300, temperature=0.05"),
+], ids=["zero_point", "coth_argument"])
+def test_simulate_quantum_underflowed_divisor_is_a_numerical_failure(overrides, message, tmp_path, capsys):
+    # the quantum bath's variance divides by 2 m omega1 and by tanh(hbar omega1 / 2 kB T)
+    cfg_path, _ = write_config(tmp_path, n_traj=40, n_meas=3, bath_model="quantum", **overrides)
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"numerical failure: {message}\n"
 
 
 def test_simulate_overflowing_stiffness_is_a_numerical_failure(tmp_path, capsys):
@@ -140,11 +156,8 @@ def test_simulate_clock_overflow_is_a_numerical_failure(meter_kind, tmp_path, ca
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_simulate_out_of_memory_is_a_config_error(workers, tmp_path, capsys, monkeypatch):
+def test_simulate_out_of_memory_is_a_config_error(workers, tmp_path, capsys, monkeypatch, pooled):
     # as when a long schedule's plan cannot be allocated; no test allocates that much
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-
     def setup(config):
         raise MemoryError("Unable to allocate 14.9 GiB for an array")
 
@@ -157,6 +170,7 @@ def test_simulate_out_of_memory_is_a_config_error(workers, tmp_path, capsys, mon
     assert out == "" and err == "error: out of memory: Unable to allocate 14.9 GiB for an array\n"
     assert "Traceback" not in err
     assert not records_path.exists()
+    assert pooled == ([2] if workers == 2 else [])
 
 
 def test_budget_grid_stdout(capsys):
@@ -377,13 +391,14 @@ def run_sweep(tmp_path, name, *flags):
     return out_path.read_bytes()
 
 
-def test_sweep_bytes_do_not_depend_on_workers_or_chunks(tmp_path, monkeypatch):
+def test_sweep_bytes_do_not_depend_on_workers_or_chunks(tmp_path, monkeypatch, pooled):
     serial = run_sweep(tmp_path, "serial.csv", "--workers", "1")
     assert run_sweep(tmp_path, "pooled.csv", "--workers", "2") == serial
     # chunks of 7 split every point into several chunks, the last one partial
     monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 7)
     assert run_sweep(tmp_path, "narrow.csv", "--workers", "2") == serial
     assert run_sweep(tmp_path, "narrow_serial.csv", "--workers", "1") == serial
+    assert pooled == [2, 2]
     # one run_ensemble per point gives the same rows
     base = replace(default_config(), n_meas=3, seed=11)
     lines = ["collapse_policy,n_traj,t1_hat_K,t1_stderr_K,gof_p_value,v22_slope_m2,eta1,eta2"]
@@ -397,23 +412,47 @@ def test_sweep_bytes_do_not_depend_on_workers_or_chunks(tmp_path, monkeypatch):
     assert serial == ("\n".join(lines) + "\n").encode()
 
 
-def test_sweep_starts_one_pool(tmp_path, monkeypatch):
-    from concurrent.futures import ProcessPoolExecutor
-
-    started = []
-
-    class CountingPool(ProcessPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            started.append(kwargs.get("max_workers"))
-            super().__init__(*args, **kwargs)
-
-    # two usable cores whatever the machine has, so the pool is worth starting
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr("qndsim.ensemble.ProcessPoolExecutor", CountingPool)
+def test_sweep_starts_one_pool(tmp_path, monkeypatch, pooled):
     monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 16)
     run_sweep(tmp_path, "sweep.csv", "--workers", "4")
-    assert started == [2]
+    assert pooled == [2]
+
+
+def test_simulate_below_the_floor_starts_no_pool(tmp_path, pool_starts):
+    # 1 100 x 3 traj-steps in nine chunks of rows, at two workers on two
+    # cores: too little work for a second process, so the run stays in
+    # process, with the bytes of one worker
+    cfg_path, _ = write_config(tmp_path, n_traj=1100, n_meas=3)
+    outputs = []
+    for workers in ("1", "2"):
+        run_dir = tmp_path / workers
+        run_dir.mkdir()
+        argv = ["simulate", "--config", str(cfg_path), "--records", str(run_dir / "records.csv"), "--workers", workers]
+        assert main([*argv, "--out", str(run_dir / "summary.json")]) == 0
+        summary = (run_dir / "summary.json").read_bytes().replace(str(run_dir).encode(), b"")
+        outputs.append((summary, (run_dir / "records.csv").read_bytes()))
+    assert outputs[1] == outputs[0]
+    assert pool_starts == []
+    assert multiprocessing.active_children() == []
+
+
+def test_simulate_below_the_floor_loads_no_pool_code(tmp_path):
+    # a fresh process, so that no earlier test has imported them, with two
+    # usable cores and three chunks, which two workers share at no floor
+    cfg_path, _ = write_config(tmp_path, n_traj=1100, n_meas=6)
+    code = "\n".join([
+        "import os, sys",
+        "os.sched_getaffinity, os.cpu_count = (lambda pid: {0, 1}), (lambda: 2)",
+        "from qndsim.cli import main",
+        "assert main(['simulate', '--config', sys.argv[1], '--workers', '2']) == 0",
+        "loaded = [m for m in ('concurrent.futures.process', 'multiprocessing') if m in sys.modules]",
+        "assert not loaded, loaded",
+    ])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, str(cfg_path)], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_sweep_rejects_unknown_key(tmp_path, capsys):

@@ -21,6 +21,7 @@ from qndsim import (
 from qndsim.dynamics import stationary_variance, zero_point_variance
 from qndsim.ensemble import (
     CHUNK_SIZE,
+    PROCESS_TRAJ_STEPS,
     ROWS_CHUNK_SIZE,
     _ChunkDraws,
     _pool_size,
@@ -73,14 +74,15 @@ def test_identical_runs_are_byte_identical(tmp_path):
     assert snapshots[0] == snapshots[1]
 
 
-def test_worker_count_does_not_change_bytes(tmp_path):
+def test_worker_count_does_not_change_bytes(tmp_path, pooled):
     config = small_config(n_traj=2 * CHUNK_SIZE + 37, n_meas=4)
     path = tmp_path / "records.csv"
     serial = run_ensemble(config, workers=1, record_path=str(path))
     serial_bytes = path.read_bytes()
-    pooled = run_ensemble(config, workers=4, record_path=str(path))
-    assert serial.to_json() == pooled.to_json()
+    parallel = run_ensemble(config, workers=4, record_path=str(path))
+    assert serial.to_json() == parallel.to_json()
     assert serial_bytes == path.read_bytes()
+    assert pooled == [2]
 
 
 # every draw pattern of the chunk kernel: 3 or 5 draws per step, burn-in,
@@ -292,19 +294,20 @@ def plan_with(config, column, step):
 @pytest.mark.parametrize(
     "policy, column", [("orthodox", "k1"), ("no_conditioning", "outcome_sd")], ids=["gain", "foil_outcome_sd"]
 )
-def test_a_non_finite_value_mid_run_is_a_numerical_failure(policy, column, rows, workers, tmp_path, monkeypatch):
+def test_a_non_finite_value_mid_run_is_a_numerical_failure(
+    policy, column, rows, workers, tmp_path, monkeypatch, pooled
+):
     # finiteness is checked once per chunk: an infinite gain makes the means
     # non-finite from step 3 on; under no_conditioning an infinite outcome
     # sd makes only that step's outcomes non-finite, since no outcome feeds
     # a mean; either fails, in process and in a pool, and leaves no record file
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
     config = small_config(n_traj=CHUNK_SIZE + 100, collapse_policy=policy)
     monkeypatch.setattr("qndsim.ensemble._setup", lambda config: plan_with(config, column, 3))
     path = tmp_path / "records.csv"
     with pytest.raises(NumericalFailureError, match="^measurement produced a non-finite outcome or state$"):
         run_ensemble(config, workers=workers, record_path=str(path) if rows else None)
     assert not path.exists()
+    assert pooled == ([2] if workers == 2 else [])
 
 
 def test_chunk_memory_does_not_grow_with_n_meas_without_rows():
@@ -408,7 +411,7 @@ def test_record_file_outlives_a_caller_that_stops_at_the_summary(tmp_path):
     assert len(path.read_text().splitlines()) == 1 + 5 * 3
 
 
-def test_failed_run_leaves_no_record_file(tmp_path, monkeypatch):
+def test_failed_run_leaves_no_record_file(tmp_path, monkeypatch, pooled):
     # each way a run fails after its record file is open: a non-finite
     # covariance, a non-finite outcome, and statistics that fail after every
     # chunk was written; in-process, and in a pool of two (whatever the
@@ -417,8 +420,6 @@ def test_failed_run_leaves_no_record_file(tmp_path, monkeypatch):
     def failing_stats(*args):
         raise ParameterError("the statistics failed")
 
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr("qndsim.ensemble.ROWS_CHUNK_SIZE", 1)
     failed_runs = [
         (dict(n_traj=8, n_meas=1, sigma_m_m=1e-300), None, NumericalFailureError),
@@ -436,9 +437,10 @@ def test_failed_run_leaves_no_record_file(tmp_path, monkeypatch):
             assert not path.exists()
             messages.setdefault(workers, []).append(str(failure.value))
     assert messages[2] == messages[1]
+    assert pooled == [2] * len(failed_runs)
 
 
-def test_failed_run_whose_record_file_vanished_raises_its_own_error(tmp_path, monkeypatch):
+def test_failed_run_whose_record_file_vanished_raises_its_own_error(tmp_path, monkeypatch, pooled):
     # the record file is gone when the failed run cleans up: the run's own
     # error surfaces, not the cleanup's, in process and pooled
     path = tmp_path / "records.csv"
@@ -447,24 +449,21 @@ def test_failed_run_whose_record_file_vanished_raises_its_own_error(tmp_path, mo
         path.unlink(missing_ok=True)
         raise NumericalFailureError("the chunk failed")
 
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr("qndsim.ensemble.ROWS_CHUNK_SIZE", 1)
     monkeypatch.setattr("qndsim.ensemble._run_chunk", spy)
     for workers in (1, 2):
         with pytest.raises(NumericalFailureError, match="the chunk failed"):
             run_ensemble(small_config(n_traj=4, n_meas=3), workers=workers, record_path=str(path))
         assert not path.exists()
+    assert pooled == [2]
 
 
-def test_covariance_failure_is_raised_by_the_plan_before_any_chunk(tmp_path, monkeypatch):
+def test_covariance_failure_is_raised_by_the_plan_before_any_chunk(tmp_path, monkeypatch, pooled):
     # the config's plan is made once, in the parent, so a covariance that
     # fails stops the run before any chunk is stepped, in process or pooled
     def spy(*args):
         raise AssertionError("a chunk ran although the config's plan failed")
 
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr("qndsim.ensemble._run_chunk", spy)
     failing = [
         # v22 grows by sigma_ba**2 per step, so sigma_m**2 * v11 underflows
@@ -482,13 +481,12 @@ def test_covariance_failure_is_raised_by_the_plan_before_any_chunk(tmp_path, mon
                 run_ensemble(config, workers=workers, record_path=str(path))
             assert str(failure.value).startswith(message)
             assert not path.exists()
+    assert pooled == [2] * len(failing)
 
 
-def test_sweep_raises_a_failed_plan_after_the_summaries_before_it(monkeypatch):
+def test_sweep_raises_a_failed_plan_after_the_summaries_before_it(monkeypatch, pooled):
     # a later config's plan is made while earlier chunks are queued; its
     # error comes after the summaries before it, at any worker count
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 7)
     failing = dict(n_meas=6, bath_model="quantum", sigma_m_m=1e-150)
     configs = [small_config(n_traj=20, n_meas=3), small_config(n_traj=20, **failing)]
@@ -497,17 +495,17 @@ def test_sweep_raises_a_failed_plan_after_the_summaries_before_it(monkeypatch):
         assert next(summaries).config == configs[0]
         with pytest.raises(NumericalFailureError, match="covariance product underflow"):
             next(summaries)
+    assert pooled == [2]
 
 
-def test_pooled_sweep_closed_after_its_first_summary_leaves_no_process(monkeypatch):
+def test_pooled_sweep_closed_after_its_first_summary_leaves_no_process(monkeypatch, pooled):
     # later configs' chunks are queued in the pool when the caller stops;
     # closing the sweep cancels them and shuts the pool down
-    monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr("os.cpu_count", lambda: 2)
     monkeypatch.setattr("qndsim.ensemble.CHUNK_SIZE", 7)
     configs = [small_config(n_traj=20, seed=seed) for seed in range(4)]
     summaries = run_ensembles(configs, workers=2)
     assert next(summaries).config == configs[0]
+    assert pooled == [2]
     assert multiprocessing.active_children()
     summaries.close()
     assert multiprocessing.active_children() == []
@@ -520,21 +518,51 @@ def test_workers_must_be_positive():
 
 
 def test_pool_size_is_bounded_by_chunks_and_cores(monkeypatch):
+    # work for every process asked for, so that only the chunks and cores bound it
+    plenty = 10**6 * PROCESS_TRAJ_STEPS
     # where the platform reports no CPU affinity, the core count bounds it
     monkeypatch.delattr("os.sched_getaffinity", raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 4)
-    assert _pool_size(100_000, 3) == 3
-    assert _pool_size(100_000, 10**6) == 4
-    assert _pool_size(2, 10**6) == 2
-    assert _pool_size(8, 1) == 1
+    assert _pool_size(100_000, 3, plenty) == 3
+    assert _pool_size(100_000, 10**6, plenty) == 4
+    assert _pool_size(2, 10**6, plenty) == 2
+    assert _pool_size(8, 1, plenty) == 1
     monkeypatch.setattr("os.cpu_count", lambda: None)
-    assert _pool_size(100_000, 10**6) == 1
+    assert _pool_size(100_000, 10**6, plenty) == 1
     # an affinity mask narrower than the machine bounds it instead
     monkeypatch.setattr("os.cpu_count", lambda: 64)
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 5}, raising=False)
-    assert _pool_size(64, 10**6) == 2
-    assert _pool_size(64, 1) == 1
-    assert _pool_size(1, 10**6) == 1
+    assert _pool_size(64, 10**6, plenty) == 2
+    assert _pool_size(64, 1, plenty) == 1
+    assert _pool_size(1, 10**6, plenty) == 1
+
+
+def test_pool_size_gives_a_process_only_for_each_whole_share_of_the_work(monkeypatch):
+    monkeypatch.delattr("os.sched_getaffinity", raising=False)
+    monkeypatch.setattr("os.cpu_count", lambda: 4)
+    floor = PROCESS_TRAJ_STEPS
+    for traj_steps in (0, 1, floor - 1, floor, 2 * floor - 1):
+        assert _pool_size(8, 10**6, traj_steps) == 1
+    assert _pool_size(8, 10**6, 2 * floor) == 2
+    assert _pool_size(8, 10**6, 3 * floor - 1) == 2
+    assert _pool_size(8, 10**6, 3 * floor) == 3
+    for traj_steps in (4 * floor, 5 * floor, 10**6 * floor):
+        assert _pool_size(8, 10**6, traj_steps) == 4
+
+
+def test_a_sweep_of_small_points_gets_a_pool_for_their_work_together(pool_starts):
+    # each point is below the floor, their sum is two shares of it
+    floor = PROCESS_TRAJ_STEPS
+    points = [small_config(n_traj=CHUNK_SIZE, n_meas=floor // (2 * CHUNK_SIZE) + 1, seed=seed) for seed in range(4)]
+    assert all(config.n_traj * config.n_meas < floor for config in points)
+    summaries = run_ensembles(points[:2], workers=2)
+    next(summaries)
+    summaries.close()
+    assert pool_starts == []
+    summaries = run_ensembles(points, workers=2)
+    next(summaries)
+    summaries.close()
+    assert pool_starts == [2]
 
 
 def test_burn_in_changes_the_stream_but_stays_deterministic():

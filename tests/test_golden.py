@@ -5,10 +5,12 @@ kernel replaced the per-trajectory loop, and the summary digests when the
 shared v22 trace replaced the mean of its per-trajectory copies; any change
 to them is a change of output bytes and must be named in CHANGES.md.  300
 trajectories give three chunks of rows, the last one partial, so chunk
-boundaries and the pool are both exercised.  A run without rows steps wider
-chunks and must write the same summary, and the bytes must not depend on
-the chunk sizes or the draw block either.  The command digests pin what
-``budget`` prints and writes, and a small pooled ``sweep`` CSV.
+boundaries and the pool are both exercised: the ``pooled`` fixture lets
+these small runs start a pool of two at two workers, which each such case
+checks.  A run without rows steps wider chunks and must write the same
+summary, and the bytes must not depend on the chunk sizes or the draw block
+either.  The command digests pin what ``budget`` prints and writes, and a
+small pooled ``sweep`` CSV.
 """
 
 import hashlib
@@ -76,19 +78,22 @@ def run_digests(variant, workers, tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("variant", list(GOLDEN))
-def test_outputs_match_golden_digests(variant, workers, tmp_path):
+def test_outputs_match_golden_digests(variant, workers, tmp_path, pooled):
     assert run_digests(variant, workers, tmp_path) == GOLDEN[variant][1:]
+    assert pooled == ([2] if workers == 2 else [])
 
 
 @pytest.mark.parametrize("width", [None, 7, 1], ids=["default", "7", "1"])
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("variant", list(GOLDEN))
-def test_summary_without_rows_matches_golden_digest(variant, workers, width, monkeypatch):
+def test_summary_without_rows_matches_golden_digest(variant, workers, width, monkeypatch, pooled):
     if width is not None:
         monkeypatch.setattr(ensemble, "CHUNK_SIZE", width)
     summary = run_ensemble(golden_config(variant), workers=workers)
     assert summary.records_csv == ""
     assert summary_digest(summary) == GOLDEN[variant][1]
+    # at the default width the 300 trajectories are one chunk, which no pool runs
+    assert pooled == ([2] if workers == 2 and width is not None else [])
 
 
 # (chunk size with and without rows, the DRAW_BLOCK that step_means reads):
@@ -135,7 +140,7 @@ COMMAND_DIGESTS = {
 
 
 @pytest.mark.parametrize("command", list(COMMAND_DIGESTS))
-def test_command_outputs_match_digests(command, tmp_path, capsys):
+def test_command_outputs_match_digests(command, tmp_path, capsys, pooled):
     argv, out_name, digest = COMMAND_DIGESTS[command]
     if argv[0] == "sweep":
         config = replace(default_config(), n_traj=200, n_meas=6, seed=7)
@@ -147,3 +152,4 @@ def test_command_outputs_match_digests(command, tmp_path, capsys):
     out = capsys.readouterr().out
     data = out.encode() if out_name is None else (tmp_path / out_name).read_bytes()
     assert sha256(data) == digest
+    assert pooled == ([2] if argv[0] == "sweep" else [])

@@ -238,7 +238,7 @@ def test_format_rows_does_not_depend_on_its_block(overrides, block_rows, monkeyp
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_fixed_notation_means_are_written_as_cpython_writes_them(workers, tmp_path):
+def test_fixed_notation_means_are_written_as_cpython_writes_them(workers, tmp_path, pooled):
     # three chunks of rows, with the fast path and CPython in every block
     config = replace(default_config(), n_traj=300, n_meas=12, **FIXED_NOTATION)
     path = tmp_path / "records.csv"
@@ -252,6 +252,7 @@ def test_fixed_notation_means_are_written_as_cpython_writes_them(workers, tmp_pa
     fixed = sum(b"e" not in field for field in means)
     assert 0.1 * len(means) < fixed < 0.5 * len(means)
     if workers == 2:
+        assert pooled == [2]
         run_ensemble(config, workers=1, record_path=str(tmp_path / "in_process.csv"))
         assert (tmp_path / "in_process.csv").read_bytes() == path.read_bytes()
 
