@@ -32,20 +32,9 @@ _EXPORTS = {
         "MeasurementRecord",
         "backaction_sigma",
         "measure",
-        "measurement_direction",
         "run_schedule",
     ),
-    "observables": (
-        "LinearObservable",
-        "MeterSpec",
-        "OscillatorParams",
-        "QndVerdict",
-        "commutator_symplectic",
-        "heisenberg_evolve",
-        "is_qnd_sequence",
-        "quadrature_observable",
-        "resolve_observable",
-    ),
+    "observables": ("MeterSpec", "OscillatorParams", "QndVerdict", "is_qnd_sequence", "measurement_direction"),
     "stats": (
         "BoltzmannFit",
         "EnergyHistogram",

@@ -72,7 +72,6 @@ from __future__ import annotations
 import json
 import os
 import stat
-import sys
 import time as _time
 from collections import deque
 from collections.abc import Iterable, Iterator, Sequence
@@ -375,9 +374,9 @@ def run_ensembles(
             traj_steps = sum(config.n_traj * config.n_meas for config in configs)
             n_procs = _pool_size(workers, sum(map(len, starts)), traj_steps)
             if n_procs > 1:
-                # the module attribute, so that a replaced class is the one started
-                pool_class = sys.modules[__name__].ProcessPoolExecutor
-                pool = stack.enter_context(pool_class(max_workers=n_procs))
+                from concurrent.futures import ProcessPoolExecutor
+
+                pool = stack.enter_context(ProcessPoolExecutor(max_workers=n_procs))
                 parts = _in_order(pool, jobs(), 2 * n_procs)
                 stack.callback(parts.close)  # cancel what is queued before the pool waits for it
             else:
@@ -421,13 +420,3 @@ def run_ensemble(config: RunConfig, workers: int = 1, record_path: str | None = 
     (summary,) = run_ensembles([config], workers, record_path)
     return summary
 
-
-def __getattr__(name: str):
-    """``ProcessPoolExecutor``, imported from ``concurrent.futures`` on first
-    access (PEP 562), which is when a run first starts a pool."""
-    if name != "ProcessPoolExecutor":
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from concurrent.futures import ProcessPoolExecutor
-
-    globals()[name] = ProcessPoolExecutor
-    return ProcessPoolExecutor

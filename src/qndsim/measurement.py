@@ -1,9 +1,10 @@
 """Gaussian meter models for stroboscopic quadrature measurement.
 
 A meter reads the projection u . (X1, X2) of the state with additive Gaussian
-noise of standard deviation sigma_m.  The read direction u is (cos a, sin a),
-turned a quarter for qnd_x2, at the angle a = 0 for the back-action-evading
-kinds and a = w1 t for a naive position meter: x = X1 cos w1 t + X2 sin w1 t.
+noise of standard deviation sigma_m.  ``observables.measurement_direction``
+gives the read direction u: (cos a, sin a), turned a quarter for qnd_x2, at
+the angle a = 0 for the back-action-evading kinds and a = w1 t for a naive
+position meter: x = X1 cos w1 t + X2 sin w1 t.
 
 The outcome is drawn from the predictive law N(u . mean, u^T V u + sigma_m^2).
 Under the orthodox policy the state then collapses by the Gaussian conditional
@@ -23,10 +24,11 @@ an isotropic Gaussian kick of scale sigma_ba on both sampled means (on top of
 the u_perp covariance term).  This is an anomaly injector, not a model of any
 particular alternative theory.
 
-Meter kinds, ``MeterSpec`` and the collapse policies' names are declared in
-``observables``, beside ``OscillatorParams``.  ``measure``, ``plan_schedule``
-and ``run_schedule`` take a policy by its name and check it once, raising
-ParameterError for an unknown one; below them it is the ``orthodox`` bool.
+Meter kinds, their read directions, ``MeterSpec`` and the collapse
+policies' names are declared in ``observables``, beside ``OscillatorParams``.
+``measure``, ``plan_schedule`` and ``run_schedule`` take a policy by its name
+and check it once, raising ParameterError for an unknown one; below them it
+is the ``orthodox`` bool.
 
 Covariance, gains, read direction and the outcome's spread depend on no
 outcome: the recursion is data-free (Kalman 1960).  So a step has two halves.
@@ -53,7 +55,7 @@ import numpy as np
 from .constants import HBAR
 from .dynamics import GaussianQuadState, thermal_relax
 from .errors import NumericalFailureError, ParameterError, StateDomainError
-from .observables import COLLAPSE_POLICIES, METER_KINDS, MeterSpec, OscillatorParams
+from .observables import COLLAPSE_POLICIES, MeterSpec, OscillatorParams, measurement_direction
 
 # Relative slack for the PSD test on input covariances.
 _PSD_SLACK = 1e-12
@@ -78,21 +80,6 @@ class MeasurementRecord:
     pre_v11: float
     post_v11: float
     post_v22: float
-
-
-def measurement_direction(kind: str, t: float, params: OscillatorParams) -> tuple[float, float]:
-    """Unit read direction in the (X1, X2) plane for a meter of this kind at
-    time t: (cos, sin) of its angle, turned a quarter for qnd_x2.  The angle
-    is w1 t for a position meter and 0 t for the back-action-evading kinds;
-    one that is not finite (t, or w1 t, past the double range) raises
-    NumericalFailureError."""
-    if kind not in METER_KINDS:
-        raise ParameterError(f"unknown meter kind {kind!r}")
-    angle = (params.omega1 if kind == "position" else 0.0) * t
-    if not math.isfinite(angle):
-        raise NumericalFailureError(f"the read angle is not finite at t={t!r}")
-    c, s = math.cos(angle), math.sin(angle)
-    return (-s, c) if kind == "qnd_x2" else (c, s)
 
 
 def backaction_sigma(meter: MeterSpec, params: OscillatorParams) -> float:

@@ -1,29 +1,22 @@
-"""Linear-observable algebra on the oscillator phase space.
-
-A first-degree observable O = c_x * x + c_p * p is stored by its coefficient
-pair (c_x dimensionless, c_p in s/kg), so the value of O is always a length.
-Free harmonic evolution acts linearly on the coefficients,
-
-    x(t) = x cos(w1 t) + (p / m w1) sin(w1 t),
-    p(t) = p cos(w1 t) - m w1 x sin(w1 t),
-
-and the commutator of two such observables is a multiple of the identity,
-
-    [A, B] = i hbar (A.c_x B.c_p - A.c_p B.c_x),
-
-so QND classification only ever needs the real symplectic factor computed by
-``commutator_symplectic``; the i*hbar is factored out once and for all.
+"""The oscillator's reads, and the run's vocabularies and parameter records.
 
 The stroboscopically monitored quadratures are the rotating-frame amplitudes
 
-    X1(t) = x cos(w1 t) - (p / m w1) sin(w1 t),
-    X2(t) = x sin(w1 t) + (p / m w1) cos(w1 t),
+    X1 + i X2 = (x + i p / m w1) exp(i w1 t),
 
-i.e. real and imaginary part of (x + i p / m w1) exp(i w1 t).  Measuring "X1"
-at lab time t means measuring the time-t member of this co-rotating family;
-evolving that member back with the free motion always lands on the fixed pair
-(1, 0), which is why the amplitudes commute with themselves across arbitrary
-measurement times while plain position does not.
+constants of the free motion, with [X1, X2] = i hbar / (m w1).  Every read is
+a projection u . (X1, X2) onto a unit direction u = (cos a, sin a), turned a
+quarter for some: the amplitudes X1 and X2 at the angle a = 0, and position
+x = X1 cos w1 t + X2 sin w1 t and momentum p / m w1, valued in meters like
+everything else, at a = w1 t.  ``READS`` gives each read's two flags and
+``measurement_direction`` its u: the one read direction of the engine's
+meters and of the QND check.  Two reads commute up to
+
+    [u . X, v . X] = (i hbar / m w1) (u1 v2 - u2 v1),
+
+so a schedule is QND exactly when its read directions agree up to sign
+(Thorne et al. 1978): X1 read at any times is, position only at times a
+multiple of pi / w1 apart.
 
 The module also declares the run's vocabularies, the bath models, meter
 kinds and collapse policies, and its parameter records, ``OscillatorParams``
@@ -36,13 +29,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import NumericalFailureError, ParameterError, require_nonzero, require_positive
+from .errors import NumericalFailureError, ParameterError, require_finite, require_nonzero, require_positive
 
 #: Bath models of OscillatorParams and the run config.
 BATH_MODELS = ("classical", "quantum")
 
-#: Meter kinds of MeterSpec and the run config; ``measurement`` gives each
-#: its read direction.
+#: Meter kinds of MeterSpec and the run config.
 METER_KINDS = ("qnd_x1", "qnd_x2", "position")
 
 #: Collapse policies of ``measurement`` and the run config: the orthodox
@@ -52,8 +44,20 @@ COLLAPSE_POLICIES = ("orthodox", "no_conditioning")
 #: Default QND tolerance, relative to the natural commutator scale 1/(m w1).
 QND_TOL = 1e-9
 
-#: Observable kinds resolvable by name.
+#: Reads checked by ``is_qnd_sequence``: the amplitudes, position, and p / m w1.
 OBSERVABLE_KINDS = ("x1", "x2", "x", "p")
+
+#: Each read, a meter kind or a QND-check name, by its two flags: whether its
+#: direction is turned a quarter, and whether it turns with w1 t.
+READS = {
+    "qnd_x1": (False, False),
+    "qnd_x2": (True, False),
+    "position": (False, True),
+    "x1": (False, False),
+    "x2": (True, False),
+    "x": (False, True),
+    "p": (True, True),
+}
 
 
 @dataclass(frozen=True)
@@ -81,12 +85,14 @@ class OscillatorParams:
     def stiffness(self) -> float:
         """m w1^2, in N/m.  A w1^2 past the double range raises
         NumericalFailureError, where a float's power raises OverflowError, and
-        so does an m w1^2 that underflows to 0, which would divide unnamed."""
+        so does an m w1^2 that overflows, or underflows to 0, which would
+        divide unnamed."""
         try:
             stiffness = self.mass * self.omega1**2
         except OverflowError:
             raise NumericalFailureError(f"the stiffness m omega1^2 is not finite at omega1={self.omega1!r}") from None
-        return require_nonzero("the stiffness m omega1^2", stiffness, mass=self.mass, omega1=self.omega1)
+        name = "the stiffness m omega1^2"
+        return require_finite(name, require_nonzero(name, stiffness, mass=self.mass, omega1=self.omega1))
 
 
 @dataclass(frozen=True)
@@ -102,72 +108,20 @@ class MeterSpec:
         require_positive("sigma_m", self.sigma_m)
 
 
-@dataclass(frozen=True)
-class LinearObservable:
-    """Phase-space observable c_x * x + c_p * p, valued in meters.
-
-    c_x is dimensionless, c_p carries s/kg.
-    """
-
-    c_x: float
-    c_p: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.c_x) and math.isfinite(self.c_p)):
-            raise ParameterError("observable coefficients must be finite")
-        if self.c_x == 0.0 and self.c_p == 0.0:
-            raise ParameterError("observable coefficients must not both vanish")
-
-
-def quadrature_observable(kind: str, t: float, params: OscillatorParams) -> LinearObservable:
-    """Time-t representation of the co-rotating amplitude X1 or X2."""
-    w = params.omega1
-    c = math.cos(w * t)
-    s = math.sin(w * t)
-    inv = 1.0 / (params.mass * w)
-    if kind == "x1":
-        return LinearObservable(c, -s * inv)
-    if kind == "x2":
-        return LinearObservable(s, c * inv)
-    raise ParameterError(f"unknown quadrature kind {kind!r}")
-
-
-def resolve_observable(obs: LinearObservable | str, t: float, params: OscillatorParams) -> LinearObservable:
-    """Concrete observable measured at lab time t.
-
-    A LinearObservable is a fixed lab-frame observable: the same coefficient
-    pair at every time.  The names "x1"/"x2" denote the co-rotating amplitude
-    families whose representation depends on the measurement time; "x" and "p"
-    are the fixed position and (meters-valued) momentum quadrature.
-    """
-    if isinstance(obs, LinearObservable):
-        return obs
-    if obs == "x":
-        return LinearObservable(1.0, 0.0)
-    if obs == "p":  # p / (m w1), valued in meters like everything else
-        return LinearObservable(0.0, 1.0 / (params.mass * params.omega1))
-    if obs in ("x1", "x2"):
-        return quadrature_observable(obs, t, params)
-    raise ParameterError(f"unknown observable {obs!r}; expected one of {OBSERVABLE_KINDS}")
-
-
-def heisenberg_evolve(obs: LinearObservable, t: float, params: OscillatorParams) -> LinearObservable:
-    """Re-express c_x x + c_p p after free evolution by t in initial-time operators."""
-    if not math.isfinite(t):
-        raise ParameterError(f"evolution time must be finite, got {t!r}")
-    w = params.omega1
-    c = math.cos(w * t)
-    s = math.sin(w * t)
-    mw = params.mass * w
-    return LinearObservable(obs.c_x * c - obs.c_p * mw * s, obs.c_x * s / mw + obs.c_p * c)
-
-
-def commutator_symplectic(a: LinearObservable, b: LinearObservable) -> float:
-    """Symplectic form of the coefficient vectors; [A, B] = i hbar * this value.
-
-    Antisymmetric and bilinear; units s/kg, so hbar times it is an area (m^2).
-    """
-    return a.c_x * b.c_p - a.c_p * b.c_x
+def measurement_direction(kind: str, t: float, params: OscillatorParams) -> tuple[float, float]:
+    """Unit read direction in the (X1, X2) plane of the read ``kind`` at time
+    t, by its flags in ``READS``: (cos, sin) of its angle, turned a quarter to
+    (-sin, cos) for qnd_x2, x2 and p.  The angle is w1 t for a read that turns
+    and 0 t for one that does not; one that is not finite (t, or w1 t, past
+    the double range) raises NumericalFailureError."""
+    if kind not in READS:
+        raise ParameterError(f"unknown meter kind {kind!r}")
+    quarter, turns = READS[kind]
+    angle = (params.omega1 if turns else 0.0) * t
+    if not math.isfinite(angle):
+        raise NumericalFailureError(f"the read angle is not finite at t={t!r}")
+    c, s = math.cos(angle), math.sin(angle)
+    return (-s, c) if quarter else (c, s)
 
 
 @dataclass(frozen=True)
@@ -175,20 +129,19 @@ class QndVerdict:
     """Outcome of a QND self-commutation check over a measurement schedule."""
 
     is_qnd: bool
-    max_violation: float  # |symplectic commutator|, s/kg
+    max_violation: float  # largest |u_j x u_k| / (m w1), s/kg
 
 
 def is_qnd_sequence(
-    obs: LinearObservable | str,
+    obs: str,
     times: list[float] | tuple[float, ...],
     params: OscillatorParams,
     tol: float = QND_TOL,
 ) -> QndVerdict:
-    """Check self-commutation of an observable across all measurement-time pairs.
-
-    The observable measured at t_i is resolved at t_i and pulled back to
-    initial time with the Heisenberg evolution; the schedule is QND when every
-    pairwise symplectic commutator stays below tol/(m w1) in magnitude.
+    """Check self-commutation of the read ``obs`` across all measurement-time
+    pairs: the largest |u_j x u_k| over the pairs of its read directions, the
+    commutator in units of i hbar / (m w1), must stay within tol.  The
+    verdict reports it times 1 / (m w1), the commutator over i hbar.
     """
     if len(times) < 2:
         raise ParameterError("a QND sequence needs at least 2 measurement times")
@@ -198,11 +151,10 @@ def is_qnd_sequence(
             raise ParameterError(f"measurement times must be finite, with omega1 * t finite, got {t!r}")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ParameterError(f"tol must be finite and >= 0, got {tol!r}")
-    # the quadratures, their evolution and the bound all divide by it
+    # the reported violation divides by it
     m_omega1 = require_nonzero("m omega1", params.mass * params.omega1, mass=params.mass, omega1=params.omega1)
-    evolved = [heisenberg_evolve(resolve_observable(obs, t, params), t, params) for t in times]
-    worst = 0.0
-    for i in range(len(evolved)):
-        for j in range(i + 1, len(evolved)):
-            worst = max(worst, abs(commutator_symplectic(evolved[i], evolved[j])))
-    return QndVerdict(worst <= tol / m_omega1, worst)
+    if not math.isfinite(m_omega1):
+        raise ParameterError(f"m omega1 must be finite, got {m_omega1!r}")
+    reads = [measurement_direction(obs, t, params) for t in times]
+    worst = max(abs(u1 * v2 - u2 * v1) for j, (u1, u2) in enumerate(reads) for v1, v2 in reads[j + 1:])
+    return QndVerdict(worst <= tol, worst / m_omega1)

@@ -39,7 +39,7 @@ def pool_starts(monkeypatch):
 
     monkeypatch.setattr("os.sched_getaffinity", lambda pid: {0, 1}, raising=False)
     monkeypatch.setattr("os.cpu_count", lambda: 2)
-    monkeypatch.setattr("qndsim.ensemble.ProcessPoolExecutor", CountingPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", CountingPool)
     return started
 
 

@@ -141,6 +141,15 @@ def test_simulate_overflowing_stiffness_is_a_numerical_failure(tmp_path, capsys)
     assert not records_path.exists()
 
 
+def test_simulate_overflowing_stiffness_product_is_a_numerical_failure(tmp_path, capsys):
+    # omega1**2 is finite, but mass * omega1**2 is not: the stationary
+    # variance would be 0 and every figure null
+    cfg_path, _ = write_config(tmp_path, n_traj=40, n_meas=3, mass_kg=1e300, omega1_rad_s=1e10)
+    assert main(["simulate", "--config", str(cfg_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "numerical failure: the stiffness m omega1^2 is not finite: inf\n"
+
+
 @pytest.mark.parametrize("meter_kind", ["position", "qnd_x1"])
 def test_simulate_clock_overflow_is_a_numerical_failure(meter_kind, tmp_path, capsys):
     # 2 000 steps of 1e305 s take the clock to inf, and w1 t there already at
@@ -233,6 +242,14 @@ def test_qnd_check_yes_and_no(capsys):
     assert "QND: no" in out and "max violation" in out
 
 
+def test_qnd_check_momentum(capsys):
+    # p / m w1 turns with w1 t, as position does: QND at half periods, not at a quarter
+    assert main(["qnd-check", "--observable", "p", "--times", f"0,{math.pi / 1e4!r}"]) == 0
+    assert "QND: yes" in capsys.readouterr().out
+    assert main(["qnd-check", "--observable", "p", "--times", f"0,{math.pi / 2e4!r}"]) == 0
+    assert capsys.readouterr().out == "QND: no, max violation 1.000e-01\n"
+
+
 def test_qnd_check_bad_times(capsys):
     assert main(["qnd-check", "--observable", "x1", "--times", "asdf"]) == 1
 
@@ -246,6 +263,7 @@ def test_qnd_check_bad_times(capsys):
         (["--times", "0,1", "--tol", "nan"], "tol"),
         (["--times", "0,1", "--tol", "inf"], "tol"),
         (["--times", "0,1", "--tol=-1e-9"], "tol"),
+        (["--times", "0,1", "--mass", "1e300", "--omega1", "1e10"], "m omega1"),  # finite, but m omega1 is not
     ],
 )
 def test_qnd_check_rejects_non_finite_input(flags, word, capsys):

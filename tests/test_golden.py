@@ -16,9 +16,18 @@ small pooled ``sweep`` CSV.
 import hashlib
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from qndsim import default_config, ensemble, format_config, measurement, run_ensemble
+from qndsim import (
+    default_config,
+    ensemble,
+    format_config,
+    is_qnd_sequence,
+    measurement,
+    measurement_direction,
+    run_ensemble,
+)
 from qndsim.cli import main
 
 # variant: (config overrides, sha256 of summary JSON, sha256 of record CSV)
@@ -94,6 +103,27 @@ def test_summary_without_rows_matches_golden_digest(variant, workers, width, mon
     assert summary_digest(summary) == GOLDEN[variant][1]
     # at the default width the 300 trajectories are one chunk, which no pool runs
     assert pooled == ([2] if workers == 2 and width is not None else [])
+
+
+@pytest.mark.parametrize("variant", list(GOLDEN))
+def test_plan_reads_are_the_read_direction(variant):
+    # one owner: the engine's plan reads along measurement_direction, bit for bit
+    config = golden_config(variant)
+    steps = ensemble._setup(config).steps
+    reads = [measurement_direction(config.meter_kind, t, config.oscillator()) for t in steps["time"].tolist()]
+    assert np.array(reads).tobytes() == np.stack([steps["u1"], steps["u2"]], axis=1).tobytes()
+
+
+def test_qnd_check_reads_the_position_plan():
+    # qnd-check's x over a position run's plan times reports the largest
+    # cross product of the plan's own reads, over m omega1
+    config = golden_config("position")
+    params = config.oscillator()
+    steps = ensemble._setup(config).steps
+    u1, u2 = steps["u1"], steps["u2"]
+    cross = np.abs(u1[:, None] * u2[None, :] - u2[:, None] * u1[None, :])
+    expected = float(cross.max()) / (params.mass * params.omega1)
+    assert is_qnd_sequence("x", steps["time"].tolist(), params).max_violation == expected > 0.0
 
 
 # (chunk size with and without rows, the DRAW_BLOCK that step_means reads):

@@ -42,6 +42,7 @@ def negligible_bath():
 def test_direction_cases(params):
     assert measurement_direction("qnd_x1", 0.0, params) == (1.0, 0.0)
     assert measurement_direction("qnd_x2", 123.0, params) == (0.0, 1.0)
+    assert math.copysign(1.0, measurement_direction("qnd_x2", 123.0, params)[0]) == -1.0  # -sin(0 t)
     assert measurement_direction("position", 0.0, params) == (1.0, 0.0)
     u = measurement_direction("position", math.pi / (2 * W1), params)
     assert abs(u[0]) <= 1e-12 and math.isclose(u[1], 1.0, rel_tol=1e-12)

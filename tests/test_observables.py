@@ -7,25 +7,18 @@ from hypothesis import strategies as st
 
 from qndsim import (
     HBAR,
-    LinearObservable,
+    NumericalFailureError,
     OscillatorParams,
     ParameterError,
-    commutator_symplectic,
-    heisenberg_evolve,
     is_qnd_sequence,
-    quadrature_observable,
-    resolve_observable,
+    measurement_direction,
 )
+from qndsim.observables import METER_KINDS, OBSERVABLE_KINDS, READS
 
 M = 1e-3
 W1 = 1e4
 
-coeff = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
 times = st.floats(min_value=-1e-2, max_value=1e-2, allow_nan=False, allow_infinity=False)
-
-
-def obs_strategy():
-    return st.tuples(coeff, coeff).filter(lambda c: c != (0.0, 0.0)).map(lambda c: LinearObservable(*c))
 
 
 def close(a, b, rel=1e-12, scale=None):
@@ -33,103 +26,121 @@ def close(a, b, rel=1e-12, scale=None):
     return abs(a - b) <= rel * max(scale, 1e-300)
 
 
-# --- quadrature transforms -------------------------------------------------
+def amplitudes(x, p, t):
+    """The oracle, independent of the package: X1 + i X2 is
+    (x + i p / m w1) exp(i w1 t), for the lab-frame x and p at time t."""
+    z = (x + 1j * p / (M * W1)) * np.exp(1j * W1 * t)
+    return z.real, z.imag
+
+
+def free_flow(x, p, t):
+    """Lab-frame (x, p) after free evolution by t from (x, p)."""
+    c, s = math.cos(W1 * t), math.sin(W1 * t)
+    return x * c + p / (M * W1) * s, p * c - M * W1 * x * s
+
+
+def read(kind, t, params, x1, x2):
+    u1, u2 = measurement_direction(kind, t, params)
+    return u1 * x1 + u2 * x2
+
+
+def cross(u, v):
+    """u1 v2 - u2 v1: [u . X, v . X] over i hbar / (m w1)."""
+    return u[0] * v[1] - u[1] * v[0]
+
+
+# --- reads against the complex-amplitude oracle ------------------------------
 
 
 def test_quadratures_against_complex_oracle(params, rng):
-    # oracle: X1 + i X2 is (x + i p / m w1) exp(i w1 t), the convention that
-    # the co-rotating observables, the position meter's read direction and
-    # the qnd-check command share
+    # each QND-check name reads, from the amplitudes of a lab-frame (x, p)
+    # at time t, the quantity it names: X1, X2, x and p / m w1
     for _ in range(300):
         x = rng.normal(0.0, 1e-15)
         p = rng.normal(0.0, 1e-18)
         t = rng.uniform(-1.0, 1.0)
-        z = (x + 1j * p / (M * W1)) * np.exp(1j * W1 * t)
-        x1, x2 = (obs.c_x * x + obs.c_p * p for obs in (quadrature_observable(k, t, params) for k in ("x1", "x2")))
-        assert close(x1, z.real, rel=1e-12, scale=abs(z))
-        assert close(x2, z.imag, rel=1e-12, scale=abs(z))
+        x1, x2 = amplitudes(x, p, t)
+        scale = math.hypot(x1, x2)
+        for kind, want in (("x1", x1), ("x2", x2), ("x", x), ("p", p / (M * W1))):
+            assert close(read(kind, t, params, x1, x2), want, rel=1e-12, scale=scale)
 
 
-# --- Heisenberg evolution ---------------------------------------------------
+def test_read_table_covers_meter_kinds_and_qnd_names():
+    assert set(READS) == set(METER_KINDS) | set(OBSERVABLE_KINDS)
+
+
+# --- free evolution ----------------------------------------------------------
 
 
 def test_evolve_position_quarter_period(params):
-    out = heisenberg_evolve(LinearObservable(1.0, 0.0), math.pi / (2 * W1), params)
-    assert abs(out.c_x) <= 1e-12 / (M * W1)
-    assert close(out.c_p, 1.0 / (M * W1))
+    # x a quarter period on is p / m w1 at time 0
+    u = measurement_direction("x", math.pi / (2 * W1), params)
+    v = measurement_direction("p", 0.0, params)
+    assert abs(u[0] - v[0]) <= 1e-12 and close(u[1], v[1])
 
 
 def test_evolve_identity_at_zero(params):
-    obs = LinearObservable(0.3, -2.1e-3)
-    out = heisenberg_evolve(obs, 0.0, params)
-    assert out == obs
+    # at t = 0 the lab-frame reads are the amplitudes, bit for bit
+    assert measurement_direction("x", 0.0, params) == measurement_direction("x1", 0.0, params) == (1.0, 0.0)
+    assert measurement_direction("p", 0.0, params) == measurement_direction("x2", 0.0, params) == (-0.0, 1.0)
 
 
 def test_x1_is_constant_of_motion(params, rng):
-    # the time-t member of the co-rotating family pulls back to (1, 0)
+    # the oracle's amplitudes of a freely evolving (x, p) do not move, and
+    # the x1 read is the same direction at every time
     for t in rng.uniform(-1.0, 1.0, size=50):
-        out = heisenberg_evolve(quadrature_observable("x1", t, params), t, params)
-        assert close(out.c_x, 1.0, rel=1e-12)
-        assert abs(out.c_p) <= 1e-12 / (M * W1)
+        x, p = rng.normal(0.0, 1e-15), rng.normal(0.0, 1e-18)
+        x1, x2 = amplitudes(x, p, 0.0)
+        y1, y2 = amplitudes(*free_flow(x, p, t), t)
+        assert close(y1, x1, rel=1e-12, scale=math.hypot(x1, x2))
+        assert close(y2, x2, rel=1e-12, scale=math.hypot(x1, x2))
+        assert measurement_direction("x1", t, params) == (1.0, 0.0)
 
 
 def test_evolve_rejects_infinite_time(params):
-    with pytest.raises(ParameterError):
-        heisenberg_evolve(LinearObservable(1.0, 0.0), math.inf, params)
+    for kind in OBSERVABLE_KINDS:
+        with pytest.raises(NumericalFailureError, match=r"^the read angle is not finite at t=inf$"):
+            measurement_direction(kind, math.inf, params)
 
 
 # --- commutators -------------------------------------------------------------
 
 
 def test_commutator_x1_x2_equal_time(params, rng):
+    # [X1, X2] = [x, p / m w1] = i hbar / (m w1) at every time
     for t in rng.uniform(-1.0, 1.0, size=20):
-        a = quadrature_observable("x1", t, params)
-        b = quadrature_observable("x2", t, params)
-        s = commutator_symplectic(a, b)
-        assert close(s, 1.0 / (M * W1), rel=1e-12)
+        assert cross(measurement_direction("x1", t, params), measurement_direction("x2", t, params)) == 1.0
+        assert close(cross(measurement_direction("x", t, params), measurement_direction("p", t, params)), 1.0)
     assert close(HBAR * 0.1, 1.0546e-35, rel=1e-4)
 
 
 def test_commutator_self_is_zero(params):
-    a = quadrature_observable("x1", 0.37, params)
-    assert commutator_symplectic(a, a) == 0.0
+    for kind in OBSERVABLE_KINDS:
+        assert is_qnd_sequence(kind, [0.37, 0.37], params).max_violation == 0.0
 
 
 def test_position_unequal_times(params, rng):
-    x0 = LinearObservable(1.0, 0.0)
+    # [x(0), x(t)] = (i hbar / m w1) sin(w1 t)
     for t in rng.uniform(1e-5, 1.0, size=100):
-        s = commutator_symplectic(x0, heisenberg_evolve(x0, t, params))
-        assert close(s, math.sin(W1 * t) / (M * W1), rel=1e-12, scale=1.0 / (M * W1))
+        violation = is_qnd_sequence("x", [0.0, t], params).max_violation
+        assert close(violation, abs(math.sin(W1 * t)) / (M * W1), rel=1e-12, scale=1.0 / (M * W1))
 
 
-@given(a=obs_strategy(), b=obs_strategy())
-def test_commutator_antisymmetry_exact(a, b):
-    assert commutator_symplectic(a, b) == -commutator_symplectic(b, a)
-
-
-@given(a=obs_strategy(), b=obs_strategy(), c=obs_strategy(), alpha=coeff, beta=coeff)
-def test_commutator_bilinearity(a, b, c, alpha, beta):
-    try:
-        combo = LinearObservable(alpha * a.c_x + beta * b.c_x, alpha * a.c_p + beta * b.c_p)
-    except ParameterError:
-        return  # the linear combination degenerated to the zero observable
-    left = commutator_symplectic(combo, c)
-    right = alpha * commutator_symplectic(a, c) + beta * commutator_symplectic(b, c)
-    # error bound scales with the coefficient magnitudes entering the sums
-    scale = (abs(alpha) * (abs(a.c_x) + abs(a.c_p)) + abs(beta) * (abs(b.c_x) + abs(b.c_p))) * (
-        abs(c.c_x) + abs(c.c_p)
-    )
-    assert abs(left - right) <= 1e-12 * max(scale, 1e-300)
+@given(kind=st.sampled_from(OBSERVABLE_KINDS), a=times, b=times)
+def test_commutator_antisymmetry_exact(kind, a, b):
+    # [A, B] = -[B, A]: the order of two reads does not change the violation
+    params = OscillatorParams(M, W1, 1e4, 0.05)
+    assert is_qnd_sequence(kind, [a, b], params) == is_qnd_sequence(kind, [b, a], params)
 
 
 @settings(max_examples=60)
-@given(a=obs_strategy(), b=obs_strategy(), t=times)
-def test_evolution_preserves_symplectic_form(a, b, t):
+@given(kind=st.sampled_from(OBSERVABLE_KINDS), a=times, b=times, t=times)
+def test_evolution_preserves_symplectic_form(kind, a, b, t):
+    # evolving both reads on by the same t leaves their commutator as it was
     params = OscillatorParams(M, W1, 1e4, 0.05)
-    before = commutator_symplectic(a, b)
-    after = commutator_symplectic(heisenberg_evolve(a, t, params), heisenberg_evolve(b, t, params))
-    scale = max(abs(before), (abs(a.c_x) + abs(a.c_p) * M * W1) * (abs(b.c_x) + abs(b.c_p) * M * W1) / (M * W1))
-    assert abs(after - before) <= 1e-12 * max(scale, 1e-300)
+    before = is_qnd_sequence(kind, [a, b], params).max_violation
+    after = is_qnd_sequence(kind, [a + t, b + t], params).max_violation
+    assert abs(after - before) <= 1e-12 / (M * W1)
 
 
 # --- QND classification ------------------------------------------------------
@@ -145,6 +156,10 @@ def test_position_sequence_quarter_period_fails(params):
     verdict = is_qnd_sequence("x", [0.0, math.pi / (2 * W1)], params)
     assert not verdict.is_qnd
     assert close(verdict.max_violation, 1.0 / (M * W1), rel=1e-12)
+    # the tolerance is relative: a subnormal m w1 puts both the violation
+    # and tol / (m w1) past the double range, and the verdict stands
+    tiny = OscillatorParams(1e-300, 1e-20, 1.0, 1.0)
+    assert not is_qnd_sequence("x", [0.0, math.pi / (2 * 1e-20)], tiny).is_qnd
 
 
 def test_position_sequence_half_period_is_stroboscopic_qnd(params):
@@ -158,22 +173,26 @@ def test_qnd_sequence_needs_two_times(params):
 
 
 def test_resolve_observable_kinds(params):
-    assert resolve_observable("x", 0.5, params) == LinearObservable(1.0, 0.0)
-    assert resolve_observable("p", 0.5, params) == LinearObservable(0.0, 1.0 / (M * W1))
-    rotating = resolve_observable("x1", 0.5, params)
-    assert rotating == quadrature_observable("x1", 0.5, params)
-    with pytest.raises(ParameterError):
-        resolve_observable("energy", 0.0, params)
+    # the QND-check names read as the meter kinds they share a direction with
+    for t in (0.0, 0.5, -3.25):
+        assert measurement_direction("x", t, params) == measurement_direction("position", t, params)
+        assert measurement_direction("x1", t, params) == measurement_direction("qnd_x1", t, params)
+        assert measurement_direction("x2", t, params) == measurement_direction("qnd_x2", t, params)
+    with pytest.raises(ParameterError, match="^unknown meter kind 'energy'$"):
+        is_qnd_sequence("energy", [0.0, 1.0], params)
 
 
 # --- domain validation -------------------------------------------------------
 
 
-def test_observable_rejects_zero_and_nonfinite():
-    with pytest.raises(ParameterError):
-        LinearObservable(0.0, 0.0)
-    with pytest.raises(ParameterError):
-        LinearObservable(math.nan, 1.0)
+def test_observable_rejects_zero_and_nonfinite(params, rng):
+    # every read is a unit direction, never zero, and a non-finite time has none
+    for kind in READS:
+        for t in rng.uniform(-1.0, 1.0, size=20):
+            assert close(math.hypot(*measurement_direction(kind, t, params)), 1.0, rel=1e-15)
+        for t in (math.nan, -math.inf):
+            with pytest.raises(NumericalFailureError):
+                measurement_direction(kind, t, params)
 
 
 @pytest.mark.parametrize("field", ["mass", "omega1", "tau1", "temperature"])
