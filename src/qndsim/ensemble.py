@@ -14,11 +14,12 @@ Riccati recursion of Kalman 1960 is data-free), so every trajectory of a run
 shares them.  The parent sets each config up once, when the config's chunks
 are queued: it makes the ``measurement.SchedulePlan``, whose lead steps are
 the start and the burn-in, and the summary's budget figures eta1 and eta2,
-so a covariance or figure that fails raises before any of its chunks runs.
-A chunk job carries only the master seed, the plan, its trajectory range
-and whether to keep rows; it reads no config.  The plan is dropped after
-the config's summary, which reports the plan's v22 trace; ``analyze`` reads
-the same trace from the record CSV, so both report the same slope.
+so a covariance or figure that fails raises before any of its chunks runs,
+after the summaries of the configs before it.  A chunk job carries only the
+master seed, the plan, its trajectory range and whether to keep rows; it
+reads no config.  The plan is dropped after the config's summary, which
+reports the plan's v22 trace; ``analyze`` reads the same trace from the
+record CSV, so both report the same slope.
 
 A chunk steps only means: ``measurement.step_means``, the one step loop,
 steps a (2, n) array of the chunk's means in place, asking for their
@@ -26,17 +27,18 @@ standard normals a block at a time, in the order its docstring declares.
 ``_ChunkDraws`` fills each block, the plan's ``draws`` a stream in all, by
 one Philox that is given each stream's state in turn (Salmon et al.,
 "Parallel random numbers: as easy as 1, 2, 3", SC'11: a counter-based stream
-is its key and counter), so each trajectory gets the values it would get if
-stepped alone through ``run_schedule``, bit for bit.  The start steps zero
-means by a decay of 0.0, so a start mean is 0.0 + (sd * z), as a Generator
-draws it.  Finiteness is checked once per chunk, before any of its
-rows is rendered.  The chunk keeps each step's outcomes and means only when
-record rows are asked for, so that without them its memory does not grow with
-n_meas.  With them, a chunk run in process hands back its rows unrendered, as
-``format_rows``' blocks, which are rendered as they are written; so the run
-holds one chunk's values and one block's text, never a chunk's text.  A pool
-worker renders its chunk's blocks before it sends them, so that rendering
-stays parallel.
+is its key and counter), so each trajectory gets the values that the scalar
+reference ``measurement.run_schedule`` gives it when stepped alone through
+``thermal_step`` and ``measure``, bit for bit.  ``_run_chunk`` is the
+kernel's one driver.  The start steps zero means by a decay of 0.0, so a
+start mean is 0.0 + (sd * z), as a Generator draws it.  Finiteness is checked
+once per chunk, before any of its rows is rendered.  The chunk keeps each
+step's outcomes and means only when record rows are asked for, so that
+without them its memory does not grow with n_meas.  With them, a chunk run
+in process hands back its rows unrendered, as ``format_rows``' blocks, which
+are rendered as they are written; so the run holds one chunk's values and
+one block's text, never a chunk's text.  A pool worker renders its chunk's
+blocks before it sends them, so that rendering stays parallel.
 
 ``records`` is imported only by a run that keeps rows, and
 ``concurrent.futures`` only when a pool starts, so a rowless run in process
@@ -289,32 +291,16 @@ def ensemble_stats(x1_values, v22_trace, params: OscillatorParams) -> dict:
     return stats
 
 
-def _then_failure(jobs) -> Iterator:
-    """The jobs, then, if making one failed (its config's set-up raised), a
-    future that raises that error."""
-    from concurrent.futures import Future
-
-    try:
-        yield from jobs
-    except (ValueError, ArithmeticError) as error:
-        failed = Future()
-        failed.set_exception(error)
-        yield failed
-
-
 def _in_order(pool, jobs, ahead: int) -> Iterator[tuple[np.ndarray, list[bytes] | None]]:
     """``_run_pooled_chunk`` over ``jobs`` in ``pool``, a process pool,
     yielded in job order, with at most ``ahead`` chunks submitted and not yet
-    yielded.  A job that cannot be made raises in its place, after the chunks
-    before it, as in process."""
-    from concurrent.futures import Future
-
+    yielded."""
     pending: deque = deque()
     try:
-        for job in _then_failure(jobs):
+        for job in jobs:
             if len(pending) == ahead:
                 yield pending.popleft().result()
-            pending.append(job if isinstance(job, Future) else pool.submit(_run_pooled_chunk, *job))
+            pending.append(pool.submit(_run_pooled_chunk, *job))
         while pending:
             yield pending.popleft().result()
     finally:
@@ -352,14 +338,19 @@ def run_ensembles(
     collect_rows = record_path is not None
     size = min(ROWS_CHUNK_SIZE, max(1, ROWS_STEP_BUDGET // configs[0].n_meas)) if collect_rows else CHUNK_SIZE
     starts = [range(0, config.n_traj, size) for config in configs]
-    # (plan, eta1, eta2) of the configs whose chunks are queued, until their summaries
+    # (plan, eta1, eta2) of the configs whose chunks are queued, until their
+    # summaries; or the error of a set-up that failed, after which no job is made
     plans: deque = deque()
 
     def jobs():
         for config, point_starts in zip(configs, starts):
-            plan = _setup(config)
-            budget_point = operating_point(config)
-            plans.append((plan, _eta1(budget_point), _eta2(budget_point)))
+            try:
+                plan = _setup(config)
+                budget_point = operating_point(config)
+                plans.append((plan, _eta1(budget_point), _eta2(budget_point)))
+            except (ValueError, ArithmeticError) as error:
+                plans.append(error)
+                return
             for lo in point_starts:
                 yield config.seed, plan, lo, min(lo + size, config.n_traj), collect_rows
 
@@ -389,6 +380,8 @@ def run_ensembles(
                     if handle is not None:
                         handle.writelines(rows)
                     del rows  # not alive while the next chunk runs or arrives
+                if isinstance(plans[0], Exception):
+                    raise plans[0]
                 plan, eta1, eta2 = plans.popleft()
                 v22_trace = plan.steps["post_v22"].copy()
                 x1s = np.concatenate(x1_parts)

@@ -26,9 +26,9 @@ particular alternative theory.
 
 Meter kinds, their read directions, ``MeterSpec`` and the collapse
 policies' names are declared in ``observables``, beside ``OscillatorParams``.
-``measure``, ``plan_schedule`` and ``run_schedule`` take a policy by its name
-and check it once, raising ParameterError for an unknown one; below them it
-is the ``orthodox`` bool.
+``measure`` and ``plan_schedule`` take a policy by its name and check it,
+raising ParameterError for an unknown one; below them it is the
+``orthodox`` bool.
 
 Covariance, gains, read direction and the outcome's spread depend on no
 outcome: the recursion is data-free (Kalman 1960).  So a step has two halves.
@@ -38,9 +38,11 @@ steps before the first measurement holds an ensemble's start and burn-in,
 and whose ``draws`` counts the normals a schedule takes.  ``step_means``,
 the one array step loop, steps a (2, n) array of means in place; it asks
 for those normals in blocks of whole steps, scales each block once, and
-declares their order in its docstring.  ``run_schedule`` is a plan and that
-kernel on one trajectory or batch, and ``measure`` one measurement built
-from the covariance half and the same arithmetic on scalars.
+declares their order in its docstring; ``ensemble`` is its one driver.
+``measure`` is one measurement built from the covariance half and the same
+arithmetic on scalars, and ``run_schedule`` alternates ``thermal_step`` and
+``measure``: the scalar reference that the kernel's trajectories are checked
+against, bit for bit.  The two share only the covariance half.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .constants import HBAR
-from .dynamics import GaussianQuadState, thermal_relax
+from .dynamics import GaussianQuadState, thermal_relax, thermal_step
 from .errors import NumericalFailureError, ParameterError, StateDomainError
 from .observables import COLLAPSE_POLICIES, MeterSpec, OscillatorParams, measurement_direction
 
@@ -68,12 +70,12 @@ DRAW_BLOCK = 384
 
 @dataclass(slots=True)
 class MeasurementRecord:
-    """One measurement, as ``measure`` and ``run_schedule`` return it: time,
-    outcome, v11 before and after, and the post-measurement v22; the means
-    after it are in the returned state.  For a batch state the outcome is an
-    array over its trajectories.  An ensemble chunk keeps no records: its
-    record CSV rows take time and variances from the config's plan, and
-    outcomes and means from the chunk."""
+    """One measurement, as ``measure`` returns it and ``run_schedule``
+    collects it: time, outcome, v11 before and after, and the
+    post-measurement v22; the means after it are in the returned state.  For
+    a batch state the outcome is an array over its trajectories.  An ensemble
+    chunk keeps no records: its record CSV rows take time and variances from
+    the config's plan, and outcomes and means from the chunk."""
 
     time: float
     outcome: float
@@ -215,10 +217,9 @@ def measure(
     return outcome, post, MeasurementRecord(state.time, outcome, state.v11, post.v11, post.v22)
 
 
-#: One step of a ``SchedulePlan``, 80 bytes: the clock and the variances its
-#: record reports (pre_v11 before the measurement, the rest after it), the
-#: covariance after it, and the read of ``_conditioned``.
-_PLAN_COLUMNS = ("time", "pre_v11", "post_v11", "post_v22", "post_v12", "u1", "u2", "outcome_sd", "k1", "k2")
+#: One step of a ``SchedulePlan``, 64 bytes: the clock and the variances a
+#: record row reports after the measurement, and the read of ``_conditioned``.
+_PLAN_COLUMNS = ("time", "post_v11", "post_v22", "u1", "u2", "outcome_sd", "k1", "k2")
 PLAN_STEP = np.dtype([(name, np.float64) for name in _PLAN_COLUMNS])
 
 
@@ -280,7 +281,7 @@ def step_means(
     """
     # (u1, u2) and (k1, k2) of each step, as (2, 1) columns of the plan's table
     table = plan.steps.view(np.float64).reshape(len(plan.steps), len(_PLAN_COLUMNS), 1)
-    reads, gains, outcome_sds = table[:, 5:7], table[:, 8:10], plan.steps["outcome_sd"]
+    reads, gains, outcome_sds = table[:, 3:5], table[:, 6:8], plan.steps["outcome_sd"]
     mu, y, product = np.empty_like(means[0]), np.empty_like(means[0]), np.empty_like(means)
     orthodox, decay, lead = plan.orthodox, plan.decay, plan.lead
     width = 3 if orthodox else 5
@@ -343,9 +344,8 @@ def plan_schedule(
     steps = np.empty(n_meas, dtype=PLAN_STEP)
     for step in range(n_meas):
         decay, kick_sd, state = thermal_relax(state, dt, params)
-        pre_v11 = state.v11
         read, state = _conditioned(state, meter, orthodox, params)
-        steps[step] = (state.time, pre_v11, state.v11, state.v22, state.v12, *read)
+        steps[step] = (state.time, state.v11, state.v22, *read)
     return SchedulePlan(orthodox, backaction_sigma(meter, params), decay, kick_sd, steps)
 
 
@@ -358,24 +358,19 @@ def run_schedule(
     n_meas: int,
     rng: np.random.Generator,
 ) -> tuple[list[MeasurementRecord], GaussianQuadState]:
-    """Alternate thermal_step(dt) and measure, n_meas times, and return
-    (every step's record, final state).
+    """Alternate ``thermal_step`` over dt and ``measure``, n_meas times, and
+    return (every step's record, final state).
 
-    The covariance is planned by ``plan_schedule`` and the means are stepped
-    through the plan by ``step_means``, with the normals of one
-    ``rng.standard_normal`` call, which are those the scalar steps draw, in
-    their order; every value equals that of ``thermal_step`` and ``measure``
-    composed by hand, bit for bit.  Float means give float outcomes and
-    means, and array means arrays.
+    This is the scalar reference that the ensemble's chunks are checked
+    against: it shares the covariance half (``thermal_relax`` and
+    ``_conditioned``) with ``plan_schedule``, but steps the means by the
+    scalar arithmetic and draws of ``thermal_step`` and ``measure``.  Float
+    means give float outcomes and means, and array means arrays.
     """
-    plan = plan_schedule(initial, meter, policy, params, dt, n_meas)
-    means = np.array([initial.mean1, initial.mean2], dtype=np.float64).reshape(2, -1)
-    values = np.empty((n_meas, 3, means.shape[1]))
-    step_means(plan, means, lambda k: rng.standard_normal((k, means.shape[1])), values)
-    if np.ndim(initial.mean1) == 0:
-        values, means = values[..., 0].tolist(), means[:, 0].tolist()
-    rows = plan.steps[["time", "pre_v11", "post_v11", "post_v22", "post_v12"]].tolist()
-    records = []
-    for (time, pre_v11, v11, v22, v12), (outcome, _, _) in zip(rows, values):
-        records.append(MeasurementRecord(time, outcome, pre_v11, v11, v22))
-    return records, GaussianQuadState(means[0], means[1], v11, v22, v12, time)
+    if n_meas < 1:
+        raise ParameterError(f"schedule requires n_meas >= 1, got {n_meas!r}")
+    state, records = initial, []
+    for _ in range(n_meas):
+        _, state, record = measure(thermal_step(state, dt, params, rng), meter, policy, params, rng)
+        records.append(record)
+    return records, state

@@ -45,8 +45,13 @@ final mean_x1 of every trajectory and the var_x2 trace of trajectory 0.
 Every trajectory of a run has the plan's var_x2 trace, since the covariance
 recursion needs no outcomes, so the reader requires each row's var_x2 to
 equal trajectory 0's at that step; that trace is the one ``simulate``
-reports.  The reader rejects any file that a run could not have written,
-naming the path and line.
+reports.  The reader checks the layout and the fields ``analyze`` uses, and
+names the path and line of the first row that fails: eight fields a row,
+integer ids and steps in the order above, the same n_meas for every
+trajectory, a finite mean_x1_m and var_x2_m2, and each var_x2_m2 equal to
+trajectory 0's at that step.  It does not parse time_s, outcome_m,
+mean_x2_m or var_x1_m2, so a value there that no run writes (text, nan, a
+negative variance) goes unnoticed.
 
 The reader has one per-line loop, ``_scan_lines``, which is the only code
 that accepts a row numpy did not vouch for and the only code that raises.
@@ -372,7 +377,7 @@ def _scan_lines(path, lines, lineno, x1, trace, traj, step) -> tuple[int, int, i
 
     Appends to ``x1`` and ``trace`` in place and returns the new (lineno,
     traj, step); raises ConfigError with ``path:line`` at the first row that
-    a run could not have written there.
+    fails the checks of the module docstring.
     """
     isfinite = math.isfinite  # once per row: a local name is looked up faster
     for lineno, line in enumerate(lines, start=lineno + 1):

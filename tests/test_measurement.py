@@ -357,24 +357,23 @@ def test_schedule_base_case_matches_manual_composition(params):
 
 
 def test_schedule_on_batch_means_matches_manual_composition(params):
-    # every record and the final state of a batch, as composed by hand
+    # the step kernel on a batch, step by step against run_schedule, which
+    # composes thermal_step and measure by hand: every outcome, the plan's
+    # clock and variances, and the final means
     meter = MeterSpec("qnd_x1", 1e-18)
     state = GaussianQuadState(np.array([1e-15, -2e-15]), np.zeros(2), VINF, VINF, 0.0)
     key = np.array([5, 6], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
     records, final = run_schedule(state, meter, "no_conditioning", params, 1e-2, 4, rng)
     assert len(records) == 4
+    plan = plan_schedule(state, meter, "no_conditioning", params, 1e-2, 4)
+    means, values = np.array([state.mean1, state.mean2]), np.empty((4, 3, 2))
     rng = np.random.Generator(np.random.Philox(key=key))
-    manual = state
-    for record in records:
-        manual = thermal_step(manual, 1e-2, params, rng)
-        _, manual, manual_record = measure(manual, meter, "no_conditioning", params, rng)
-        assert record.outcome.tobytes() == manual_record.outcome.tobytes()
-        assert (record.time, record.pre_v11, record.post_v11, record.post_v22) == (
-            manual_record.time, manual_record.pre_v11, manual_record.post_v11, manual_record.post_v22
-        )
-    assert (final.v11, final.v22, final.v12, final.time) == (manual.v11, manual.v22, manual.v12, manual.time)
-    assert final.mean1.tobytes() == manual.mean1.tobytes() and final.mean2.tobytes() == manual.mean2.tobytes()
+    step_means(plan, means, lambda k: rng.standard_normal((k, 2)), values)
+    for record, row, (outcome, _, _) in zip(records, plan.steps.tolist(), values):
+        assert record.outcome.tobytes() == outcome.tobytes()
+        assert (record.time, record.post_v11, record.post_v22) == row[:3]
+    assert final.mean1.tobytes() == means[0].tobytes() and final.mean2.tobytes() == means[1].tobytes()
 
 
 @pytest.mark.parametrize("kind", METER_KINDS)
@@ -396,13 +395,13 @@ def test_plan_equals_the_steps_composed_by_hand(kind, policy, params):
     manual = thermal_step(state, 0.5, params, rng)
     for row, (outcome, mean1, mean2) in zip(plan.steps.tolist(), stepped):
         manual = thermal_step(manual, 1e-3, params, rng)
-        pre_v11 = manual.v11
         manual_outcome, manual, _ = measure(manual, meter, policy, params, rng)
-        assert row[:5] == (manual.time, pre_v11, manual.v11, manual.v22, manual.v12)
+        assert row[:3] == (manual.time, manual.v11, manual.v22)
+        assert row[3:5] == measurement_direction(kind, manual.time, params)
         assert (outcome, mean1, mean2) == (manual_outcome, manual.mean1, manual.mean2)
 
 
-def test_plan_holds_at_most_80_bytes_a_step(params):
+def test_plan_holds_at_most_64_bytes_a_step(params):
     def traced_bytes(n_meas):
         start = GaussianQuadState(0.0, 0.0, VINF, VINF)
         tracemalloc.start()
@@ -416,9 +415,9 @@ def test_plan_holds_at_most_80_bytes_a_step(params):
     # Python's free lists move the traced total by a few hundred bytes from
     # call to call; 1 KB of slack is far below the 18 KB that one more 8-byte
     # value per step would add
-    assert PLAN_STEP.itemsize == 80
+    assert PLAN_STEP.itemsize == 64
     small = traced_bytes(768)
-    assert traced_bytes(3072) - small <= 80 * (3072 - 768) + 1024
+    assert traced_bytes(3072) - small <= 64 * (3072 - 768) + 1024
 
 
 def test_schedule_kalman_contraction_law(rng):
@@ -452,6 +451,39 @@ def test_position_meter_heats_monitored_quadrature(rng):
     deltas = np.array([r.post_v11 - r.pre_v11 for r in records])
     assert deltas.mean() > 0.0
     assert final.v11 > 10 * 1e-40
+
+
+def qnd_x1_plan(n_meas):
+    """The plan of an orthodox qnd_x1 schedule of n_meas steps of 1e-2 s from
+    V_inf, under a negligible bath, and the square of its meter's sigma_m
+    and sigma_ba."""
+    params, meter = negligible_bath(), MeterSpec("qnd_x1", 1e-18)
+    plan = plan_schedule(GaussianQuadState(0.0, 0.0, VINF, VINF, 0.0), meter, "orthodox", params, 1e-2, n_meas)
+    return plan, meter.sigma_m**2, backaction_sigma(meter, params) ** 2
+
+
+def test_plan_kalman_contraction_law():
+    # the engine's own covariance, as the ensemble steps it, under the law
+    # that test_schedule_kalman_contraction_law checks on the reference
+    plan, s2, _ = qnd_x1_plan(40)
+    for k, v11 in enumerate(plan.steps["post_v11"].tolist(), start=1):
+        assert math.isclose(v11, VINF * s2 / (s2 + k * VINF), rel_tol=1e-9)
+
+
+def test_plan_linear_heating_law():
+    plan, _, sba2 = qnd_x1_plan(40)
+    for k, v22 in enumerate(plan.steps["post_v22"].tolist(), start=1):
+        assert math.isclose(v22, VINF + k * sba2, rel_tol=1e-9)
+
+
+def test_plan_position_meter_heats_monitored_quadrature():
+    # the back-action of each read leaks into X1 as the read direction turns,
+    # so the X1 variance grows at every step of this schedule
+    start = GaussianQuadState(0.0, 0.0, 1e-40, 1e-40, 0.0)
+    plan = plan_schedule(start, MeterSpec("position", 1e-16), "orthodox", negligible_bath(), 2e-4, 60)
+    v11 = np.concatenate(([start.v11], plan.steps["post_v11"]))
+    assert (np.diff(v11) > 0.0).all()
+    assert v11[-1] > 10 * 1e-40
 
 
 def test_schedule_argument_validation(params, rng):
