@@ -9,8 +9,9 @@ boundaries and the pool are both exercised: the ``pooled`` fixture lets
 these small runs start a pool of two at two workers, which each such case
 checks.  A run without rows steps wider chunks and must write the same
 summary, and the bytes must not depend on the chunk sizes or the draw block
-either.  The command digests pin what ``budget`` prints and writes, and a
-small pooled ``sweep`` CSV.
+either.  The command digests pin what ``budget`` prints and writes, a small
+pooled ``sweep`` CSV, and the JSON and histogram CSV that ``analyze`` makes
+of a golden record CSV.
 """
 
 import hashlib
@@ -183,3 +184,23 @@ def test_command_outputs_match_digests(command, tmp_path, capsys, pooled):
     data = out.encode() if out_name is None else (tmp_path / out_name).read_bytes()
     assert sha256(data) == digest
     assert pooled == ([2] if argv[0] == "sweep" else [])
+
+
+# sha256 of analyze's --out JSON and --histogram CSV, read from the record CSV
+# of the orthodox_qnd_x1 golden run
+ANALYZE_DIGESTS = (
+    "0611a487ab898b9d08eb09425dd6509e092a2b91b8640d8ea173a510e17cd217",
+    "9b8c64086dd5d75b460d058c2080f51dfe2a2f1bcf06ef2630adcfa30b1203cb",
+)
+
+
+def test_analyze_outputs_match_digests(tmp_path, capsys):
+    (tmp_path / "run.cfg").write_text(format_config(golden_config("orthodox_qnd_x1")))
+    config, records = str(tmp_path / "run.cfg"), str(tmp_path / "records.csv")
+    assert main(["simulate", "--config", config, "--records", records]) == 0
+    assert sha256((tmp_path / "records.csv").read_bytes()) == GOLDEN["orthodox_qnd_x1"][2]
+    assert main(["analyze", "--records", records, "--config", config, "--out", str(tmp_path / "analysis.json"),
+                 "--histogram", str(tmp_path / "hist.csv")]) == 0
+    capsys.readouterr()
+    assert (sha256((tmp_path / "analysis.json").read_bytes()), sha256((tmp_path / "hist.csv").read_bytes())) \
+        == ANALYZE_DIGESTS
