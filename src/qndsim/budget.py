@@ -8,14 +8,14 @@ The amplifier figure eta_a is a pass-through input (no formula exists for
 it here), and the zero-point displacement sqrt(hbar / m w) shows why small
 test masses enlarge the quantum floor.  ``budget_figures`` makes all five
 figures of one operating point; a figure that is not finite raises
-NumericalFailureError rather than report inf.
+NumericalFailureError rather than report inf.  The module formats no text:
+the ``budget`` command spells the figures.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Iterable
 
 from .config import RunConfig
 from .constants import HBAR, KB
@@ -88,20 +88,3 @@ def budget_figures(inputs: BudgetInputs) -> dict[str, float]:
     }
     return {name: require_finite(name, value) for name, value in figures.items()}
 
-
-#: Column order of the budget CSV emitted by the harness; the last four are
-#: figure names.
-BUDGET_CSV_COLUMNS = ("T_K", "omega1", "tau1", "omega2", "tau2", "dt_s", "eta1", "eta2", "eta_a", "x_zp_m")
-
-
-def budget_csv_rows(rows: Iterable[tuple[BudgetInputs, dict[str, float]]]) -> list[str]:
-    """Header plus one formatted row per (point, figures) pair, in the given
-    order."""
-    lines = [",".join(BUDGET_CSV_COLUMNS)]
-    for inputs, figures in rows:
-        values = (
-            inputs.temperature, inputs.omega1, inputs.tau1, inputs.omega2, inputs.tau2, inputs.dt,
-            *(figures[name] for name in BUDGET_CSV_COLUMNS[6:]),
-        )
-        lines.append(",".join(f"{v:.17g}" for v in values))
-    return lines

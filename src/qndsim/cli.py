@@ -2,8 +2,10 @@
 
 Subcommands: ``budget`` (noise-quanta tables), ``qnd-check`` (self-commutation
 verdicts), ``simulate`` (ensemble run from a config file), ``sweep`` (grid of
-runs), ``analyze`` (re-run statistics on an existing record CSV).  Exit codes:
-0 success, 1 configuration/usage errors, 2 numerical failure.
+runs), ``analyze`` (re-run statistics on an existing record CSV).  The CSVs of
+``budget``, ``sweep`` and ``analyze --histogram`` spell a float as %.17g and a
+missing figure as nan.  Exit codes: 0 success, 1 configuration/usage errors,
+2 numerical failure.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from contextlib import contextmanager, suppress
 from dataclasses import replace
 from itertools import product
 
-from .budget import budget_csv_rows, budget_figures, operating_point
+from .budget import budget_figures, operating_point
 from .config import CONFIG_KEYS, convert_config_value, default_config, load_config
 from .ensemble import SUMMARY_STATS, ensemble_stats, run_ensemble, run_ensembles
 from .errors import (
@@ -42,6 +44,10 @@ _BUDGET_FLAGS = (
     ("eta_a", "amplifier_quanta"),
     ("mass", "mass"),
 )
+# budget CSV columns: BudgetInputs field -> header name, then figure names
+_BUDGET_POINT_COLUMNS = {"temperature": "T_K", "omega1": "omega1", "tau1": "tau1", "omega2": "omega2", "tau2": "tau2",
+                         "dt": "dt_s"}
+_BUDGET_FIGURE_COLUMNS = ("eta1", "eta2", "eta_a", "x_zp_m")
 
 
 class _UsageError(Exception):
@@ -169,7 +175,9 @@ def _cmd_budget(args) -> int:
     with _outputs(args.out):
         # _grid is lazy: a point is checked after the figures of the points before it
         rows = [(point, budget_figures(point)) for point in _grid(base, axes)]
-        lines = budget_csv_rows(rows)
+        cells = ([getattr(point, field) for field in _BUDGET_POINT_COLUMNS]
+                 + [figures[name] for name in _BUDGET_FIGURE_COLUMNS] for point, figures in rows)
+        lines = _csv_lines([*_BUDGET_POINT_COLUMNS.values(), *_BUDGET_FIGURE_COLUMNS], cells)
         if args.out is not None:
             _write(args.out, lines)
     if len(rows) == 1:
@@ -222,12 +230,10 @@ def _cmd_sweep(args) -> int:
             raise ConfigError(f"--vary {key} needs at least one value")
         axes[key] = values
     points = list(_grid(base, axes))  # the base alone when nothing varies
-    lines = [",".join([*axes, *SUMMARY_STATS])]
     with _outputs(args.out):
-        for summary in run_ensembles(points, workers=args.workers):
-            cells = [_format_cell(getattr(summary.config, key)) for key in axes]
-            cells += [_format_cell(getattr(summary, name)) for name in SUMMARY_STATS]
-            lines.append(",".join(cells))
+        rows = ([getattr(summary.config, key) for key in axes] + [getattr(summary, name) for name in SUMMARY_STATS]
+                for summary in run_ensembles(points, workers=args.workers))
+        lines = _csv_lines([*axes, *SUMMARY_STATS], rows)
         if args.out is not None:
             _write(args.out, lines)
     if args.out is None:
@@ -250,6 +256,12 @@ def _format_cell(value) -> str:
     return str(value)
 
 
+def _csv_lines(header, rows) -> list[str]:
+    """The header line, then one line per row of cells, each spelled by
+    ``_format_cell``: every CSV that a command writes."""
+    return [",".join(header), *(",".join(map(_format_cell, row)) for row in rows)]
+
+
 def _cmd_analyze(args) -> int:
     if not (0.0 < args.alpha < 1.0):
         raise _UsageError(f"--alpha must lie in (0, 1), got {args.alpha!r}")
@@ -263,10 +275,8 @@ def _cmd_analyze(args) -> int:
         text = json.dumps({"n_traj": len(x1), "n_meas": len(v22_trace), **stats, "alpha": args.alpha})
         if args.histogram is not None:
             hist = energy_histogram(SampleSeries(x1), config.oscillator(), args.bins)
-            bins = zip(hist.bin_edges, hist.bin_edges[1:], hist.counts, hist.model_density)
-            lines = ["e_lo_J,e_hi_J,count,model_density_per_J"]
-            lines += [f"{lo:.17g},{hi:.17g},{int(count)},{density:.17g}" for lo, hi, count, density in bins]
-            _write(args.histogram, lines)
+            _write(args.histogram, _csv_lines(["e_lo_J", "e_hi_J", "count", "model_density_per_J"],
+                                              zip(hist.bin_edges, hist.bin_edges[1:], hist.counts, hist.model_density)))
         if args.out is not None:
             _write(args.out, [text])
     print(text)

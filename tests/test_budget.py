@@ -3,7 +3,7 @@ import math
 import pytest
 
 from qndsim import HBAR, KB, BudgetInputs, ParameterError, budget_figures, eta1, eta2
-from qndsim.budget import BUDGET_CSV_COLUMNS, budget_csv_rows
+from qndsim.cli import main
 
 
 def paper_point(**overrides):
@@ -86,12 +86,13 @@ def test_report_consistency():
     assert budget_figures(paper_point()) == figures  # pure function, identical bits
 
 
-def test_csv_rows_shape():
-    points = [paper_point(temperature=0.05), paper_point(temperature=0.1)]
-    lines = budget_csv_rows([(point, budget_figures(point)) for point in points])
-    assert lines[0] == ",".join(BUDGET_CSV_COLUMNS)
-    assert len(lines) == 3
-    assert all(len(line.split(",")) == len(BUDGET_CSV_COLUMNS) for line in lines)
+def test_csv_rows_shape(tmp_path):
+    path = tmp_path / "budget.csv"
+    assert main(["budget", "--T", "0.05,0.1", "--out", str(path)]) == 0
+    header, *rows = path.read_text().splitlines()
+    assert header == "T_K,omega1,tau1,omega2,tau2,dt_s,eta1,eta2,eta_a,x_zp_m"
+    assert len(rows) == 2
+    assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
 
 
 def test_inputs_validation():
