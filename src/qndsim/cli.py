@@ -44,10 +44,10 @@ _BUDGET_FLAGS = (
     ("eta_a", "amplifier_quanta"),
     ("mass", "mass"),
 )
-# budget CSV columns: BudgetInputs field -> header name, then figure names
+# the budget CSV's point columns, BudgetInputs field -> header name; the
+# figure columns follow under budget_figures' names (eta_a among them)
 _BUDGET_POINT_COLUMNS = {"temperature": "T_K", "omega1": "omega1", "tau1": "tau1", "omega2": "omega2", "tau2": "tau2",
-                         "dt": "dt_s"}
-_BUDGET_FIGURE_COLUMNS = ("eta1", "eta2", "eta_a", "x_zp_m")
+                         "dt": "dt_s", "mass": "mass_kg"}
 
 
 class _UsageError(Exception):
@@ -175,9 +175,9 @@ def _cmd_budget(args) -> int:
     with _outputs(args.out):
         # _grid is lazy: a point is checked after the figures of the points before it
         rows = [(point, budget_figures(point)) for point in _grid(base, axes)]
-        cells = ([getattr(point, field) for field in _BUDGET_POINT_COLUMNS]
-                 + [figures[name] for name in _BUDGET_FIGURE_COLUMNS] for point, figures in rows)
-        lines = _csv_lines([*_BUDGET_POINT_COLUMNS.values(), *_BUDGET_FIGURE_COLUMNS], cells)
+        cells = ([getattr(point, field) for field in _BUDGET_POINT_COLUMNS] + list(figures.values())
+                 for point, figures in rows)
+        lines = _csv_lines([*_BUDGET_POINT_COLUMNS.values(), *rows[0][1]], cells)
         if args.out is not None:
             _write(args.out, lines)
     if len(rows) == 1:

@@ -90,7 +90,7 @@ def test_csv_rows_shape(tmp_path):
     path = tmp_path / "budget.csv"
     assert main(["budget", "--T", "0.05,0.1", "--out", str(path)]) == 0
     header, *rows = path.read_text().splitlines()
-    assert header == "T_K,omega1,tau1,omega2,tau2,dt_s,eta1,eta2,eta_a,x_zp_m"
+    assert header == "T_K,omega1,tau1,omega2,tau2,dt_s,mass_kg,eta1,eta2,eta_a,delta_e_br_J,x_zp_m"
     assert len(rows) == 2
     assert all(len(row.split(",")) == len(header.split(",")) for row in rows)
 

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qndsim import default_config, format_config, records, run_ensemble
+from qndsim import budget_figures, default_config, format_config, records, run_ensemble
+from qndsim.budget import operating_point
 from qndsim.cli import main
 from qndsim.errors import ConfigError, ParameterError
 from qndsim.records import RECORD_CSV_HEADER
@@ -39,11 +40,23 @@ def test_budget_grid_csv(capsys, tmp_path):
     code = main(["budget", "--T", "0.05,0.1", "--tau1", "1e3,1e4", "--omega2", "1e7,1e8", "--out", str(out_path)])
     assert code == 0
     lines = out_path.read_text().splitlines()
-    assert lines[0] == "T_K,omega1,tau1,omega2,tau2,dt_s,eta1,eta2,eta_a,x_zp_m"
+    assert lines[0] == "T_K,omega1,tau1,omega2,tau2,dt_s,mass_kg,eta1,eta2,eta_a,delta_e_br_J,x_zp_m"
     assert len(lines) == 9
     # row-major in flag order: T, then tau1, then omega2
     grid = [tuple(float(cell) for cell in (row[0], row[2], row[3])) for row in (line.split(",") for line in lines[1:])]
     assert grid == [(t, tau1, omega2) for t in (0.05, 0.1) for tau1 in (1e3, 1e4) for omega2 in (1e7, 1e8)]
+
+
+def test_budget_mass_sweep_rows_name_their_mass(capsys):
+    # the rows of a --mass sweep differ in the mass, which its column names,
+    # and every figure of the single-point print has a column
+    assert main(["budget", "--mass", "1e-6,1e-3"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    rows = [dict(zip(header.split(","), map(float, row.split(",")))) for row in rows]
+    assert [row["mass_kg"] for row in rows] == [1e-6, 1e-3]
+    for row in rows:
+        figures = budget_figures(replace(operating_point(default_config()), mass=row["mass_kg"]))
+        assert {name: row[name] for name in figures} == figures
 
 
 def test_budget_defaults_match_the_run_summary(tmp_path, capsys):

@@ -154,12 +154,12 @@ COMMAND_DIGESTS = {
     "budget_corners": (
         ["budget", "--T", "0.05,0.1", "--tau1", "1e3,1e4", "--omega2", "1e7,1e8"],
         "budget.csv",
-        "f0a3e3bb9191a5f0c2848f3f88c289f7fab37f92ef4010a6cb677a20bc606704",
+        "2aac2f76efd8d20b529c6478336e9636d76a1649ce0fddb1f464e2f96986c403",
     ),
     "budget_mass_grid": (
         ["budget", "--eta-a", "2,3", "--mass", "1e-6"],
         None,
-        "7ea22dc180cfa3448a73583d5988b7d370ec21d366b93afc23e7967aece55f90",
+        "3212be2ac9ff78210195fa9de5f9c67b06039fc1bd44048d6d0dbb2a728d6a9a",
     ),
     "sweep_policy_n_traj": (
         ["sweep", "--vary", "collapse_policy=orthodox,no_conditioning", "--vary", "n_traj=150,200",
