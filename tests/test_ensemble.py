@@ -12,7 +12,6 @@ from qndsim import (
     NumericalFailureError,
     ParameterError,
     default_config,
-    measure,
     run_ensemble,
     run_schedule,
     thermal_step,
@@ -115,30 +114,24 @@ def replay_start(config, index):
 @pytest.mark.parametrize("branch", list(REPLAY_BRANCHES))
 def test_trajectory_replays_through_public_schedule(branch, tmp_path):
     # each trajectory of a batched chunk gets exactly the draws of its own
-    # stream, in the order the scalar step and run_schedule consume them
+    # stream, in the order the scalar reference run_schedule consumes them,
+    # replayed one step at a time so that each row meets the means after it
     config = small_config(**{"n_traj": 3, "n_meas": 5, **REPLAY_BRANCHES[branch]})
     path = tmp_path / "records.csv"
     summary = run_ensemble(config, record_path=str(path))
     rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
     params, meter, policy = config.oscillator(), config.meter(), config.collapse_policy
     for index in range(config.n_traj):
-        rng, start = replay_start(config, index)
-        schedule_draws = rng.bit_generator.state
-        scheduled, final = run_schedule(start, meter, policy, params, config.dt_s, config.n_meas, rng)
-
-        rng.bit_generator.state = schedule_draws  # the same draws, one step at a time
-        state, expected = start, []
+        rng, state = replay_start(config, index)
+        expected = []
         for step in range(1, config.n_meas + 1):
-            state = thermal_step(state, config.dt_s, params, rng)
-            outcome, state, _ = measure(state, meter, policy, params, rng)
-            expected.append([index, step, state.time, outcome, state.mean1, state.mean2, state.v11, state.v22])
+            (record,), state = run_schedule(state, meter, policy, params, config.dt_s, 1, rng)
+            expected.append([index, step, record.time, record.outcome, state.mean1, state.mean2, record.post_v11,
+                             record.post_v22])
         assert rows[index * config.n_meas:(index + 1) * config.n_meas] == expected
-        assert [[r[2], r[3], r[6], r[7]] for r in expected] == [
-            [r.time, r.outcome, r.post_v11, r.post_v22] for r in scheduled
-        ]
-        assert final.mean1 == summary.series_x1[index]
+        assert state.mean1 == summary.series_x1[index]
         # the summary reports the trace that every trajectory shares, as is
-        assert summary.v22_trace.tobytes() == np.array([r.post_v22 for r in scheduled]).tobytes()
+        assert summary.v22_trace.tobytes() == np.array([row[7] for row in expected]).tobytes()
 
 
 @pytest.mark.parametrize("branch", ["long_schedule", "no_conditioning", "burn_in"])
