@@ -194,13 +194,12 @@ ANALYZE_DIGESTS = (
 )
 
 
-def test_analyze_outputs_match_digests(tmp_path, capsys):
+def test_analyze_outputs_match_digests(tmp_path):
     (tmp_path / "run.cfg").write_text(format_config(golden_config("orthodox_qnd_x1")))
     config, records = str(tmp_path / "run.cfg"), str(tmp_path / "records.csv")
     assert main(["simulate", "--config", config, "--records", records]) == 0
     assert sha256((tmp_path / "records.csv").read_bytes()) == GOLDEN["orthodox_qnd_x1"][2]
     assert main(["analyze", "--records", records, "--config", config, "--out", str(tmp_path / "analysis.json"),
                  "--histogram", str(tmp_path / "hist.csv")]) == 0
-    capsys.readouterr()
     assert (sha256((tmp_path / "analysis.json").read_bytes()), sha256((tmp_path / "hist.csv").read_bytes())) \
         == ANALYZE_DIGESTS
