@@ -11,11 +11,17 @@ checks.  A run without rows steps wider chunks and must write the same
 summary, and the bytes must not depend on the chunk sizes or the draw block
 either.  The command digests pin what ``budget`` prints and writes, a small
 pooled ``sweep`` CSV, and the JSON and histogram CSV that ``analyze`` makes
-of a golden record CSV.
+of a golden record CSV.  A summary must also be the same bytes whichever
+kernel the BLAS library picks for the CPU.
 """
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +37,7 @@ from qndsim import (
 )
 from qndsim.cli import main
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 # variant: (config overrides, sha256 of summary JSON, sha256 of record CSV)
 GOLDEN = {
     "orthodox_qnd_x1": (
@@ -203,3 +210,33 @@ def test_analyze_outputs_match_digests(tmp_path):
                  "--histogram", str(tmp_path / "hist.csv")]) == 0
     assert (sha256((tmp_path / "analysis.json").read_bytes()), sha256((tmp_path / "hist.csv").read_bytes())) \
         == ANALYZE_DIGESTS
+
+
+def _openblas_picks_its_kernel():
+    """Whether numpy's BLAS is an x86_64 OpenBLAS built with DYNAMIC_ARCH,
+    whose kernel OPENBLAS_CORETYPE then chooses."""
+    if platform.machine() not in ("x86_64", "AMD64"):
+        return False
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy before 1.26 only prints its config
+        return False
+    return "openblas" in blas.get("name", "") and "DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+
+
+@pytest.mark.skipif(not _openblas_picks_its_kernel(), reason="needs x86_64 OpenBLAS built with DYNAMIC_ARCH")
+@pytest.mark.parametrize("variant", ["qnd_x2", "quantum_burn_in"])
+def test_summary_does_not_depend_on_the_blas_kernel(variant, tmp_path):
+    cfg_path = tmp_path / "run.cfg"
+    cfg_path.write_text(format_config(golden_config(variant)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    summaries = []
+    for coretype in ("Haswell", "Prescott"):
+        out_path = tmp_path / f"{coretype}.json"
+        done = subprocess.run([sys.executable, "-m", "qndsim", "simulate", "--config", str(cfg_path), "--out",
+                               str(out_path)], env={**env, "OPENBLAS_CORETYPE": coretype}, capture_output=True,
+                              text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        summaries.append(out_path.read_bytes())
+    assert summaries[0] == summaries[1]
