@@ -26,7 +26,9 @@ one-replica build; anything else is rebuilt and replaced.  A cache that
 cannot be read or written is skipped, so the cache never changes a result.
 
 ``heating_slope`` quantifies back-action on the demolished quadrature as the
-least-squares growth rate of v22 versus measurement count.
+least-squares growth rate of v22 versus measurement count.  It is an exact
+closed-form sum, with no BLAS or LAPACK routine, so its bytes are the same
+on any CPU.
 
 ``boltzmann_verdict`` flags a run when the KS test rejects or when the
 temperature pull exceeds 5.  Against linear-Gaussian alternatives, such as
@@ -62,6 +64,9 @@ _TABLE_STREAM_KEY = 0x6B735F6C696C6C69
 
 #: Normals drawn per block of a table build.
 _BLOCK_VALUES = 1 << 16
+
+#: Veltkamp's constant 2**27 + 1: splits a double into two 26-bit halves.
+_SPLIT = 134217729.0
 
 _null_tables: dict[tuple[int, int], np.ndarray] = {}
 
@@ -315,15 +320,42 @@ def boltzmann_verdict(p_value: float, t1_hat: float, t1_stderr: float, temperatu
     return p_value < alpha or pull > 5.0, pull
 
 
+def _halves(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Veltkamp's split: (head, tail) with head + tail == a exactly and 26
+    significant bits each, unless a * _SPLIT overflows (then nan)."""
+    t = a * _SPLIT
+    head = t - (t - a)
+    return head, a - head
+
+
 def heating_slope(var_x2_by_step) -> float:
     """Least-squares growth of v22 per measurement; one that overflows
-    raises NumericalFailureError."""
+    raises NumericalFailureError.
+
+    Over the centred step index c_i = i - (n - 1)/2 the slope is
+    sum(c_i y_i) / (n (n^2 - 1) / 12).  Each product c_i y_i comes with its
+    rounding error, from Dekker's two-product on Veltkamp halves (Dekker
+    1971), and one ``math.fsum`` adds them all exactly, so the numerator is
+    correctly rounded in any order of the steps and the slope lies within
+    2 ulp of the exact one.  No BLAS or LAPACK routine runs: the bytes are
+    the same on any CPU."""
     trace = np.asarray(var_x2_by_step, dtype=np.float64)
-    if trace.ndim != 1 or len(trace) < 5:
+    n = len(trace)
+    if trace.ndim != 1 or n < 5:
         raise InsufficientDataError(f"need >= 5 variance points, got shape {trace.shape}")
     if not np.isfinite(trace).all():
         raise ParameterError("the v22 trace must be finite")
-    return require_finite("the v22 heating slope", float(np.polyfit(np.arange(len(trace)), trace, 1)[0]))
+    c = np.arange(n) - (n - 1) / 2
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in inf or nan, which is named
+        products = c * trace
+        c_head, c_tail = _halves(c)
+        y_head, y_tail = _halves(trace)
+        errors = c_head * y_head - products + c_head * y_tail + c_tail * y_head + c_tail * y_tail
+    try:
+        numerator = math.fsum(products.tolist() + errors.tolist())
+    except (OverflowError, ValueError):  # a partial sum past the double range
+        numerator = math.nan
+    return require_finite("the v22 heating slope", numerator / (n * (n * n - 1) / 12))
 
 
 def energy_histogram(series: SampleSeries, params: OscillatorParams, n_bins: int) -> EnergyHistogram:

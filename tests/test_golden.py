@@ -2,7 +2,7 @@
 
 The record CSV digests were produced by the engine before the batched chunk
 kernel replaced the per-trajectory loop, and the summary digests when the
-shared v22 trace replaced the mean of its per-trajectory copies; any change
+heating slope became an exact sum instead of a LAPACK fit; any change
 to them is a change of output bytes and must be named in CHANGES.md.  300
 trajectories give three chunks of rows, the last one partial, so chunk
 boundaries and the pool are both exercised: the ``pooled`` fixture lets
@@ -38,21 +38,22 @@ from qndsim import (
 from qndsim.cli import main
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
 # variant: (config overrides, sha256 of summary JSON, sha256 of record CSV)
 GOLDEN = {
     "orthodox_qnd_x1": (
         {},
-        "0f89c3ebbd516779261e551551461daa7a61b12ed171ce02a0b965430ee8757a",
+        "3e3b2ee23bfce37b47cb2203af858c60a525848cdad0fcca3ae851d099187252",
         "38e2005d9d4a5e24bbeb889de6f8744b3da435d3b81d3855ad0fec454a175462",
     ),
     "no_conditioning": (
         {"collapse_policy": "no_conditioning"},
-        "3c9313dab02ad0b28a19b1a7bfa95645d8275060c366a4d4bd565dcd0b3910a3",
+        "b2536ea89f51b116afb0574948f9e6dc3dd23c9d8d83279420eb5a657d7b26a2",
         "86ae2880dace8b11f2cabb88e46f145f40a7bf63f7386a475e7a66ca4c8e9804",
     ),
     "position": (
         {"meter_kind": "position"},
-        "141dc89ede1fc4f752b07c3df32b499525a90871993029f39b16e82a74669491",
+        "d74d5752d9ed375d446218bcd04bbf45621e2abb452e5880cbacea981077dd3d",
         "a3d42e70e4eda5eeed3b3b4cf4cb2515b3b53edbf645add23d0cd84e84d3dddc",
     ),
     "position_no_conditioning": (
@@ -62,12 +63,12 @@ GOLDEN = {
     ),
     "quantum_burn_in": (
         {"bath_model": "quantum", "burn_in_s": 1.0},
-        "265c2577b3505697aa775b2e3e0e6a20aaf39ed4f9295abc870c5798ec889dbd",
+        "d4d464d34ba20ce421cdce9635a5dbd0807483b2b7b09ee5fdc8aa1ddf89306f",
         "7cda7b66260be366a1316d5aa5571d8f38efcc6e6dcd76099794cb1ce01e1f38",
     ),
     "qnd_x2": (
         {"meter_kind": "qnd_x2"},
-        "ab6e3210cf39db1645f2ac7c614f31cabbf4fe565d8233ae2b7de64de9870106",
+        "d5670023c5bc01a415c9dacd6a348b6446848a4df876da097ea5d943a776c2ee",
         "019cde6b96ff83cf86df73271edb786153b3218a5d53d45ef779cba1cfb27285",
     ),
 }
@@ -172,7 +173,7 @@ COMMAND_DIGESTS = {
         ["sweep", "--vary", "collapse_policy=orthodox,no_conditioning", "--vary", "n_traj=150,200",
          "--workers", "2"],
         "sweep.csv",
-        "d0be7dace3660083c3717c4c14ff0e6fb419d93a4c8645fd548dc824ce99fdda",
+        "accc19a9bdd70f3c9153cdcebeb280c9b124dc1f9661229c7534017fd297cc17",
     ),
 }
 
@@ -196,7 +197,7 @@ def test_command_outputs_match_digests(command, tmp_path, capsys, pooled):
 # sha256 of analyze's --out JSON and --histogram CSV, read from the record CSV
 # of the orthodox_qnd_x1 golden run
 ANALYZE_DIGESTS = (
-    "0611a487ab898b9d08eb09425dd6509e092a2b91b8640d8ea173a510e17cd217",
+    "f4f6d05f9f26205e9b4fb760a1ec5bdab43c22bf96381e046e7ae004e5c5239c",
     "9b8c64086dd5d75b460d058c2080f51dfe2a2f1bcf06ef2630adcfa30b1203cb",
 )
 

@@ -2,11 +2,13 @@ import hashlib
 import math
 import os
 import warnings
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from qndsim import stats
+from qndsim import default_config, ensemble, stats
 from qndsim import (
     KB,
     DegenerateSeriesError,
@@ -322,6 +324,42 @@ def test_heating_slope_that_overflows_is_a_numerical_failure():
     trace[3:] = 1.7e308
     with pytest.raises(NumericalFailureError, match="the v22 heating slope is not finite"):
         heating_slope(trace)
+
+
+def exact_slope(trace):
+    """The least-squares slope of ``trace`` in exact rationals."""
+    n = len(trace)
+    numerator = sum(Fraction(2 * i - (n - 1), 2) * Fraction(y) for i, y in enumerate(trace.tolist()))
+    return numerator / Fraction(n * (n * n - 1), 12)
+
+
+def ulps_from(value, exact):
+    return abs(Fraction(value) - exact) / Fraction(math.ulp(float(exact)))
+
+
+def random_traces():
+    rng = np.random.default_rng(20261022)
+    for k in range(60):
+        n = int(rng.integers(5, 601))
+        if k % 2:
+            yield 1e-30 * (1.0 + rng.standard_normal(n))
+        else:  # a small slope on a large constant: polyfit's cancellation
+            yield 7.3e-30 + 1e-44 * rng.standard_normal(n) + 1e-46 * np.arange(n)
+
+
+@pytest.mark.parametrize("trace", random_traces())
+def test_heating_slope_is_within_two_ulp_of_the_exact_slope(trace):
+    assert ulps_from(heating_slope(trace), exact_slope(trace)) <= 2
+
+
+@pytest.mark.parametrize("trace", random_traces())
+def test_heating_slope_of_a_reversed_trace_is_negated_exactly(trace):
+    assert heating_slope(trace[::-1]) == -heating_slope(trace)
+
+
+def test_heating_slope_of_the_default_qnd_x2_plan_is_within_two_ulp():
+    trace = ensemble._setup(replace(default_config(), meter_kind="qnd_x2")).steps["post_v22"]
+    assert ulps_from(heating_slope(trace), exact_slope(trace)) <= 2
 
 
 def test_heating_slope_simulated_schedule(rng):
