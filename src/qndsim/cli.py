@@ -1,11 +1,11 @@
 """Command-line harness.
 
-Subcommands: ``budget`` (noise-quanta tables), ``qnd-check`` (self-commutation
-verdicts), ``simulate`` (ensemble run from a config file), ``sweep`` (grid of
-runs), ``analyze`` (re-run statistics on an existing record CSV).  The CSVs of
-``budget``, ``sweep`` and ``analyze --histogram`` spell a float as %.17g and a
-missing figure as nan.  Exit codes: 0 success, 1 configuration/usage errors,
-2 numerical failure.
+Subcommands: budget (noise-quanta tables), qnd-check (self-commutation
+verdicts), simulate (ensemble run from a config file), sweep (grid of runs),
+analyze (re-run statistics on an existing record CSV).  The CSVs of budget,
+sweep and analyze --histogram spell a float as %.17g and a missing figure as
+nan.  Exit codes: 0 success, 1 configuration/usage errors, 2 numerical
+failure.
 """
 
 from __future__ import annotations
@@ -120,7 +120,8 @@ def _float_list(raw: str) -> list[float]:
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="qndsim", description=__doc__)
+    # the docstring's own line breaks: a wrap could split qnd-check at its hyphen
+    parser = _Parser(prog="qndsim", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
     defaults = default_config()
     base = operating_point(defaults)

@@ -228,6 +228,17 @@ def test_no_command_loads_scipy(tmp_path):
     assert done.returncode == 0, done.stderr
 
 
+def test_help_is_plain_text_and_splits_no_command_name(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert main(["--help"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert not any("``" in line for line in lines)
+    for name in ("budget", "qnd-check", "simulate", "sweep", "analyze"):
+        assert any(name in line for line in lines), name
+        assert not any(first.endswith(name[:k]) and second.lstrip().startswith(name[k:])
+                       for first, second in zip(lines, lines[1:]) for k in range(1, len(name))), name
+
+
 def test_package_runs_as_a_module():
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
@@ -499,6 +510,22 @@ def test_sweep_rejects_repeated_key(capsys, monkeypatch):
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and "--vary n_traj" in err
+
+
+def test_commands_call_no_least_squares_routine(tmp_path, capsys, monkeypatch):
+    # the heating slope is an exact sum: no command reaches LAPACK's fit
+    def refuse(*args, **kwargs):
+        raise AssertionError("a least-squares routine was called")
+
+    monkeypatch.setattr(np, "polyfit", refuse)
+    monkeypatch.setattr(np.linalg, "lstsq", refuse)
+    cfg_path, _ = write_config(tmp_path, n_traj=150, n_meas=6)
+    records_path = tmp_path / "records.csv"
+    assert main(["simulate", "--config", str(cfg_path), "--records", str(records_path)]) == 0
+    assert main(["sweep", "--config", str(cfg_path), "--vary", "collapse_policy=orthodox,no_conditioning",
+                 "--workers", "1"]) == 0
+    assert main(["analyze", "--records", str(records_path), "--config", str(cfg_path)]) == 0
+    assert "v22_slope_m2" in capsys.readouterr().out
 
 
 def test_analyze_matches_simulate(tmp_path, capsys):
