@@ -340,11 +340,11 @@ def heating_slope(var_x2_by_step) -> float:
     2 ulp of the exact one.  No BLAS or LAPACK routine runs: the bytes are
     the same on any CPU."""
     trace = np.asarray(var_x2_by_step, dtype=np.float64)
-    n = len(trace)
-    if trace.ndim != 1 or n < 5:
+    if trace.ndim != 1 or len(trace) < 5:
         raise InsufficientDataError(f"need >= 5 variance points, got shape {trace.shape}")
     if not np.isfinite(trace).all():
         raise ParameterError("the v22 trace must be finite")
+    n = len(trace)
     c = np.arange(n) - (n - 1) / 2
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow ends in inf or nan, which is named
         products = c * trace
@@ -353,7 +353,7 @@ def heating_slope(var_x2_by_step) -> float:
         errors = c_head * y_head - products + c_head * y_tail + c_tail * y_head + c_tail * y_tail
     try:
         numerator = math.fsum(products.tolist() + errors.tolist())
-    except (OverflowError, ValueError):  # a partial sum past the double range
+    except (OverflowError, ValueError):  # inf - inf among the terms, or a partial sum past the double range
         numerator = math.nan
     return require_finite("the v22 heating slope", numerator / (n * (n * n - 1) / 12))
 

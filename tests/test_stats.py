@@ -326,6 +326,17 @@ def test_heating_slope_that_overflows_is_a_numerical_failure():
         heating_slope(trace)
 
 
+@pytest.mark.parametrize("trace", [
+    # the products at either end overflow, to -inf and +inf
+    np.array([1.7e308, 0.0, 0.0, 0.0, 1.7e308]),
+    # every product and its error is finite, but their sum is not
+    np.where(np.arange(40001) > 20000, 1e300, 0.0),
+], ids=["inf-minus-inf", "sum-overflows"])
+def test_heating_slope_whose_sum_leaves_the_double_range_is_a_numerical_failure(trace):
+    with pytest.raises(NumericalFailureError, match="the v22 heating slope is not finite"):
+        heating_slope(trace)
+
+
 def exact_slope(trace):
     """The least-squares slope of ``trace`` in exact rationals."""
     n = len(trace)
